@@ -11,23 +11,24 @@ Exit codes: 0 success, 1 usage, 2 ingest failure, 3 analysis failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from . import metrics as metrics_mod
-from ._text import csv_line, fmt6
+from ._text import csv_line, fmt6, read_csv
 from .errors import (
     CohortTooSmall,
     CommscoreError,
     EmptyCorpusWarning,
     FormatError,
     MalformedRecord,
+    NoActivity,
 )
 from .ingest import (
     EmailEvent,
@@ -83,8 +84,10 @@ class RunConfig:
             raise ValueError("thresholds must be positive")
 
     def metric_config(self) -> MetricConfig:
-        lexicon = None
-        if self.lexicon_path is not None:
+        """Metric settings with the lexicon loaded once, bundled or from a file."""
+        if self.lexicon_path is None:
+            lexicon = metrics_mod.default_lexicon()
+        else:
             with open(self.lexicon_path, encoding="utf-8") as fh:
                 lexicon = load_lexicon(fh)
         return MetricConfig(
@@ -136,23 +139,21 @@ def parse_period(raw: str) -> Period:
 
 
 # --------------------------------------------------------------------------
-# stage implementations
+# stages: each builds its configuration from the parsed arguments and runs;
+# a failure propagates to main(), which maps it to the stage's exit code
 
 
-def cmd_ingest(paths: Sequence[Path], config: RunConfig, out_dir: Path) -> int:
-    assert config.period is not None
+def cmd_ingest(args: argparse.Namespace) -> int:
+    config = RunConfig(period=args.period, format=args.format, strict=args.strict)
+    out_dir: Path = args.out
     all_events: list[EmailEvent] = []
     issues: list[ParseIssue] = []
     sources: list[dict[str, object]] = []
-    for path in paths:
+    for path in args.paths:
         team = path.stem if config.format in ("csv", "mbox") else ""
-        try:
-            with open(path, "rb") as fh:
-                result = parse_events(fh, config.format, default_team=team,
-                                      source_name=path.name, strict=config.strict)
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return 2
+        with open(path, "rb") as fh:
+            result = parse_events(fh, config.format, default_team=team,
+                                  source_name=path.name, strict=config.strict)
         all_events.extend(result.events)
         issues.extend(result.issues)
         sources.append({"path": path.name, "events": len(result.events),
@@ -182,7 +183,6 @@ def cmd_ingest(paths: Sequence[Path], config: RunConfig, out_dir: Path) -> int:
         "issues": [{"source": i.source, "line": i.line, "message": i.message}
                    for i in issues],
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     for team, report in teams_report.items():
@@ -199,17 +199,24 @@ def cmd_ingest(paths: Sequence[Path], config: RunConfig, out_dir: Path) -> int:
 
 
 def _read_archive_period(archive: Path) -> Period:
-    manifest = json.loads((archive / "manifest.json").read_text(encoding="utf-8"))
-    period = manifest["period"]
-    return Period(parse_timestamp(period["start"]), parse_timestamp(period["end"]))
-
-
-def cmd_analyze(archive: Path, config: RunConfig, out_dir: Path) -> int:
     try:
-        period = _read_archive_period(archive)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {archive} is not an ingest archive: {exc}", file=sys.stderr)
-        return 3
+        manifest = json.loads((archive / "manifest.json").read_text(encoding="utf-8"))
+        period = manifest["period"]
+        return Period(parse_timestamp(str(period["start"])),
+                      parse_timestamp(str(period["end"])))
+    except (OSError, LookupError, TypeError, ValueError, RecursionError) as exc:
+        raise FormatError(f"{archive} is not an ingest archive: {exc}") from None
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    config = RunConfig(reply_cap=args.reply_cap,
+                       oscillation_window=args.oscillation_window,
+                       awvci_weighting=args.awvci_weighting,
+                       emotionality_mode=args.emotionality_mode,
+                       lexicon_path=args.lexicon)
+    archive: Path = args.archive
+    out_dir: Path = args.out
+    period = _read_archive_period(archive)
     corpora = sorted((archive / "corpora").glob("*.jsonl"))
     metric_config = config.metric_config()
     vectors: list[MetricVector] = []
@@ -225,8 +232,7 @@ def cmd_analyze(archive: Path, config: RunConfig, out_dir: Path) -> int:
                 analyzable += 1
             vectors.append(metrics_mod.compute_metric_vector(corpus, metric_config))
     if analyzable == 0:
-        print("error: zero analyzable teams in archive", file=sys.stderr)
-        return 3
+        raise NoActivity("zero analyzable teams in archive")
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [csv_line(METRICS_CSV_HEADER)]
     for vec in sorted(vectors, key=lambda v: v.team_id):
@@ -241,54 +247,53 @@ def cmd_analyze(archive: Path, config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+def _metric_value(cell: str, where: str) -> float | None:
+    if cell == "":
+        return None
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise FormatError(f"{where}: metric cell {cell!r} is not a finite number")
+    return value
+
+
 def read_metrics_csv(path: Path) -> list[MetricVector]:
     """Read a metrics CSV back into vectors (undefined cells stay None)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != METRICS_CSV_HEADER:
-            raise FormatError(f"{path.name}: bad metrics header {header!r}")
-        vectors = []
-        for row in reader:
+    vectors = []
+    with open(path, "rb") as fh:
+        for line, row in read_csv(fh, path.name, METRICS_CSV_HEADER):
             if not row:
                 continue
             if len(row) != len(METRICS_CSV_HEADER):
                 raise MalformedRecord(
                     f"expected {len(METRICS_CSV_HEADER)} fields, got {len(row)}",
-                    source=path.name, line=reader.line_num)
-            values = {
-                field: (None if cell == "" else float(cell))
-                for field, cell in zip(METRIC_FIELDS, row[1:])
-            }
+                    source=path.name, line=line)
+            where = f"{path.name}: line {line}"
+            values = {field: _metric_value(cell, where)
+                      for field, cell in zip(METRIC_FIELDS, row[1:])}
             vectors.append(MetricVector(team_id=row[0], **values))
     return vectors
 
 
-def cmd_correlate(metrics_path: Path, survey_path: Path, config: RunConfig,
-                  out_dir: Path) -> int:
-    try:
-        vectors = read_metrics_csv(metrics_path)
-        with open(survey_path, "rb") as fh:
-            responses = load_survey(fh, source_name=survey_path.name)
-    except (OSError, CommscoreError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+def cmd_correlate(args: argparse.Namespace) -> int:
+    config = RunConfig(eligibility_min=args.eligibility_min,
+                       alert_sigma=args.alert_sigma, generated_at=args.generated_at)
+    out_dir: Path = args.out
+    vectors = read_metrics_csv(args.metrics_csv)
+    with open(args.survey_csv, "rb") as fh:
+        responses = load_survey(fh, source_name=args.survey_csv.name)
     sats = [team_satisfaction(rows, team, config.eligibility_min)
             for team, rows in group_by_team(responses).items()]
     metric_teams = {v.team_id for v in vectors}
     eligible = [s for s in sats if s.eligible and s.team_id in metric_teams]
     if len(eligible) < 3:
-        print(f"error: {len(eligible)} eligible team(s) with metrics; need ≥ 3",
-              file=sys.stderr)
-        return 4
+        raise CohortTooSmall(f"{len(eligible)} eligible team(s) with metrics; need ≥ 3")
     cells = correlate_all(vectors, sats)
     eligibility = {s.team_id: s.eligible for s in sats}
-    try:
-        cards = build_scorecards(vectors, alert_sigma=config.alert_sigma,
-                                 eligibility=eligibility)
-    except CohortTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    cards = build_scorecards(vectors, alert_sigma=config.alert_sigma,
+                             eligibility=eligibility)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "correlation.csv").write_bytes(render_correlation_csv(cells))
     payload = config.config_payload()
@@ -309,24 +314,24 @@ def cmd_correlate(metrics_path: Path, survey_path: Path, config: RunConfig,
     return 0
 
 
-def cmd_scorecard(metrics_path: Path, config: RunConfig, out_dir: Path,
-                  render_format: str) -> int:
-    try:
-        vectors = read_metrics_csv(metrics_path)
-        cards = build_scorecards(vectors, alert_sigma=config.alert_sigma)
-        blob = render(cards, render_format, generated_at=config.generated_at,
-                      config=config.config_payload())
-    except (OSError, CommscoreError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / f"scorecard.{render_format}"
+def cmd_scorecard(args: argparse.Namespace) -> int:
+    config = RunConfig(alert_sigma=args.alert_sigma, generated_at=args.generated_at)
+    vectors = read_metrics_csv(args.metrics_csv)
+    cards = build_scorecards(vectors, alert_sigma=config.alert_sigma)
+    blob = render(cards, args.format, generated_at=config.generated_at,
+                  config=config.config_payload())
+    args.out.mkdir(parents=True, exist_ok=True)
+    target = args.out / f"scorecard.{args.format}"
     target.write_bytes(blob)
     print(f"wrote {target}")
     return 0
 
 
-def cmd_synth(spec: SynthSpec, out_dir: Path) -> int:
+def cmd_synth(args: argparse.Namespace) -> int:
+    spec = SynthSpec(teams=args.teams, months=args.months, actors=args.actors,
+                     respondents=args.respondents, messages_per_month=args.messages,
+                     effects=args.effects, seed=args.seed)
+    out_dir: Path = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = write_outputs(spec, out_dir)
     period = manifest["period"]
@@ -337,28 +342,63 @@ def cmd_synth(spec: SynthSpec, out_dir: Path) -> int:
 
 
 # --------------------------------------------------------------------------
-# argument parsing
+# argument parsing: usage errors exit 1 before any stage runs
+
+
+def _argument(convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """``convert`` as an argparse ``type=`` that reports why a value is bad."""
+    def checked(raw: str) -> Any:
+        try:
+            return convert(raw)
+        except (OSError, TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return checked
+
+
+def _positive(number: Callable[[str], Any]) -> Callable[[str], Any]:
+    def positive(raw: str) -> Any:
+        value = number(raw)
+        if not 0 < value < math.inf:
+            raise ValueError(f"must be a positive finite number, got {raw!r}")
+        return value
+    return _argument(positive)
+
+
+def _parse_effects(raw: str) -> dict[str, float]:
+    if raw == "none":
+        return {}
+    if raw == "planted":
+        return planted_effects()
+    if not raw.lstrip().startswith("{"):
+        raw = Path(raw).read_text(encoding="utf-8")
+    effects = json.loads(raw, parse_int=float)
+    if not isinstance(effects, dict):
+        raise ValueError("effects must be a JSON object")
+    return {str(k): float(v) for k, v in effects.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The subcommands, each with its stage function and its failure exit code."""
     parser = argparse.ArgumentParser(
         prog="commscore",
         description="Communication score cards from team e-mail logs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ingest = sub.add_parser("ingest", help="parse mail logs into a corpus archive")
+    p_ingest.set_defaults(run=cmd_ingest, failure_code=2)
     p_ingest.add_argument("paths", nargs="+", type=Path)
     p_ingest.add_argument("--format", choices=("csv", "jsonl", "mbox"), default="csv")
-    p_ingest.add_argument("--period", required=True,
+    p_ingest.add_argument("--period", required=True, type=_argument(parse_period),
                           help="analysis interval START..END (end exclusive)")
     p_ingest.add_argument("--out", type=Path, required=True)
     p_ingest.add_argument("--strict", action="store_true",
                           help="abort on the first malformed record")
 
     p_analyze = sub.add_parser("analyze", help="compute per-team metric vectors")
+    p_analyze.set_defaults(run=cmd_analyze, failure_code=3)
     p_analyze.add_argument("archive", type=Path)
     p_analyze.add_argument("--out", type=Path, required=True)
-    p_analyze.add_argument("--reply-cap", type=int,
+    p_analyze.add_argument("--reply-cap", type=_positive(int),
                            default=metrics_mod.DEFAULT_REPLY_CAP,
                            help="max reply latency in seconds (default 7 days)")
     p_analyze.add_argument("--oscillation-window", choices=("weekly", "monthly"),
@@ -372,24 +412,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_corr = sub.add_parser("correlate",
                             help="correlate metrics with survey satisfaction")
+    p_corr.set_defaults(run=cmd_correlate, failure_code=4)
     p_corr.add_argument("metrics_csv", type=Path)
     p_corr.add_argument("survey_csv", type=Path)
     p_corr.add_argument("--out", type=Path, required=True)
-    p_corr.add_argument("--eligibility-min", type=int, default=DEFAULT_ELIGIBILITY_MIN,
+    p_corr.add_argument("--eligibility-min", type=_positive(int),
+                        default=DEFAULT_ELIGIBILITY_MIN,
                         help="respondents required (strictly more than this)")
-    p_corr.add_argument("--alert-sigma", type=float, default=DEFAULT_ALERT_SIGMA)
+    p_corr.add_argument("--alert-sigma", type=_positive(float),
+                        default=DEFAULT_ALERT_SIGMA)
     p_corr.add_argument("--generated-at", default=DEFAULT_GENERATED_AT,
                         help="UTC instant stamped into reports (fixed default "
                              "keeps reruns byte-identical)")
 
     p_card = sub.add_parser("scorecard", help="render score cards from a metrics CSV")
+    p_card.set_defaults(run=cmd_scorecard, failure_code=4)
     p_card.add_argument("metrics_csv", type=Path)
     p_card.add_argument("--out", type=Path, required=True)
     p_card.add_argument("--format", choices=("json", "csv", "html"), default="json")
-    p_card.add_argument("--alert-sigma", type=float, default=DEFAULT_ALERT_SIGMA)
+    p_card.add_argument("--alert-sigma", type=_positive(float),
+                        default=DEFAULT_ALERT_SIGMA)
     p_card.add_argument("--generated-at", default=DEFAULT_GENERATED_AT)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus + survey")
+    p_synth.set_defaults(run=cmd_synth, failure_code=1)
     p_synth.add_argument("--out", type=Path, required=True)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--teams", type=int, default=13)
@@ -398,86 +444,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--respondents", type=int, default=25)
     p_synth.add_argument("--messages", type=int, default=70,
                          help="messages per team per month (before replies)")
-    p_synth.add_argument("--effects", default="none",
+    p_synth.add_argument("--effects", type=_argument(_parse_effects), default="none",
                          help="'none', 'planted', inline JSON, or a JSON file path")
     return parser
 
 
-def _parse_effects(raw: str) -> dict[str, float]:
-    if raw == "none":
-        return {}
-    if raw == "planted":
-        return planted_effects()
-    if raw.lstrip().startswith("{"):
-        return {str(k): float(v) for k, v in json.loads(raw).items()}
-    blob = Path(raw).read_text(encoding="utf-8")
-    return {str(k): float(v) for k, v in json.loads(blob).items()}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.command == "ingest":
-            try:
-                config = RunConfig(period=parse_period(args.period),
-                                   format=args.format, strict=args.strict)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            try:
-                return cmd_ingest(args.paths, config, args.out)
-            except (FormatError, MalformedRecord) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        if args.command == "analyze":
-            try:
-                config = RunConfig(reply_cap=args.reply_cap,
-                                   oscillation_window=args.oscillation_window,
-                                   awvci_weighting=args.awvci_weighting,
-                                   emotionality_mode=args.emotionality_mode,
-                                   lexicon_path=args.lexicon)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            try:
-                return cmd_analyze(args.archive, config, args.out)
-            except (CommscoreError, OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 3
-        if args.command == "correlate":
-            try:
-                config = RunConfig(eligibility_min=args.eligibility_min,
-                                   alert_sigma=args.alert_sigma,
-                                   generated_at=args.generated_at)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            return cmd_correlate(args.metrics_csv, args.survey_csv, config, args.out)
-        if args.command == "scorecard":
-            try:
-                config = RunConfig(alert_sigma=args.alert_sigma,
-                                   generated_at=args.generated_at)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            return cmd_scorecard(args.metrics_csv, config, args.out, args.format)
-        if args.command == "synth":
-            try:
-                spec = SynthSpec(teams=args.teams, months=args.months,
-                                 actors=args.actors, respondents=args.respondents,
-                                 messages_per_month=args.messages,
-                                 effects=_parse_effects(args.effects), seed=args.seed)
-            except (ValueError, json.JSONDecodeError, OSError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            return cmd_synth(spec, args.out)
+        return args.run(args)
+    except (CommscoreError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return args.failure_code
     except KeyboardInterrupt:
         return 130
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

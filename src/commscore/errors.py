@@ -62,4 +62,4 @@ class DegenerateInput(CommscoreError):
 
 
 class CohortTooSmall(CommscoreError):
-    """Fewer than two teams available for cohort standardization."""
+    """Too few teams for cohort standardization or correlation."""

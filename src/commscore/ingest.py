@@ -15,9 +15,7 @@ resolution.  Addresses are lowercased with display names stripped.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import re
 import warnings
@@ -27,7 +25,7 @@ from email import message_from_bytes, policy
 from email.utils import getaddresses, parsedate_to_datetime
 from typing import BinaryIO, Iterable
 
-from ._text import csv_line
+from ._text import csv_line, read_csv
 from .errors import (
     EmptyCorpusWarning,
     FormatError,
@@ -45,6 +43,8 @@ CSV_HEADER = ("timestamp", "from", "to", "cc", "subject")
 
 _ADDR_RE = re.compile(r"^[^@\s<>,;]+@[^@\s<>,;]+$")
 _ANGLE_RE = re.compile(r"<([^<>]*)>")
+#: A team id names its corpus file, so it must be one path component.
+_UNSAFE_TEAM_RE = re.compile(r"[/\\\x00]|\A\.\.?\Z")
 
 
 def normalize_address(raw: str) -> ActorId:
@@ -133,8 +133,12 @@ def make_event(timestamp: datetime, sender: str, to: Iterable[str],
     """Build an :class:`EmailEvent` from raw strings, normalizing as it goes.
 
     Recipient lists are normalized and deduplicated while preserving order;
-    addresses already present in ``to`` are dropped from ``cc``.
+    addresses already present in ``to`` are dropped from ``cc``.  A team id
+    that is not a single path component (``/``, ``\\``, NUL, ``.``, ``..``)
+    raises ``ValueError``.
     """
+    if _UNSAFE_TEAM_RE.search(team_id):
+        raise ValueError(f"team_id {team_id!r} is not a single path component")
     sender_n = normalize_address(sender)
     seen: set[str] = set()
     to_n: list[str] = []
@@ -213,25 +217,8 @@ def _split_list(raw: str) -> list[str]:
 
 
 def _parse_csv(source: BinaryIO, default_team: str, name: str, strict: bool) -> ParseResult:
-    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-    reader = csv.reader(text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError(f"{name}: empty CSV (header row required)") from None
-    except csv.Error as exc:
-        raise FormatError(f"{name}: {exc}") from None
-    if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise FormatError(f"{name}: bad CSV header {header!r}")
     result = ParseResult(events=[])
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            break
-        except csv.Error as exc:
-            raise FormatError(f"{name}: line {reader.line_num}: {exc}") from None
-        line = reader.line_num
+    for line, row in read_csv(source, name, CSV_HEADER):
         if not row:
             continue
         if len(row) != 5:
@@ -321,7 +308,8 @@ def _parse_mbox(source: BinaryIO, default_team: str, name: str, strict: bool) ->
             cc = [addr for _, addr in getaddresses([str(msg.get("Cc", ""))]) if addr]
             event = make_event(stamp, froms[0][1], to, cc,
                                str(msg.get("Subject", "")), default_team)
-        except (ValueError, MalformedAddress) as exc:
+        # Python 3.10's parsedate_to_datetime raises TypeError on a bad Date
+        except (ValueError, TypeError, MalformedAddress) as exc:
             _issue(result, strict, name, lineno, str(exc))
             continue
         result.events.append(event)

@@ -265,19 +265,14 @@ def match_replies(corpus: TeamCorpus, reply_cap: int = DEFAULT_REPLY_CAP) -> lis
 
 @dataclass(frozen=True)
 class ResponseTimes:
-    art_mean: float | None
     art_median: float | None
 
 
 def response_times(pairs: Sequence[ReplyPair]) -> ResponseTimes:
-    """Mean and median reply latency; undefined (None) when there are no pairs."""
+    """Median reply latency; undefined (None) when there are no pairs."""
     if not pairs:
-        return ResponseTimes(art_mean=None, art_median=None)
-    latencies = [p.latency for p in pairs]
-    return ResponseTimes(
-        art_mean=statistics.mean(latencies),
-        art_median=statistics.median(latencies),
-    )
+        return ResponseTimes(art_median=None)
+    return ResponseTimes(art_median=statistics.median(p.latency for p in pairs))
 
 
 # --------------------------------------------------------------------------

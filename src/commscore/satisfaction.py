@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import BinaryIO, Sequence
 
-from .errors import FormatError, MalformedRecord, NoResponses, OutOfRange
+from ._text import read_csv
+from .errors import MalformedRecord, NoResponses, OutOfRange
 
 SURVEY_HEADER = (
     "team_id", "respondent_id", "nps",
@@ -94,19 +93,10 @@ def load_survey(source: BinaryIO, *, source_name: str = "<stream>") -> list[Surv
 
     Missing answers are treated as malformed, never imputed.
     """
-    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-    reader = csv.reader(text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError(f"{source_name}: empty survey CSV") from None
-    if tuple(h.strip() for h in header) != SURVEY_HEADER:
-        raise FormatError(f"{source_name}: bad survey header {header!r}")
     out: list[SurveyResponse] = []
-    for row in reader:
+    for line, row in read_csv(source, source_name, SURVEY_HEADER):
         if not row:
             continue
-        line = reader.line_num
         if len(row) != len(SURVEY_HEADER):
             raise MalformedRecord(
                 f"expected {len(SURVEY_HEADER)} fields, got {len(row)}",

@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date, timedelta, timezone
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from ._text import csv_line
-from .ingest import ActorId, Period, TeamCorpus, iso_utc
+from .ingest import ActorId, Period, TeamCorpus
 
 
 @dataclass(frozen=True)
@@ -119,22 +118,3 @@ def daily_activity(corpus: TeamCorpus) -> list[DailyActivity]:
         for d, (s, r, t) in sorted(per_day.items())
     ]
 
-
-def dump_edges(graphs: Iterable[WindowGraph]) -> bytes:
-    """Edge-list CSV ``window_start,from,to,count`` for debugging and tests."""
-    out = [csv_line(("window_start", "from", "to", "count"))]
-    for g in graphs:
-        start = iso_utc(g.window.start)
-        for (src, dst), count in sorted(g.edges.items()):
-            out.append(csv_line((start, src, dst, str(count))))
-    return "".join(out).encode("utf-8")
-
-
-def merge_graphs(graphs: Iterable[WindowGraph], window: Period) -> WindowGraph:
-    """Union of edge counts over graphs, reported against the given window."""
-    edges: dict[tuple[ActorId, ActorId], int] = {}
-    for g in graphs:
-        for pair, count in g.edges.items():
-            edges[pair] = edges.get(pair, 0) + count
-    nodes = frozenset(a for pair in edges for a in pair)
-    return WindowGraph(window=window, nodes=nodes, edges=MappingProxyType(edges))

@@ -83,6 +83,15 @@ def _all_shortest_paths(adj: Mapping[str, list[str]], dist: Mapping[str, int],
     return out
 
 
+def merge_edges(edge_maps: Iterable[Mapping[tuple[str, str], int]]) -> dict[tuple[str, str], int]:
+    """Union of directed edge counts over several windows' ``edges`` mappings."""
+    merged: dict[tuple[str, str], int] = {}
+    for edges in edge_maps:
+        for pair, count in edges.items():
+            merged[pair] = merged.get(pair, 0) + count
+    return merged
+
+
 def freeman_centralization(values: Mapping[str, Fraction], kind: str) -> Fraction:
     n = len(values)
     if n <= 2:

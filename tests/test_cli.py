@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from commscore.cli import main, parse_period
+from commscore._text import csv_line
+from commscore.cli import METRICS_CSV_HEADER, main, parse_period, read_metrics_csv
+from commscore.errors import FormatError
+
+PERIOD = "2012-06-01..2012-09-01"
+MAIL_HEADER = b"timestamp,from,to,cc,subject\n"
+MAIL_ROW = b"2012-06-04T09:00:00Z,a@x.com,b@x.com,,hello\n"
+BAD_ROW = b"bad,a@x.com,b@x.com,,hi\n"
+SURVEY_HEADER = b"team_id,respondent_id,nps,kpd_1,kpd_2,kpd_3,kpd_4,kpd_5,kpd_6,kpd_7,kpd_8\n"
 
 
 def run(*argv: str) -> int:
@@ -180,3 +191,165 @@ def test_synth_effects_accept_inline_json(tmp_path):
 
 def test_synth_rejects_unknown_effect_keys(tmp_path):
     assert run("synth", "--out", tmp_path / "d", "--effects", '{"bogus": 0.5}') == 1
+
+
+def _write(path: Path, content: bytes) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(content)
+    return path
+
+
+def _jsonl(team_id: str) -> bytes:
+    return (json.dumps({"timestamp": "2012-06-04T09:00:00Z", "from": "a@x.com",
+                        "to": ["b@x.com"], "team_id": team_id}) + "\n").encode()
+
+
+def _metrics(*cells: str) -> bytes:
+    """A metrics CSV with one row per team; ``cells`` fill the first team's row."""
+    rows = [METRICS_CSV_HEADER]
+    for n, team in enumerate(("alpha", "bravo", "carol")):
+        values = [str(0.25 * (n + 1) + k) for k in range(len(METRICS_CSV_HEADER) - 1)]
+        if n == 0:
+            values[:len(cells)] = cells
+        rows.append((team, *values))
+    return "".join(csv_line(r) for r in rows).encode()
+
+
+def _survey() -> bytes:
+    """Two respondents for each team of :func:`_metrics`: eligible at ``--eligibility-min 1``."""
+    rows = [f"{team},r{k},{3 * n + k},{n + k + 1},3,3,3,3,3,3,3\n"
+            for n, team in enumerate(("alpha", "bravo", "carol")) for k in (0, 1)]
+    return SURVEY_HEADER + "".join(rows).encode()
+
+
+def _empty_archive(d: Path) -> Path:
+    assert run("ingest", _write(d / "team.csv", MAIL_HEADER), "--period", PERIOD,
+               "--out", d / "c") == 0
+    return d / "c"
+
+
+EXIT_CODE_CASES = [
+    pytest.param(1, lambda d: ["ingest", _write(d / "t.csv", MAIL_HEADER + MAIL_ROW),
+                               "--period", "2012-06-01", "--out", d / "o"],
+                 id="bad-period"),
+    pytest.param(1, lambda d: ["analyze", d, "--out", d / "o", "--reply-cap", "0"],
+                 id="reply-cap-0"),
+    pytest.param(1, lambda d: ["correlate", d / "m.csv", d / "s.csv", "--out", d / "o",
+                               "--alert-sigma", "0"],
+                 id="alert-sigma-0"),
+    pytest.param(1, lambda d: ["synth", "--out", d / "o", "--effects", '{"bogus": 0.5}'],
+                 id="unknown-effect-key"),
+    pytest.param(2, lambda d: ["ingest", _write(d / "t.csv", MAIL_HEADER + BAD_ROW),
+                               "--period", PERIOD, "--out", d / "o", "--strict"],
+                 id="strict-malformed-row"),
+    pytest.param(2, lambda d: ["ingest", _write(d / "t.csv", MAIL_HEADER + b"\xff\n"),
+                               "--period", PERIOD, "--out", d / "o"],
+                 id="non-utf8-csv"),
+    pytest.param(2, lambda d: ["ingest", _write(d / "t.jsonl", _jsonl("../../escaped")),
+                               "--format", "jsonl", "--period", PERIOD, "--out", d / "o",
+                               "--strict"],
+                 id="strict-unsafe-team-id"),
+    pytest.param(3, lambda d: ["analyze", _empty_archive(d), "--out", d / "o"],
+                 id="empty-archive"),
+    pytest.param(4, lambda d: ["correlate", _write(d / "m.csv", _metrics("nan")),
+                               _write(d / "s.csv", _survey()), "--out", d / "o",
+                               "--eligibility-min", "1"],
+                 id="nan-metric-correlate"),
+    pytest.param(4, lambda d: ["scorecard", _write(d / "m.csv", _metrics("nan")),
+                               "--out", d / "o"],
+                 id="nan-metric-scorecard"),
+]
+
+
+@pytest.mark.parametrize("code, argv", EXIT_CODE_CASES)
+def test_exit_code_contract(tmp_path, capsys, code, argv):
+    """Usage 1, ingest 2, analyze 3, correlate/scorecard 4, each with one error line."""
+    assert run(*argv(tmp_path)) == code
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "x"])
+def test_non_finite_metric_cells_are_format_errors(tmp_path, cell):
+    survey = _write(tmp_path / "s.csv", _survey())
+    # the same files with finite cells pass both commands
+    good = _write(tmp_path / "good.csv", _metrics("0.5", "0.75"))
+    assert run("correlate", good, survey, "--out", tmp_path / "ok",
+               "--eligibility-min", "1") == 0
+    assert run("scorecard", good, "--out", tmp_path / "ok") == 0
+    path = _write(tmp_path / "metrics.csv", _metrics("0.5", cell))
+    with pytest.raises(FormatError, match=r"metrics\.csv: line 2: .* not a finite number"):
+        read_metrics_csv(path)
+    assert run("correlate", path, survey, "--out", tmp_path / "o",
+               "--eligibility-min", "1") == 4
+    assert run("scorecard", path, "--out", tmp_path / "o") == 4
+    assert not (tmp_path / "o").exists()
+
+
+def test_ingest_keeps_unsafe_team_ids_inside_out(tmp_path):
+    mail = _write(tmp_path / "in" / "m.jsonl", _jsonl("../../escaped") + _jsonl("ok"))
+    out = tmp_path / "d" / "e" / "c2"
+    assert run("ingest", mail, "--format", "jsonl", "--period", PERIOD, "--out", out) == 0
+    assert not list(tmp_path.rglob("escaped*"))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest["teams"]) == ["ok"]
+    assert manifest["issues"][0]["line"] == 1
+
+
+def _payloads(header: bytes) -> st.SearchStrategy[bytes]:
+    body = st.one_of(st.binary(max_size=200),
+                     st.text(max_size=200).map(lambda t: t.encode("utf-8")))
+    return st.tuples(st.sampled_from([b"", header]), body).map(b"".join)
+
+
+_jsonl_records = st.lists(st.one_of(
+    st.text(max_size=12).map(_jsonl),
+    st.binary(max_size=80).map(lambda b: b + b"\n")), max_size=4).map(b"".join)
+
+#: (name of the fuzzed input, strategy for its bytes)
+FUZZ_INPUTS = {
+    "mail.csv": _payloads(MAIL_HEADER),
+    "mail.jsonl": _jsonl_records,
+    "archive corpus": _jsonl_records,
+    "archive manifest": _payloads(b'{"period": '),
+    "survey.csv": _payloads(SURVEY_HEADER),
+    "metrics.csv": _payloads(csv_line(METRICS_CSV_HEADER).encode()),
+}
+
+
+def _fuzz_argv(kind: str, blob: bytes, inputs: Path, out: Path) -> list[object]:
+    manifest = b'{"period": {"start": "2012-06-01T00:00:00Z", "end": "2012-09-01T00:00:00Z"}}'
+    if kind == "mail.csv":
+        return ["ingest", _write(inputs / "team.csv", blob), "--period", PERIOD, "--out", out]
+    if kind == "mail.jsonl":
+        return ["ingest", _write(inputs / "mail.jsonl", blob), "--format", "jsonl",
+                "--period", PERIOD, "--out", out]
+    if kind.startswith("archive"):
+        archive = inputs / "archive"
+        _write(archive / "manifest.json", blob if kind == "archive manifest" else manifest)
+        _write(archive / "corpora" / "team.jsonl", blob if kind == "archive corpus" else b"")
+        return ["analyze", archive, "--out", out]
+    metrics = blob if kind == "metrics.csv" else _metrics()
+    survey = blob if kind == "survey.csv" else _survey()
+    return ["correlate", _write(inputs / "metrics.csv", metrics),
+            _write(inputs / "survey.csv", survey), "--out", out, "--eligibility-min", "1"]
+
+
+@pytest.mark.parametrize("kind", FUZZ_INPUTS)
+def test_any_input_bytes_end_in_a_documented_exit_code(kind):
+    @given(blob=FUZZ_INPUTS[kind])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def check(blob: bytes) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            out = root / "w" / "x" / "y" / "out"  # deep, so an escape stays in root
+            out.parent.mkdir(parents=True)
+
+            def outside_out() -> list[Path]:
+                return sorted(p for p in root.rglob("*") if not p.is_relative_to(out))
+
+            argv = _fuzz_argv(kind, blob, root / "in", out)
+            before = outside_out()
+            assert run(*argv) in {0, 1, 2, 3, 4}
+            assert outside_out() == before
+    check()

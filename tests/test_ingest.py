@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -101,6 +102,30 @@ def test_csv_bad_header_is_a_format_error():
         parse_events(io.BytesIO(b"when,who\n"), "csv")
     with pytest.raises(FormatError):
         parse_events(io.BytesIO(b""), "csv")
+
+
+def test_csv_that_is_not_utf8_names_the_line():
+    good = b"2012-06-04T09:00:00Z,a@x.com,b@x.com,,hello\n"
+    # the bad byte lies past the text decoder's first read-ahead block
+    doc = b"timestamp,from,to,cc,subject\n" + good * 500 + good.replace(b"hello", b"caf\xe9")
+    with pytest.raises(FormatError, match=r"team\.csv: line 502: not UTF-8"):
+        parse_events(io.BytesIO(doc), "csv", source_name="team.csv")
+
+
+def _jsonl_record(team: str) -> bytes:
+    return (json.dumps({"timestamp": "2012-06-04T09:00:00Z", "from": "a@x.com",
+                        "to": ["b@x.com"], "team_id": team}) + "\n").encode()
+
+
+@pytest.mark.parametrize("team", ["../../escaped", "a/b", "a\\b", "a\x00b", ".", ".."])
+def test_team_id_must_be_one_path_component(team):
+    result = parse_events(io.BytesIO(_jsonl_record(team) + _jsonl_record("...")), "jsonl")
+    assert [e.team_id for e in result.events] == ["..."]
+    assert [(i.line, "path component" in i.message) for i in result.issues] == [(1, True)]
+    with pytest.raises(MalformedRecord):
+        parse_events(io.BytesIO(_jsonl_record(team)), "jsonl", strict=True)
+    with pytest.raises(ValueError):
+        make_event(ts("2012-06-04 09:00"), "a@x.com", ["b@x.com"], team_id=team)
 
 
 def test_unknown_format_rejected():

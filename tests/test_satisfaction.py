@@ -183,6 +183,12 @@ def test_survey_rejects_bad_values():
         load_survey(io.BytesIO(doc))
 
 
+def test_survey_that_is_not_utf8_is_a_format_error():
+    with pytest.raises(FormatError, match=r"survey\.csv: line 5: not UTF-8"):
+        load_survey(io.BytesIO(SURVEY + b"alpha,r\xff,9,3,3,3,3,3,3,3,3\n"),
+                    source_name="survey.csv")
+
+
 def test_survey_rejects_wrong_header():
     with pytest.raises(FormatError):
         load_survey(io.BytesIO(b"team,who,nps\n"))
