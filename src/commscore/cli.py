@@ -56,7 +56,7 @@ from .satisfaction import (
 from .scorecard import DEFAULT_ALERT_SIGMA, build_scorecards, render
 from .stats import correlate_all, render_correlation_csv
 from .synth import SynthSpec, planted_effects, write_outputs
-from .tempograph import month_periods
+from .tempograph import month_periods, window_events
 
 DEFAULT_GENERATED_AT = "1970-01-01T00:00:00Z"
 
@@ -146,7 +146,7 @@ def parse_period(raw: str) -> Period:
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = RunConfig(period=args.period, format=args.format, strict=args.strict)
     out_dir: Path = args.out
-    all_events: list[EmailEvent] = []
+    events_by_team: dict[str, list[EmailEvent]] = {}
     issues: list[ParseIssue] = []
     sources: list[dict[str, object]] = []
     for path in args.paths:
@@ -154,24 +154,23 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         with open(path, "rb") as fh:
             result = parse_events(fh, config.format, default_team=team,
                                   source_name=path.name, strict=config.strict)
-        all_events.extend(result.events)
+        for ev in result.events:
+            if ev.team_id:
+                events_by_team.setdefault(ev.team_id, []).append(ev)
         issues.extend(result.issues)
         sources.append({"path": path.name, "events": len(result.events),
                         "skipped": len(result.issues)})
-    team_ids = sorted({ev.team_id for ev in all_events if ev.team_id})
     corpora_dir = out_dir / "corpora"
     corpora_dir.mkdir(parents=True, exist_ok=True)
     teams_report: dict[str, dict[str, object]] = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptyCorpusWarning)
-        for team in team_ids:
-            corpus = build_corpus(all_events, team, config.period)
+        for team in sorted(events_by_team):
+            corpus = build_corpus(events_by_team[team], team, config.period)
             (corpora_dir / f"{team}.jsonl").write_bytes(
                 serialize_events(corpus.events, "jsonl"))
-            gaps = []
-            for window in month_periods(config.period):
-                if not any(ev.timestamp in window for ev in corpus.events):
-                    gaps.append(window.start.strftime("%Y-%m"))
+            gaps = [w.start.strftime("%Y-%m") for w in month_periods(config.period)
+                    if not window_events(corpus, w)]
             teams_report[team] = {"events": len(corpus.events), "gap_months": gaps}
     manifest = {
         "format": config.format,
@@ -247,6 +246,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Largest magnitude of a metrics cell read back.  Every metric ``analyze``
+#: writes is far smaller (the largest, ART in seconds, stays below 3.2e11), and
+#: below it the float steps of correlation and score cards cannot overflow.
+METRIC_CELL_MAX = 1e15
+
+
 def _metric_value(cell: str, where: str) -> float | None:
     if cell == "":
         return None
@@ -254,8 +259,9 @@ def _metric_value(cell: str, where: str) -> float | None:
         value = float(cell)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
-        raise FormatError(f"{where}: metric cell {cell!r} is not a finite number")
+    if not abs(value) <= METRIC_CELL_MAX:
+        raise FormatError(f"{where}: metric cell {cell!r} is not a finite number "
+                          f"of magnitude at most {METRIC_CELL_MAX:g}")
     return value
 
 

@@ -360,11 +360,22 @@ class Period:
 
 @dataclass(frozen=True, slots=True)
 class TeamCorpus:
-    """Immutable, time-sorted event stream for one team within a period."""
+    """Immutable, time-sorted event stream for one team within a period.
+
+    Raises ``ValueError`` unless ``events`` are in non-decreasing timestamp
+    order and all lie within ``period``.
+    """
 
     team_id: str
     events: tuple[EmailEvent, ...]
     period: Period
+
+    def __post_init__(self) -> None:
+        stamps = [ev.timestamp for ev in self.events]
+        if any(later < earlier for earlier, later in zip(stamps, stamps[1:])):
+            raise ValueError("corpus events are not in timestamp order")
+        if stamps and (stamps[0] not in self.period or stamps[-1] not in self.period):
+            raise ValueError("corpus events lie outside the corpus period")
 
 
 def build_corpus(events: Iterable[EmailEvent], team_id: str, period: Period) -> TeamCorpus:

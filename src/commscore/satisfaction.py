@@ -91,9 +91,12 @@ def team_satisfaction(responses: Sequence[SurveyResponse], team_id: str,
 def load_survey(source: BinaryIO, *, source_name: str = "<stream>") -> list[SurveyResponse]:
     """Parse the survey CSV; malformed or incomplete rows are rejected outright.
 
-    Missing answers are treated as malformed, never imputed.
+    Missing answers are treated as malformed, never imputed.  KPD answers
+    must lie in 1..5, and each ``(team_id, respondent_id)`` pair may appear
+    only once.
     """
     out: list[SurveyResponse] = []
+    seen: set[tuple[str, str]] = set()
     for line, row in read_csv(source, source_name, SURVEY_HEADER):
         if not row:
             continue
@@ -106,15 +109,33 @@ def load_survey(source: BinaryIO, *, source_name: str = "<stream>") -> list[Surv
         if not team or not respondent:
             raise MalformedRecord("empty team_id or respondent_id",
                                   source=source_name, line=line)
+        if (team, respondent) in seen:
+            raise MalformedRecord(f"duplicate respondent {respondent!r} for team {team!r}",
+                                  source=source_name, line=line)
+        seen.add((team, respondent))
         try:
             answer = int(raw_nps)
-            answers = tuple(Fraction(v) for v in raw_kpd)
+            answers = tuple(_kpd_answer(v) for v in raw_kpd)
             response = SurveyResponse(team_id=team, respondent_id=respondent,
                                       nps_answer=answer, kpd_answers=answers)
-        except (ValueError, ZeroDivisionError, OutOfRange) as exc:
+        except (ValueError, OutOfRange) as exc:
             raise MalformedRecord(str(exc), source=source_name, line=line) from None
         out.append(response)
     return out
+
+
+def _kpd_answer(raw: str) -> Fraction:
+    """One KPD answer in 1..5.
+
+    The range is checked on a float first, so that an answer such as
+    ``1e1000000`` is rejected before it builds a huge exact ``Fraction``.
+    """
+    if 1 <= float(raw) <= 5:
+        answer = Fraction(raw)
+        # the exact check, on integers: comparing Fractions costs far more
+        if answer.denominator <= answer.numerator <= 5 * answer.denominator:
+            return answer
+    raise OutOfRange(f"kpd answer {raw!r} outside 1..5")
 
 
 def group_by_team(responses: Sequence[SurveyResponse]) -> dict[str, list[SurveyResponse]]:

@@ -8,8 +8,9 @@ scores are written straight from their defining formulas.
 
 from __future__ import annotations
 
+from datetime import date, datetime, timedelta, timezone
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import mpmath
 
@@ -90,6 +91,76 @@ def merge_edges(edge_maps: Iterable[Mapping[tuple[str, str], int]]) -> dict[tupl
         for pair, count in edges.items():
             merged[pair] = merged.get(pair, 0) + count
     return merged
+
+
+# ---------------------------------------------------------------------------
+# windowing oracles: a full scan of the events per window, over plain event
+# attributes (``timestamp``, ``sender``, ``to``, ``cc``)
+
+
+def _edge_counts(events: Iterable) -> dict[tuple[str, str], int]:
+    edges: dict[tuple[str, str], int] = {}
+    for ev in events:
+        for recipient in ev.to + ev.cc:
+            if recipient != ev.sender:
+                edges[(ev.sender, recipient)] = edges.get((ev.sender, recipient), 0) + 1
+    return edges
+
+
+def window_edges(events: Iterable, start: datetime, end: datetime) -> dict[tuple[str, str], int]:
+    """Directed edge counts of the messages sent in ``[start, end)``."""
+    return _edge_counts(ev for ev in events if start <= ev.timestamp < end)
+
+
+def month_key(stamp: datetime) -> tuple[int, int]:
+    return (stamp.year, stamp.month)
+
+
+def week_key(stamp: datetime) -> date:
+    """The Monday that starts the stamp's calendar week."""
+    return stamp.date() - timedelta(days=stamp.weekday())
+
+
+def calendar_keys(start: datetime, end: datetime,
+                  key: Callable[[datetime], Hashable]) -> list[Hashable]:
+    """The calendar buckets that ``[start, end)`` touches, found a day at a time."""
+    keys: list[Hashable] = []
+    days = [start + timedelta(days=i) for i in range((end - start).days + 1)]
+    for stamp in days + [end - timedelta(seconds=1)]:
+        if stamp < end and key(stamp) not in keys:
+            keys.append(key(stamp))
+    return keys
+
+
+def calendar_edges(events: Sequence, start: datetime, end: datetime,
+                   key: Callable[[datetime], Hashable]) -> list[tuple[Hashable, dict]]:
+    """(bucket, edge counts) for each calendar bucket of ``[start, end)``, in order."""
+    inside = [ev for ev in events if start <= ev.timestamp < end]
+    return [(k, _edge_counts(ev for ev in inside if key(ev.timestamp) == k))
+            for k in calendar_keys(start, end, key)]
+
+
+def gap_months(events: Sequence, start: datetime, end: datetime) -> list[str]:
+    """``YYYY-MM`` of each month of ``[start, end)`` without any message at all."""
+    busy = {month_key(ev.timestamp) for ev in events if start <= ev.timestamp < end}
+    return [f"{y:04d}-{m:02d}" for y, m in calendar_keys(start, end, month_key)
+            if (y, m) not in busy]
+
+
+def daily_tallies(events: Iterable) -> list[tuple[date, dict, dict, int]]:
+    """(UTC day, sent, received, total edges) per day with a counted message."""
+    per_day: dict[date, tuple[dict[str, int], dict[str, int], int]] = {}
+    for ev in events:
+        recipients = [r for r in ev.to + ev.cc if r != ev.sender]
+        if not recipients:
+            continue
+        day = ev.timestamp.astimezone(timezone.utc).date()
+        sent, received, total = per_day.get(day, ({}, {}, 0))
+        sent[ev.sender] = sent.get(ev.sender, 0) + len(recipients)
+        for r in recipients:
+            received[r] = received.get(r, 0) + 1
+        per_day[day] = (sent, received, total + len(recipients))
+    return [(d, s, r, t) for d, (s, r, t) in sorted(per_day.items())]
 
 
 def freeman_centralization(values: Mapping[str, Fraction], kind: str) -> Fraction:

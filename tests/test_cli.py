@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -215,11 +216,21 @@ def _metrics(*cells: str) -> bytes:
     return "".join(csv_line(r) for r in rows).encode()
 
 
-def _survey() -> bytes:
-    """Two respondents for each team of :func:`_metrics`: eligible at ``--eligibility-min 1``."""
+def _survey(extra: str = "") -> bytes:
+    """Two respondents for each team of :func:`_metrics`: eligible at ``--eligibility-min 1``.
+
+    ``extra`` is appended as further rows.
+    """
     rows = [f"{team},r{k},{3 * n + k},{n + k + 1},3,3,3,3,3,3,3\n"
             for n, team in enumerate(("alpha", "bravo", "carol")) for k in (0, 1)]
-    return SURVEY_HEADER + "".join(rows).encode()
+    return SURVEY_HEADER + "".join(rows).encode() + extra.encode()
+
+
+def _correlate_survey(extra: str) -> Callable[[Path], list[object]]:
+    """argv for ``correlate`` on a good metrics file and ``_survey(extra)``."""
+    return lambda d: ["correlate", _write(d / "m.csv", _metrics()),
+                      _write(d / "s.csv", _survey(extra)), "--out", d / "o",
+                      "--eligibility-min", "1"]
 
 
 def _empty_archive(d: Path) -> Path:
@@ -258,6 +269,19 @@ EXIT_CODE_CASES = [
     pytest.param(4, lambda d: ["scorecard", _write(d / "m.csv", _metrics("nan")),
                                "--out", d / "o"],
                  id="nan-metric-scorecard"),
+    pytest.param(4, lambda d: ["correlate", _write(d / "m.csv", _metrics("1e200")),
+                               _write(d / "s.csv", _survey()), "--out", d / "o",
+                               "--eligibility-min", "1"],
+                 id="huge-metric-correlate"),
+    pytest.param(4, lambda d: ["scorecard", _write(d / "m.csv", _metrics("1e200")),
+                               "--out", d / "o"],
+                 id="huge-metric-scorecard"),
+    pytest.param(4, _correlate_survey("dave,r0,5,99,3,3,3,3,3,3,3\n"), id="kpd-99"),
+    pytest.param(4, _correlate_survey("dave,r0,5,-3,3,3,3,3,3,3,3\n"), id="kpd-minus-3"),
+    pytest.param(4, _correlate_survey("dave,r0,5,1e1000000,3,3,3,3,3,3,3\n"),
+                 id="kpd-1e1000000"),
+    pytest.param(4, _correlate_survey("alpha,r0,5,3,3,3,3,3,3,3,3\n"),
+                 id="duplicate-respondent"),
 ]
 
 
@@ -283,6 +307,15 @@ def test_non_finite_metric_cells_are_format_errors(tmp_path, cell):
                "--eligibility-min", "1") == 4
     assert run("scorecard", path, "--out", tmp_path / "o") == 4
     assert not (tmp_path / "o").exists()
+
+
+def test_metric_cells_are_bounded(tmp_path):
+    at_bound = _write(tmp_path / "m.csv", _metrics("-1e15", "1e15"))
+    assert run("correlate", at_bound, _write(tmp_path / "s.csv", _survey()),
+               "--out", tmp_path / "o", "--eligibility-min", "1") == 0
+    assert run("scorecard", at_bound, "--out", tmp_path / "o") == 0
+    with pytest.raises(FormatError, match=r"line 2: .* magnitude at most 1e\+15"):
+        read_metrics_csv(_write(tmp_path / "big.csv", _metrics("1.0000001e15")))
 
 
 def test_ingest_keeps_unsafe_team_ids_inside_out(tmp_path):

@@ -19,6 +19,7 @@ from commscore.errors import (
 )
 from commscore.ingest import (
     Period,
+    TeamCorpus,
     build_corpus,
     make_event,
     normalize_address,
@@ -256,6 +257,19 @@ def test_empty_corpus_warns_but_returns(summer):
         corpus = build_corpus([], "t", summer)
     assert corpus.events == ()
     assert corpus.team_id == "t"
+
+
+def test_team_corpus_rejects_unsorted_or_out_of_period_events(summer):
+    first = ev("2012-06-01 00:00", "a", "b")
+    same_time = ev("2012-06-01 00:00", "b", "a")
+    last = ev("2012-08-31 23:59", "a", "b")
+    assert TeamCorpus("t", (first, same_time, last), summer).events[-1] == last
+    with pytest.raises(ValueError, match="timestamp order"):
+        TeamCorpus("t", (last, first), summer)
+    before, after = ev("2012-05-31 23:59", "a", "b"), ev("2012-09-01 00:00", "a", "b")
+    for events in ((before,), (after,), (before, first), (first, after)):
+        with pytest.raises(ValueError, match="outside the corpus period"):
+            TeamCorpus("t", events, summer)
 
 
 @given(st.permutations(list(range(7))))

@@ -183,6 +183,22 @@ def test_survey_rejects_bad_values():
         load_survey(io.BytesIO(doc))
 
 
+@pytest.mark.parametrize("answer", ["99", "-3", "0.5", "5.0000000000000000001",
+                                    "nan", "inf", "1e1000000", "-1e1000000"])
+def test_survey_rejects_kpd_answers_outside_1_to_5(answer):
+    doc = SURVEY + f"bravo,r2,8,3,3,3,3,3,3,3,{answer}\n".encode()
+    with pytest.raises(MalformedRecord, match=r":5: kpd answer .* outside 1\.\.5"):
+        load_survey(io.BytesIO(doc))
+    bounds = SURVEY + b"bravo,r2,8,1,5,1.0,5.0,3,3,3,3\n"
+    assert len(load_survey(io.BytesIO(bounds))) == 4
+
+
+def test_survey_rejects_duplicate_respondents():
+    doc = SURVEY + b"alpha,r1,9,4,4,4,4,4,4,4,4\n"
+    with pytest.raises(MalformedRecord, match=r":5: duplicate respondent 'r1'"):
+        load_survey(io.BytesIO(doc))
+
+
 def test_survey_that_is_not_utf8_is_a_format_error():
     with pytest.raises(FormatError, match=r"survey\.csv: line 5: not UTF-8"):
         load_survey(io.BytesIO(SURVEY + b"alpha,r\xff,9,3,3,3,3,3,3,3,3\n"),

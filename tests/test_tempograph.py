@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import tempfile
 import warnings
-from datetime import timedelta
+from datetime import datetime, time, timedelta, timezone
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commscore.cli import main
 from commscore.errors import EmptyCorpusWarning
-from commscore.ingest import Period, build_corpus, make_event
+from commscore.ingest import Period, build_corpus, iso_utc, make_event, serialize_events
 from commscore.tempograph import (
     build_window_graph,
     daily_activity,
@@ -20,6 +24,7 @@ from commscore.tempograph import (
 )
 
 from conftest import corpus_of, ev, ts
+import oracles
 from oracles import merge_edges
 
 
@@ -195,3 +200,72 @@ def test_monthly_graph_counts_each_direction():
     june = monthly_windows(corpus)[0]
     assert june.window.start == ts("2012-06-01 00:00")
     assert dict(june.edges) == {("a@ex.com", "b@ex.com"): 1, ("b@ex.com", "a@ex.com"): 1}
+
+
+# ---------------------------------------------------------------------------
+# windowing against the full-scan oracles, with events on calendar edges
+
+
+@st.composite
+def _edge_corpora(draw):
+    """A corpus whose events sit on month starts, Monday 00:00, midnights and
+    the last second of the period, with self-only mail and shared timestamps."""
+    start = datetime(2011, 12, 20, tzinfo=timezone.utc) + timedelta(
+        hours=draw(st.integers(0, 24 * 50)))
+    end = start + timedelta(hours=draw(st.integers(1, 24 * 100)))
+    midnights = [datetime.combine(start.date() + timedelta(days=i), time(), timezone.utc)
+                 for i in range(1, (end - start).days + 2)]
+    midnights = [m for m in midnights if m < end]
+    special = [start, end - timedelta(seconds=1)] + [
+        m for m in midnights if m.day == 1 or m.weekday() == 0]
+    instants = [st.sampled_from(special),
+                st.integers(0, int((end - start).total_seconds()) - 1).map(
+                    lambda s: start + timedelta(seconds=s))]
+    if midnights:
+        instants.append(st.sampled_from(midnights))
+    actors = [f"p{i}@ex.com" for i in range(4)]
+    events = []
+    for stamp, sender, recipients, copies in draw(st.lists(st.tuples(
+            st.one_of(instants), st.integers(0, 3),
+            st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True),
+            st.integers(1, 3)), min_size=1, max_size=20)):
+        for _ in range(copies):
+            events.append(make_event(stamp, actors[sender], [actors[r] for r in recipients],
+                                     [], f"s{len(events)}", "t"))
+    return build_corpus(events, "t", Period(start, end))
+
+
+@given(_edge_corpora(), st.data())
+@settings(max_examples=80)
+def test_windows_and_daily_tallies_equal_the_full_scan_oracles(corpus, data):
+    events, start, end = corpus.events, corpus.period.start, corpus.period.end
+    for windows, key in ((monthly_windows(corpus), oracles.month_key),
+                         (weekly_windows(corpus), oracles.week_key)):
+        assert [(key(g.window.start), dict(g.edges)) for g in windows] == \
+            oracles.calendar_edges(events, start, end, key)
+        assert windows[0].window.start == start and windows[-1].window.end == end
+        for g in windows:
+            assert g.nodes == {a for pair in g.edges for a in pair}
+    a, b = sorted(data.draw(st.lists(st.sampled_from(
+        [start - timedelta(days=1), end + timedelta(days=1)] + [ev.timestamp for ev in events]),
+        min_size=2, max_size=2, unique=True)))
+    assert dict(build_window_graph(corpus, Period(a, b)).edges) == \
+        oracles.window_edges(events, a, b)
+    assert [(d.day, dict(d.sent), dict(d.received), d.total_edges)
+            for d in daily_activity(corpus)] == oracles.daily_tallies(events)
+
+
+@given(_edge_corpora())
+@settings(max_examples=25, deadline=None)
+def test_ingest_gap_months_equal_the_oracle(corpus):
+    """A gap month has no mail at all; self-addressed mail fills a month."""
+    start, end = corpus.period.start, corpus.period.end
+    with tempfile.TemporaryDirectory() as tmp:
+        mail = Path(tmp) / "mail.jsonl"
+        mail.write_bytes(serialize_events(corpus.events, "jsonl"))
+        assert main(["ingest", str(mail), "--format", "jsonl", "--period",
+                     f"{iso_utc(start)}..{iso_utc(end)}", "--out", f"{tmp}/out"]) == 0
+        manifest = json.loads((Path(tmp) / "out" / "manifest.json").read_text())
+    assert manifest["teams"]["t"] == {
+        "events": len(corpus.events),
+        "gap_months": oracles.gap_months(corpus.events, start, end)}
