@@ -266,8 +266,12 @@ def _metric_value(cell: str, where: str) -> float | None:
 
 
 def read_metrics_csv(path: Path) -> list[MetricVector]:
-    """Read a metrics CSV back into vectors (undefined cells stay None)."""
+    """Read a metrics CSV back into vectors (undefined cells stay None).
+
+    Each row needs a non-empty ``team_id`` that no earlier row has used.
+    """
     vectors = []
+    seen: set[str] = set()
     with open(path, "rb") as fh:
         for line, row in read_csv(fh, path.name, METRICS_CSV_HEADER):
             if not row:
@@ -276,10 +280,17 @@ def read_metrics_csv(path: Path) -> list[MetricVector]:
                 raise MalformedRecord(
                     f"expected {len(METRICS_CSV_HEADER)} fields, got {len(row)}",
                     source=path.name, line=line)
+            team = row[0]
+            if not team.strip():
+                raise MalformedRecord("empty team_id", source=path.name, line=line)
+            if team in seen:
+                raise MalformedRecord(f"duplicate team_id {team!r}",
+                                      source=path.name, line=line)
+            seen.add(team)
             where = f"{path.name}: line {line}"
             values = {field: _metric_value(cell, where)
                       for field, cell in zip(METRIC_FIELDS, row[1:])}
-            vectors.append(MetricVector(team_id=row[0], **values))
+            vectors.append(MetricVector(team_id=team, **values))
     return vectors
 
 

@@ -288,12 +288,6 @@ def contribution_index(sent: int, received: int) -> Fraction:
     return Fraction(sent - received, sent + received)
 
 
-def _population_variance(values: Sequence[Fraction]) -> Fraction:
-    n = len(values)
-    mean = sum(values, start=Fraction(0)) / n
-    return sum(((v - mean) ** 2 for v in values), start=Fraction(0)) / n
-
-
 def awvci(days: Sequence[DailyActivity], weighting: str = "edges") -> Fraction:
     """Weighted mean of daily contribution-index variances.
 
@@ -315,7 +309,7 @@ def awvci(days: Sequence[DailyActivity], weighting: str = "edges") -> Fraction:
             for a in actors
         ]
         weight = day.total_edges if weighting == "edges" else len(actors)
-        num += _population_variance(indices) * weight
+        num += statistics.pvariance(indices) * weight
         den += weight
     if den == 0:
         raise NoActivity("no day with active actors")

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from scipy.special import betainc
-
 from ._text import csv_line
 from .errors import DegenerateInput, DegenerateSeries, LengthMismatch
 from .metrics import METRIC_FIELDS, METRIC_LABELS, MetricVector
@@ -61,8 +59,10 @@ def is_exact(x: Sequence[float], y: Sequence[float]) -> bool:
 def p_value_two_tailed(r: float, n: int) -> float:
     """p = 2·P(T_{n-2} ≥ |t|), t = r·√((n-2)/(1-r²)).
 
-    Evaluated through the regularized incomplete beta function:
-    p = I_{1-r²}((n-2)/2, 1/2).  |r| = 1 returns exactly 0.
+    Evaluated by the finite series for Student's t with whole degrees of
+    freedom ν = n-2 (Abramowitz & Stegun 26.7.3–26.7.4), with sin θ = |r| and
+    cos²θ = 1-r².  |r| = 1 returns exactly 0; rounding can leave a p near 0
+    a few ulps below it, which is clamped to 0.
     """
     if n < 3:
         raise DegenerateInput(f"p-value needs n ≥ 3, got {n}")
@@ -70,7 +70,16 @@ def p_value_two_tailed(r: float, n: int) -> float:
         raise DegenerateInput(f"|r| must not exceed 1, got {r}")
     if abs(r) == 1:
         return 0.0
-    return float(betainc((n - 2) / 2.0, 0.5, 1.0 - r * r))
+    nu, sin, cos2 = n - 2, abs(r), 1.0 - r * r
+    if nu % 2:
+        p = 1.0 - 2.0 / math.pi * math.asin(sin)
+        term, first = 2.0 / math.pi * sin * math.sqrt(cos2), 1
+    else:
+        p, term, first = 1.0 - sin, sin * cos2 / 2.0, 2
+    for k in range(first, nu - 1, 2):
+        p -= term
+        term *= cos2 * (k + 1) / (k + 2)
+    return max(0.0, p)
 
 
 @dataclass(frozen=True)
@@ -114,8 +123,8 @@ def correlate_all(vectors: Sequence[MetricVector], sats: Sequence[TeamSatisfacti
                 cells.append(CorrelationResult(field, target, None, None,
                                                len(xs), False))
                 continue
-            exact = is_exact(xs, ys)
-            p = 0.0 if exact else p_value_two_tailed(r, len(xs))
+            p = p_value_two_tailed(r, len(xs))
+            exact = abs(r) == 1 and is_exact(xs, ys)
             cells.append(CorrelationResult(field, target, r, p, len(xs),
                                            p < alpha, exact))
     return cells

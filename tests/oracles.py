@@ -2,8 +2,9 @@
 
 Nothing in here imports from ``commscore``: betweenness is computed by
 exhaustive shortest-path enumeration instead of dependency accumulation,
-p-values come from mpmath's incomplete beta instead of scipy, and the survey
-scores are written straight from their defining formulas.
+p-values come from mpmath's incomplete beta instead of the finite Student's t
+series, and the survey scores are written straight from their defining
+formulas.
 """
 
 from __future__ import annotations
@@ -199,14 +200,16 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def student_t_p(r: float, n: int) -> float:
-    """Two-tailed p for a Pearson r via the t CDF, evaluated with mpmath."""
+    """Two-tailed p for a Pearson r: the regularized incomplete beta
+    I_{1-r²}((n-2)/2, 1/2), evaluated by mpmath at 40 digits from the exact
+    binary value of ``r`` (1-r² rounded to a double would cost up to 1e-8
+    for |r| near 1e-8)."""
     if abs(r) == 1:
         return 0.0
-    t = abs(r) * mpmath.sqrt((n - 2) / (1 - r * r))
-    # survival of Student's t with n-2 dof, doubled
-    x = (n - 2) / ((n - 2) + t * t)
-    return float(mpmath.betainc((n - 2) / 2, mpmath.mpf(1) / 2,
-                                0, x, regularized=True))
+    with mpmath.workdps(40):
+        r2 = mpmath.mpf(r) ** 2
+        return float(mpmath.betainc(mpmath.mpf(n - 2) / 2, mpmath.mpf(1) / 2,
+                                    0, 1 - r2, regularized=True))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from typing import Callable
@@ -11,9 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import commscore
 from commscore._text import csv_line
 from commscore.cli import METRICS_CSV_HEADER, main, parse_period, read_metrics_csv
-from commscore.errors import FormatError
+from commscore.errors import FormatError, MalformedRecord
 
 PERIOD = "2012-06-01..2012-09-01"
 MAIL_HEADER = b"timestamp,from,to,cc,subject\n"
@@ -205,10 +210,10 @@ def _jsonl(team_id: str) -> bytes:
                         "to": ["b@x.com"], "team_id": team_id}) + "\n").encode()
 
 
-def _metrics(*cells: str) -> bytes:
+def _metrics(*cells: str, teams: tuple[str, ...] = ("alpha", "bravo", "carol")) -> bytes:
     """A metrics CSV with one row per team; ``cells`` fill the first team's row."""
     rows = [METRICS_CSV_HEADER]
-    for n, team in enumerate(("alpha", "bravo", "carol")):
+    for n, team in enumerate(teams):
         values = [str(0.25 * (n + 1) + k) for k in range(len(METRICS_CSV_HEADER) - 1)]
         if n == 0:
             values[:len(cells)] = cells
@@ -233,11 +238,24 @@ def _correlate_survey(extra: str) -> Callable[[Path], list[object]]:
                       "--eligibility-min", "1"]
 
 
+def _metrics_argv(command: str, teams: tuple[str, ...]) -> Callable[[Path], list[object]]:
+    """argv for ``correlate`` or ``scorecard`` on ``_metrics(teams=teams)``."""
+    def argv(d: Path) -> list[object]:
+        args = [command, _write(d / "m.csv", _metrics(teams=teams))]
+        if command == "correlate":
+            args += [_write(d / "s.csv", _survey()), "--eligibility-min", "1"]
+        return args + ["--out", d / "o"]
+    return argv
+
+
 def _empty_archive(d: Path) -> Path:
     assert run("ingest", _write(d / "team.csv", MAIL_HEADER), "--period", PERIOD,
                "--out", d / "c") == 0
     return d / "c"
 
+
+DUPLICATE_TEAM = ("alpha", "bravo", "carol", "alpha")
+EMPTY_TEAM = ("alpha", "bravo", "carol", " ")
 
 EXIT_CODE_CASES = [
     pytest.param(1, lambda d: ["ingest", _write(d / "t.csv", MAIL_HEADER + MAIL_ROW),
@@ -276,6 +294,9 @@ EXIT_CODE_CASES = [
     pytest.param(4, lambda d: ["scorecard", _write(d / "m.csv", _metrics("1e200")),
                                "--out", d / "o"],
                  id="huge-metric-scorecard"),
+    *(pytest.param(4, _metrics_argv(command, teams), id=f"{name}-team-{command}")
+      for name, teams in (("duplicate", DUPLICATE_TEAM), ("empty", EMPTY_TEAM))
+      for command in ("correlate", "scorecard")),
     pytest.param(4, _correlate_survey("dave,r0,5,99,3,3,3,3,3,3,3\n"), id="kpd-99"),
     pytest.param(4, _correlate_survey("dave,r0,5,-3,3,3,3,3,3,3,3\n"), id="kpd-minus-3"),
     pytest.param(4, _correlate_survey("dave,r0,5,1e1000000,3,3,3,3,3,3,3\n"),
@@ -316,6 +337,28 @@ def test_metric_cells_are_bounded(tmp_path):
     assert run("scorecard", at_bound, "--out", tmp_path / "o") == 0
     with pytest.raises(FormatError, match=r"line 2: .* magnitude at most 1e\+15"):
         read_metrics_csv(_write(tmp_path / "big.csv", _metrics("1.0000001e15")))
+
+
+@pytest.mark.parametrize("teams, message", [(DUPLICATE_TEAM, "duplicate team_id 'alpha'"),
+                                             (EMPTY_TEAM, "empty team_id")],
+                         ids=["duplicate", "empty"])
+def test_metric_rows_need_a_unique_team_id(tmp_path, teams, message):
+    with pytest.raises(MalformedRecord, match=rf"m\.csv:5: {message}"):
+        read_metrics_csv(_write(tmp_path / "m.csv", _metrics(teams=teams)))
+
+
+def test_cli_imports_only_the_standard_library():
+    """A fresh interpreter loads nothing outside the stdlib for ``import commscore.cli``."""
+    probe = ("import sys; before = set(sys.modules); import commscore.cli; "
+             "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+    src = str(Path(commscore.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = ast.literal_eval(out)
+    assert "commscore" in loaded
+    assert [m for m in loaded if m != "commscore" and m not in sys.stdlib_module_names] == []
 
 
 def test_ingest_keeps_unsafe_team_ids_inside_out(tmp_path):

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from commscore.errors import DegenerateInput, DegenerateSeries, LengthMismatch
@@ -132,11 +132,18 @@ def test_p_decreases_in_n(r):
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-@given(st.floats(min_value=-0.99, max_value=0.99), st.integers(3, 25))
-@settings(max_examples=60)
+@given(st.floats(min_value=-0.99, max_value=0.99), st.integers(3, 400))
+@settings(max_examples=200)
 def test_p_matches_incomplete_beta_oracle(r, n):
     assert p_value_two_tailed(r, n) == pytest.approx(oracles.student_t_p(r, n),
-                                                     abs=1e-9)
+                                                     abs=1e-12)
+
+
+@given(st.floats(min_value=-1, max_value=1), st.integers(3, 600))
+@example(0.853013247571732, 151)  # the unclamped series ends at -2.2e-16
+@settings(max_examples=200)
+def test_p_stays_in_the_unit_interval(r, n):
+    assert 0.0 <= p_value_two_tailed(r, n) <= 1.0
 
 
 # ---------------------------------------------------------------------------
