@@ -268,7 +268,8 @@ def _metric_value(cell: str, where: str) -> float | None:
 def read_metrics_csv(path: Path) -> list[MetricVector]:
     """Read a metrics CSV back into vectors (undefined cells stay None).
 
-    Each row needs a non-empty ``team_id`` that no earlier row has used.
+    Each row needs a non-empty ``team_id`` that no earlier row has used.  Ids
+    are stripped of surrounding whitespace, as survey ids are.
     """
     vectors = []
     seen: set[str] = set()
@@ -280,8 +281,8 @@ def read_metrics_csv(path: Path) -> list[MetricVector]:
                 raise MalformedRecord(
                     f"expected {len(METRICS_CSV_HEADER)} fields, got {len(row)}",
                     source=path.name, line=line)
-            team = row[0]
-            if not team.strip():
+            team = row[0].strip()
+            if not team:
                 raise MalformedRecord("empty team_id", source=path.name, line=line)
             if team in seen:
                 raise MalformedRecord(f"duplicate team_id {team!r}",

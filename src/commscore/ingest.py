@@ -15,7 +15,6 @@ resolution.  Addresses are lowercased with display names stripped.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import warnings
@@ -92,10 +91,9 @@ class EmailEvent:
     """One logged message, fully normalized.
 
     ``to`` and ``cc`` are ordered and, taken together, duplicate-free.
-    ``event_id`` is a stable digest of the event content.
+    Events are ordered by timestamp, then by their fields (:func:`event_order`).
     """
 
-    event_id: str
     timestamp: datetime
     sender: ActorId
     to: tuple[ActorId, ...]
@@ -120,12 +118,12 @@ class EmailEvent:
         return self.to + self.cc
 
 
-def _event_digest(timestamp: datetime, sender: str, to: tuple[str, ...],
-                  cc: tuple[str, ...], subject: str, team_id: str) -> str:
-    payload = "\x1f".join(
-        (iso_utc(timestamp), sender, ",".join(to), ",".join(cc), subject, team_id)
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+def event_order(ev: EmailEvent) -> tuple:
+    """The one sort key of events: timestamp, then every other field.
+
+    Two events with equal keys are identical.
+    """
+    return (ev.timestamp, ev.sender, ev.to, ev.cc, ev.subject, ev.team_id)
 
 
 def make_event(timestamp: datetime, sender: str, to: Iterable[str],
@@ -157,7 +155,6 @@ def make_event(timestamp: datetime, sender: str, to: Iterable[str],
         raise MalformedAddress("empty to list after normalization")
     stamp = timestamp.astimezone(timezone.utc).replace(microsecond=0)
     return EmailEvent(
-        event_id=_event_digest(stamp, sender_n, tuple(to_n), tuple(cc_n), subject, team_id),
         timestamp=stamp,
         sender=sender_n,
         to=tuple(to_n),
@@ -382,9 +379,10 @@ def build_corpus(events: Iterable[EmailEvent], team_id: str, period: Period) -> 
     """Filter, deduplicate, and sort events into a :class:`TeamCorpus`.
 
     Deduplication key is ``(timestamp, sender, to-set, subject)``; among
-    duplicates the record carrying the most cc information is retained
-    (deterministically, independent of input order).  Zero surviving events
-    emit an :class:`EmptyCorpusWarning` and still return a corpus.
+    duplicates the record carrying the most cc information is retained.
+    Survivors are sorted by :func:`event_order`, so the corpus does not depend
+    on input order.  Zero surviving events emit an :class:`EmptyCorpusWarning`
+    and still return a corpus.
     """
     chosen: dict[tuple, EmailEvent] = {}
     for ev in events:
@@ -394,7 +392,7 @@ def build_corpus(events: Iterable[EmailEvent], team_id: str, period: Period) -> 
         best = chosen.get(key)
         if best is None or _retention_rank(ev) > _retention_rank(best):
             chosen[key] = ev
-    ordered = tuple(sorted(chosen.values(), key=lambda e: (e.timestamp, e.event_id)))
+    ordered = tuple(sorted(chosen.values(), key=event_order))
     if not ordered:
         warnings.warn(
             EmptyCorpusWarning(f"no events for team {team_id!r} within period"),
@@ -404,4 +402,4 @@ def build_corpus(events: Iterable[EmailEvent], team_id: str, period: Period) -> 
 
 
 def _retention_rank(ev: EmailEvent) -> tuple:
-    return (len(ev.cc), ev.cc, ev.to, ev.event_id)
+    return (len(ev.cc), ev.cc, ev.to)

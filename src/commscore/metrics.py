@@ -17,7 +17,7 @@ from importlib import resources
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import FormatError, InsufficientWindows, NoActivity, OutOfRange
-from .ingest import ActorId, EmailEvent, TeamCorpus
+from .ingest import ActorId, EmailEvent, TeamCorpus, event_order
 from .tempograph import (
     DailyActivity,
     WindowGraph,
@@ -178,28 +178,19 @@ def direction_changes(series: Sequence[Fraction | int | float]) -> int:
     return changes
 
 
-def leadership_oscillation(corpus: TeamCorpus, granularity: str = "weekly") -> OscillationResult:
-    """Direction changes of each actor's betweenness series across windows.
+def leadership_oscillation(series: Sequence[CentralityMap]) -> OscillationResult:
+    """Direction changes of each actor's betweenness across consecutive windows.
 
-    An actor absent from a window has betweenness 0 there.  ``total`` sums the
+    ``series`` holds the betweenness of each window graph in time order.  An
+    actor absent from a window has betweenness 0 there.  ``total`` sums the
     per-actor counts ("Sum of Oscillation").
     """
-    if granularity == "weekly":
-        windows = weekly_windows(corpus)
-    elif granularity == "monthly":
-        windows = monthly_windows(corpus)
-    else:
-        raise ValueError(f"unknown oscillation granularity: {granularity!r}")
-    if len(windows) < 3:
-        raise InsufficientWindows(
-            f"oscillation needs ≥ 3 {granularity} windows, got {len(windows)}"
-        )
-    maps = [betweenness_centrality(g).values for g in windows]
-    actors = sorted(set().union(*(g.nodes for g in windows)))
+    if len(series) < 3:
+        raise InsufficientWindows(f"oscillation needs ≥ 3 windows, got {len(series)}")
+    maps = [c.values for c in series]
     per_actor: dict[ActorId, int] = {}
-    for actor in actors:
-        series = [m.get(actor, Fraction(0)) for m in maps]
-        per_actor[actor] = direction_changes(series)
+    for actor in sorted(set().union(*maps)):
+        per_actor[actor] = direction_changes([m.get(actor, Fraction(0)) for m in maps])
     return OscillationResult(per_actor=per_actor, total=sum(per_actor.values()))
 
 
@@ -232,8 +223,10 @@ def match_replies(corpus: TeamCorpus, reply_cap: int = DEFAULT_REPLY_CAP) -> lis
 
     B replies to A iff B's sender was addressed by A (to or cc), A's sender is
     in B's ``to``, B is strictly later, the normalized subjects match, and the
-    latency does not exceed ``reply_cap`` seconds.  The matching is
-    deterministic under any permutation of the input events.
+    latency does not exceed ``reply_cap`` seconds.  Of eligible originals sent
+    at the same time the one later in ``event_order`` wins, and pairs come in
+    the ``event_order`` of their replies, so the matching is deterministic
+    under any permutation of the input events.
     """
     by_subject: dict[str, list[EmailEvent]] = {}
     for ev in corpus.events:
@@ -252,14 +245,12 @@ def match_replies(corpus: TeamCorpus, reply_cap: int = DEFAULT_REPLY_CAP) -> lis
                     continue
                 if original.sender not in reply.to:
                     continue
-                if best is None or (original.timestamp, original.event_id) > (
-                    best.timestamp, best.event_id
-                ):
+                if best is None or event_order(original) > event_order(best):
                     best = original
             if best is not None:
                 latency = int((reply.timestamp - best.timestamp).total_seconds())
                 pairs.append(ReplyPair(original=best, reply=reply, latency=latency))
-    pairs.sort(key=lambda p: (p.reply.timestamp, p.reply.event_id))
+    pairs.sort(key=lambda p: event_order(p.reply))
     return pairs
 
 
@@ -438,21 +429,28 @@ def compute_metric_vector(corpus: TeamCorpus, config: MetricConfig = MetricConfi
 
     Monthly means (GBC, GDC, density) skip months without e-mail; a metric
     whose preconditions cannot be met is reported as undefined rather than
-    aborting the vector.
+    aborting the vector.  Each window graph's betweenness is computed once.
     """
     months = monthly_windows(corpus)
-    active = [g for g in months if g.nodes]
+    month_betweenness = [betweenness_centrality(g) for g in months]
+    active = [(g, c) for g, c in zip(months, month_betweenness) if g.nodes]
     gbc = gdc = dens = None
     if active:
-        gbc = _mean([group_centralization(betweenness_centrality(g)) for g in active])
-        gdc = _mean([group_centralization(degree_centrality(g)) for g in active])
-        dens = _mean([density(g) for g in active])
+        gbc = _mean([group_centralization(c) for _, c in active])
+        gdc = _mean([group_centralization(degree_centrality(g)) for g, _ in active])
+        dens = _mean([density(g) for g, _ in active])
     try:
         new_actors = avg_new_actors(months)
     except InsufficientWindows:
         new_actors = None
+    if config.oscillation_window == "weekly":
+        series = [betweenness_centrality(g) for g in weekly_windows(corpus)]
+    elif config.oscillation_window == "monthly":
+        series = month_betweenness
+    else:
+        raise ValueError(f"unknown oscillation granularity: {config.oscillation_window!r}")
     try:
-        oscillation = leadership_oscillation(corpus, config.oscillation_window).total
+        oscillation = leadership_oscillation(series).total
     except InsufficientWindows:
         oscillation = None
     art = response_times(match_replies(corpus, config.reply_cap)).art_median

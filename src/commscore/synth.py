@@ -35,7 +35,7 @@ from random import Random
 from typing import Mapping, Sequence
 
 from ._text import csv_line
-from .ingest import EmailEvent, Period, iso_utc, make_event, serialize_events
+from .ingest import EmailEvent, Period, event_order, iso_utc, make_event, serialize_events
 from .metrics import METRIC_FIELDS
 from .satisfaction import SURVEY_HEADER
 
@@ -328,7 +328,7 @@ def generate_team_events(spec: SynthSpec, index: int) -> list[EmailEvent]:
                     counter = stamp + timedelta(seconds=rng.randrange(300, 3600))
                     if counter in period and counter.date() == day:
                         post(counter, b, [a], fresh_subject(), reply_p=0.15)
-    events.sort(key=lambda e: (e.timestamp, e.event_id))
+    events.sort(key=event_order)
     return events
 
 

@@ -255,6 +255,7 @@ def _empty_archive(d: Path) -> Path:
 
 
 DUPLICATE_TEAM = ("alpha", "bravo", "carol", "alpha")
+PADDED_DUPLICATE_TEAM = ("alpha", "bravo", "carol", " alpha")
 EMPTY_TEAM = ("alpha", "bravo", "carol", " ")
 
 EXIT_CODE_CASES = [
@@ -295,7 +296,8 @@ EXIT_CODE_CASES = [
                                "--out", d / "o"],
                  id="huge-metric-scorecard"),
     *(pytest.param(4, _metrics_argv(command, teams), id=f"{name}-team-{command}")
-      for name, teams in (("duplicate", DUPLICATE_TEAM), ("empty", EMPTY_TEAM))
+      for name, teams in (("duplicate", DUPLICATE_TEAM),
+                          ("padded-duplicate", PADDED_DUPLICATE_TEAM), ("empty", EMPTY_TEAM))
       for command in ("correlate", "scorecard")),
     pytest.param(4, _correlate_survey("dave,r0,5,99,3,3,3,3,3,3,3\n"), id="kpd-99"),
     pytest.param(4, _correlate_survey("dave,r0,5,-3,3,3,3,3,3,3,3\n"), id="kpd-minus-3"),
@@ -340,11 +342,20 @@ def test_metric_cells_are_bounded(tmp_path):
 
 
 @pytest.mark.parametrize("teams, message", [(DUPLICATE_TEAM, "duplicate team_id 'alpha'"),
+                                             (PADDED_DUPLICATE_TEAM, "duplicate team_id 'alpha'"),
                                              (EMPTY_TEAM, "empty team_id")],
-                         ids=["duplicate", "empty"])
+                         ids=["duplicate", "padded-duplicate", "empty"])
 def test_metric_rows_need_a_unique_team_id(tmp_path, teams, message):
     with pytest.raises(MalformedRecord, match=rf"m\.csv:5: {message}"):
         read_metrics_csv(_write(tmp_path / "m.csv", _metrics(teams=teams)))
+
+
+def test_padded_metric_team_ids_join_the_survey(tmp_path):
+    """Metrics ids are stripped like survey ids, so `` alpha `` joins ``alpha``."""
+    metrics = _write(tmp_path / "m.csv", _metrics(teams=(" alpha ", "bravo", "carol")))
+    assert [v.team_id for v in read_metrics_csv(metrics)] == ["alpha", "bravo", "carol"]
+    assert run("correlate", metrics, _write(tmp_path / "s.csv", _survey()),
+               "--out", tmp_path / "o", "--eligibility-min", "1") == 0
 
 
 def test_cli_imports_only_the_standard_library():

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import io
 import json
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commscore.cli import main
 from commscore.errors import (
     EmptyCorpusWarning,
     FormatError,
@@ -231,11 +234,15 @@ def test_corpus_filters_by_period_and_team(summer):
     assert corpus.events == (inside,)
 
 
-def test_corpus_sorted_with_event_id_tiebreak(summer):
-    first = ev("2012-07-01 09:00", "a", "b", subject="p")
-    second = ev("2012-07-01 09:00", "a", "c", subject="q")
-    expected = tuple(sorted([first, second], key=lambda e: e.event_id))
-    assert build_corpus([second, first], "t", summer).events == expected
+def test_corpus_sorted_by_timestamp_then_fields(summer):
+    expected = (
+        ev("2012-07-01 08:59", "z", "b", subject="z"),
+        ev("2012-07-01 09:00", "a", "b", subject="q"),
+        ev("2012-07-01 09:00", "a", "b", cc="c", subject="p"),
+        ev("2012-07-01 09:00", "a", "c", subject="p"),
+        ev("2012-07-01 09:00", "b", "a", subject="a"),
+    )
+    assert build_corpus(expected[::-1], "t", summer).events == expected
 
 
 def test_duplicate_rows_collapse_to_one(summer):
@@ -272,17 +279,50 @@ def test_team_corpus_rejects_unsorted_or_out_of_period_events(summer):
             TeamCorpus("t", events, summer)
 
 
-@given(st.permutations(list(range(7))))
+@given(st.permutations(list(range(9))))
 @settings(max_examples=30)
 def test_corpus_is_order_invariant(order):
-    base = ts("2012-06-04 08:00")
-    events = [
-        make_event(base + timedelta(hours=i % 4, minutes=i), "a@ex.com",
-                   ["b@ex.com"], [], f"s{i % 3}", "t")
-        for i in range(7)
-    ]
+    # three events per hour, two pairs of them duplicates that differ in cc
+    rows = [(8, "a", "c", ()), (8, "a", "c", ("e",)), (8, "b", "c", ()),
+            (9, "a", "d", ()), (9, "a", "c", ()), (9, "b", "a", ("c",)),
+            (10, "b", "c", ("e",)), (10, "b", "c", ("d",)), (10, "a", "b", ())]
+    events = [ev(f"2012-06-04 {hour:02}:00", sender, to, cc, subject="s")
+              for hour, sender, to, cc in rows]
     shuffled = [events[i] for i in order]
-    assert corpus_of(shuffled).events == corpus_of(events).events
+    corpus = corpus_of(events)
+    assert len(corpus.events) == 7
+    assert corpus_of(shuffled).events == corpus.events
+
+
+_ACTORS = ("a@ex.com", "b@ex.com", "c@ex.com", "d@ex.com")
+
+
+@st.composite
+def _same_time_events(draw):
+    """Events at three instants among four actors, so many share a timestamp."""
+    sender = draw(st.sampled_from(_ACTORS))
+    recipients = draw(st.lists(st.sampled_from([a for a in _ACTORS if a != sender]),
+                               min_size=1, max_size=3, unique=True))
+    split = draw(st.integers(1, len(recipients)))
+    stamp = ts("2012-06-04 09:00") + timedelta(seconds=draw(st.integers(0, 2)))
+    return make_event(stamp, sender, recipients[:split], recipients[split:],
+                      draw(st.sampled_from(["s", "Re: s", "t"])), "t")
+
+
+@given(st.lists(_same_time_events(), min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_archive_is_a_fixed_point_of_the_reload(events):
+    """``analyze`` rebuilds the corpus ``ingest`` archived, byte for byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        mail = Path(tmp) / "mail.jsonl"
+        mail.write_bytes(serialize_events(events, "jsonl"))
+        assert main(["ingest", str(mail), "--format", "jsonl", "--period",
+                     "2012-06-01..2012-07-01", "--out", f"{tmp}/out"]) == 0
+        archived = (Path(tmp) / "out" / "corpora" / "t.jsonl").read_bytes()
+    reloaded = parse_events(io.BytesIO(archived), "jsonl", default_team="t", strict=True)
+    corpus = build_corpus(reloaded.events, "t",
+                          Period(ts("2012-06-01 00:00"), ts("2012-07-01 00:00")))
+    assert serialize_events(corpus.events, "jsonl") == archived
 
 
 @given(st.lists(_events(), max_size=10))
@@ -309,7 +349,7 @@ def test_event_rejects_duplicate_recipients():
     from commscore.ingest import EmailEvent
 
     with pytest.raises(ValueError):
-        EmailEvent(event_id="x", timestamp=ts("2012-06-01 00:00"),
+        EmailEvent(timestamp=ts("2012-06-01 00:00"),
                    sender="a@ex.com", to=("b@ex.com",), cc=("b@ex.com",),
                    subject="", team_id="t")
 
