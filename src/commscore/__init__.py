@@ -25,6 +25,7 @@ from .metrics import (
     MetricConfig,
     MetricVector,
     compute_metric_vector,
+    contribution_index,
 )
 from .satisfaction import (
     SurveyResponse,
@@ -71,6 +72,7 @@ __all__ = [
     "build_window_graph",
     "classify_respondent",
     "compute_metric_vector",
+    "contribution_index",
     "correlate_all",
     "daily_activity",
     "kpd",

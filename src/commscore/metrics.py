@@ -1,19 +1,21 @@
 """The eight communication score-card metrics for one team corpus.
 
-Graph-structural metrics (centralities, centralization, density) are computed
-in exact rational arithmetic (:class:`fractions.Fraction`) on the directed
-unweighted structure of each window graph; edge multiplicities never affect
-them.  Reply latencies are in seconds.
+Graph-structural metrics (centralities, centralization, density) are exact
+rationals (:class:`fractions.Fraction`) on the directed unweighted structure of
+each window graph; edge multiplicities never affect them.  The two hot kernels,
+betweenness and AWVCI, carry their sums as integers over a common denominator
+and build one ``Fraction`` per result instead of one per term.  Reply
+latencies are in seconds.
 """
 
 from __future__ import annotations
 
 import re
 import statistics
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import FormatError, InsufficientWindows, NoActivity, OutOfRange
@@ -55,51 +57,66 @@ class CentralityMap:
     values: Mapping[ActorId, Fraction]
 
 
-def _adjacency(g: WindowGraph) -> dict[ActorId, list[ActorId]]:
-    adj: dict[ActorId, list[ActorId]] = {v: [] for v in sorted(g.nodes)}
-    for src, dst in sorted(g.edges):
-        adj[src].append(dst)
-    return adj
-
-
 def betweenness_centrality(g: WindowGraph) -> CentralityMap:
-    """Brandes-style betweenness on the directed unweighted graph.
+    """Brandes betweenness on the directed unweighted graph, in exact integers.
 
     For each node, the fraction of ordered-pair shortest paths passing through
     it, normalized by ``(N-1)(N-2)``.  Fewer than three nodes yields all
     zeros.  Values are exact rationals.
+
+    Per BFS source s (Brandes 2001, 2008), the dependency δ(v) of s on v obeys
+    δ(v) = Σ σ(v)/σ(w)·(1 + δ(w)) over the successors w of v on shortest
+    paths, σ being the shortest-path counts from s.  With L the lcm of the
+    σ reached from s, the integer D(v) = L·δ(v)/σ(v) obeys
+    D(v) = Σ (L/σ(w) + D(w)), so δ(v) = D(v)·σ(v)/L needs no division
+    until the end.  Each node collects its numerators in a map keyed by L
+    and becomes one ``Fraction``.
     """
-    adj = _adjacency(g)
-    score: dict[ActorId, Fraction] = {v: Fraction(0) for v in adj}
-    for source in adj:
-        # single-source shortest paths with path counting
-        dist: dict[ActorId, int] = {source: 0}
-        sigma: dict[ActorId, int] = {source: 1}
-        preds: dict[ActorId, list[ActorId]] = {v: [] for v in adj}
-        order: list[ActorId] = []
-        queue: deque[ActorId] = deque([source])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] = sigma.get(w, 0) + sigma[v]
-                    preds[w].append(v)
-        # dependency accumulation, back to front
-        delta: dict[ActorId, Fraction] = {v: Fraction(0) for v in order}
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
-            if w != source:
-                score[w] += delta[w]
-    n = len(adj)
+    nodes = sorted(g.nodes)
+    n = len(nodes)
     if n < 3:
-        return CentralityMap("betweenness", {v: Fraction(0) for v in adj})
+        return CentralityMap("betweenness", {v: Fraction(0) for v in nodes})
+    index = {v: i for i, v in enumerate(nodes)}
+    adj: list[list[int]] = [[] for _ in nodes]
+    for src, dst in sorted(g.edges):
+        adj[index[src]].append(index[dst])
+    parts: list[dict[int, int]] = [{} for _ in nodes]  # per node: {L: Σ D·σ}
+    for source in range(n):
+        if not adj[source]:
+            continue
+        # single-source shortest paths with integer path counts
+        dist = [-1] * n
+        sigma = [0] * n
+        dist[source], sigma[source] = 0, 1
+        order = [source]
+        for v in order:  # grows while walked: the BFS queue
+            next_dist, paths = dist[v] + 1, sigma[v]
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w], sigma[w] = next_dist, paths
+                    order.append(w)
+                elif dist[w] == next_dist:
+                    sigma[w] += paths
+        # dependency accumulation, back to front: share[w] = L/σ(w) + D(w)
+        common = lcm(*[sigma[v] for v in order])
+        share = [0] * n
+        for v in reversed(order):
+            next_dist = dist[v] + 1
+            dependency = 0
+            for w in adj[v]:
+                if dist[w] == next_dist:
+                    dependency += share[w]
+            share[v] = common // sigma[v] + dependency
+            if dependency and v != source:
+                part = parts[v]
+                part[common] = part.get(common, 0) + dependency * sigma[v]
     denom = (n - 1) * (n - 2)
-    return CentralityMap("betweenness", {v: s / denom for v, s in score.items()})
+    values: dict[ActorId, Fraction] = {}
+    for v, part in zip(nodes, parts):
+        common = lcm(*part)
+        values[v] = Fraction(sum(num * (common // den) for den, num in part.items()),
+                             common * denom)
+    return CentralityMap("betweenness", values)
 
 
 def degree_centrality(g: WindowGraph) -> CentralityMap:
@@ -270,13 +287,18 @@ def response_times(pairs: Sequence[ReplyPair]) -> ResponseTimes:
 # contribution index
 
 
-def contribution_index(sent: int, received: int) -> Fraction:
-    """(sent − received)/(sent + received): +1 pure sender, −1 pure receiver."""
+def _traffic(sent: int, received: int) -> int:
+    """sent + received, the contribution index's denominator, checked."""
     if sent < 0 or received < 0:
         raise OutOfRange("message counts must be non-negative")
     if sent + received == 0:
         raise NoActivity("contribution index undefined without activity")
-    return Fraction(sent - received, sent + received)
+    return sent + received
+
+
+def contribution_index(sent: int, received: int) -> Fraction:
+    """(sent − received)/(sent + received): +1 pure sender, −1 pure receiver."""
+    return Fraction(sent - received, _traffic(sent, received))
 
 
 def awvci(days: Sequence[DailyActivity], weighting: str = "edges") -> Fraction:
@@ -286,25 +308,35 @@ def awvci(days: Sequence[DailyActivity], weighting: str = "edges") -> Fraction:
     day's active actors.  Day weights are the day's total edge count
     (``weighting="edges"``, the default) or its active-actor count
     (``weighting="actors"``).
+
+    The sums are exact integers.  With q = sent + received per actor and L
+    the lcm of a day's q, each index times L is the integer x = (sent −
+    received)·L/q, and the variance of k indices is (k·Σx² − (Σx)²)/(k²L²).
+    The weighted numerators are summed per denominator, and divided once.
     """
     if weighting not in ("edges", "actors"):
         raise ValueError(f"unknown AWVCI weighting: {weighting!r}")
-    num = Fraction(0)
-    den = Fraction(0)
+    parts: dict[int, int] = {}  # {k²L²: Σ weight·(k·Σx² − (Σx)²)}
+    total_weight = 0
     for day in days:
-        actors = sorted(day.actors)
-        if not actors:
+        counts = []
+        for a in sorted(day.actors):
+            sent, received = day.sent.get(a, 0), day.received.get(a, 0)
+            counts.append((sent - received, _traffic(sent, received)))
+        if not counts:
             continue
-        indices = [
-            contribution_index(day.sent.get(a, 0), day.received.get(a, 0))
-            for a in actors
-        ]
-        weight = day.total_edges if weighting == "edges" else len(actors)
-        num += statistics.pvariance(indices) * weight
-        den += weight
-    if den == 0:
+        common = lcm(*[q for _, q in counts])
+        xs = [d * (common // q) for d, q in counts]
+        k = len(xs)
+        weight = day.total_edges if weighting == "edges" else k
+        den = k * k * common * common
+        parts[den] = parts.get(den, 0) + weight * (k * sum([x * x for x in xs]) - sum(xs) ** 2)
+        total_weight += weight
+    if total_weight == 0:
         raise NoActivity("no day with active actors")
-    return num / den
+    common = lcm(*parts)
+    return Fraction(sum(num * (common // den) for den, num in parts.items()),
+                    common * total_weight)
 
 
 # --------------------------------------------------------------------------

@@ -54,11 +54,37 @@ class ScoreCard:
     survey_eligible: bool | None = None
 
 
-def _cohort_stats(values: Sequence[float]) -> tuple[float, float]:
-    n = len(values)
-    mean = math.fsum(values) / n
-    sigma = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n)
-    return mean, sigma
+def _cohort_stats(cohort: Sequence[MetricVector]) -> dict[str, tuple[float, float] | None]:
+    """Per field, the cohort (mean, population σ); None where fewer than two are defined."""
+    if len(cohort) < 2:
+        raise CohortTooSmall(f"cohort of {len(cohort)} cannot be standardized")
+    stats: dict[str, tuple[float, float] | None] = {}
+    for field in METRIC_FIELDS:
+        values = [v for v in (m.value(field) for m in cohort) if v is not None]
+        if len(values) < 2:
+            stats[field] = None
+            continue
+        mean = math.fsum(values) / len(values)
+        stats[field] = mean, math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
+    return stats
+
+
+def _score(team: MetricVector, stats: Mapping[str, tuple[float, float] | None],
+           alert_sigma: float, survey_eligible: bool | None) -> ScoreCard:
+    scores: dict[str, MetricScore] = {}
+    for field in METRIC_FIELDS:
+        value = team.value(field)
+        field_stats = stats[field]
+        if value is None or field_stats is None:
+            scores[field] = MetricScore(value=value, z=None, favorable=None, alert=None)
+            continue
+        mean, sigma = field_stats
+        z = 0.0 if sigma == 0 else (value - mean) / sigma
+        direction = DIRECTIONS[field]
+        favorable = z >= 0 if direction == "+" else z <= 0
+        alert = (not favorable) and abs(z) > alert_sigma
+        scores[field] = MetricScore(value=value, z=z, favorable=favorable, alert=alert)
+    return ScoreCard(team_id=team.team_id, metrics=scores, survey_eligible=survey_eligible)
 
 
 def build_scorecard(team: MetricVector, cohort: Sequence[MetricVector],
@@ -70,34 +96,19 @@ def build_scorecard(team: MetricVector, cohort: Sequence[MetricVector],
     expected direction by more than ``alert_sigma``.  Metrics undefined for
     the team, or defined for fewer than two cohort members, stay unscored.
     """
-    if len(cohort) < 2:
-        raise CohortTooSmall(f"cohort of {len(cohort)} cannot be standardized")
-    scores: dict[str, MetricScore] = {}
-    for field in METRIC_FIELDS:
-        value = team.value(field)
-        cohort_values = [v for v in (m.value(field) for m in cohort) if v is not None]
-        if value is None or len(cohort_values) < 2:
-            scores[field] = MetricScore(value=value, z=None, favorable=None, alert=None)
-            continue
-        mean, sigma = _cohort_stats(cohort_values)
-        z = 0.0 if sigma == 0 else (value - mean) / sigma
-        direction = DIRECTIONS[field]
-        favorable = z >= 0 if direction == "+" else z <= 0
-        alert = (not favorable) and abs(z) > alert_sigma
-        scores[field] = MetricScore(value=value, z=z, favorable=favorable, alert=alert)
-    return ScoreCard(team_id=team.team_id, metrics=scores, survey_eligible=survey_eligible)
+    return _score(team, _cohort_stats(cohort), alert_sigma, survey_eligible)
 
 
 def build_scorecards(cohort: Sequence[MetricVector],
                      *, alert_sigma: float = DEFAULT_ALERT_SIGMA,
                      eligibility: Mapping[str, bool | None] | None = None) -> list[ScoreCard]:
-    """Score every cohort member, sorted by team id."""
+    """Score every cohort member, sorted by team id; the cohort statistics are computed once."""
+    if not cohort:
+        return []
+    stats = _cohort_stats(cohort)
     eligibility = eligibility or {}
-    return [
-        build_scorecard(team, cohort, alert_sigma=alert_sigma,
-                        survey_eligible=eligibility.get(team.team_id))
-        for team in sorted(cohort, key=lambda m: m.team_id)
-    ]
+    return [_score(team, stats, alert_sigma, eligibility.get(team.team_id))
+            for team in sorted(cohort, key=lambda m: m.team_id)]
 
 
 def _round3(value: float | None) -> float | None:

@@ -1,14 +1,16 @@
 """Independent reference implementations used to cross-check the package.
 
 Nothing in here imports from ``commscore``: betweenness is computed by
-exhaustive shortest-path enumeration instead of dependency accumulation,
-p-values come from mpmath's incomplete beta instead of the finite Student's t
-series, and the survey scores are written straight from their defining
-formulas.
+exhaustive shortest-path enumeration, and by dependency accumulation in one
+``Fraction`` per predecessor edge instead of integers over a common
+denominator; p-values come from mpmath's incomplete beta instead of the finite
+Student's t series; AWVCI is a population variance of ``Fraction`` indices;
+and the survey scores are written straight from their defining formulas.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from datetime import date, datetime, timedelta, timezone
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -50,6 +52,49 @@ def enumeration_betweenness(
     n = len(node_list)
     if n < 3:
         return {v: Fraction(0) for v in node_list}
+    denom = (n - 1) * (n - 2)
+    return {v: s / denom for v, s in score.items()}
+
+
+def accumulation_betweenness(
+    nodes: Iterable[str], edges: Iterable[tuple[str, str]]
+) -> dict[str, Fraction]:
+    """Brandes dependency accumulation with one ``Fraction`` per predecessor edge.
+
+    δ(v) = Σ σ(v)/σ(w)·(1 + δ(w)) over the shortest-path successors w of v,
+    summed per source; normalization as in :func:`enumeration_betweenness`.
+    Unlike enumeration it stays polynomial, so it reaches graphs whose path
+    counts run past 2⁶⁴.
+    """
+    adj: dict[str, list[str]] = {v: [] for v in sorted(set(nodes))}
+    for src, dst in sorted(set(edges)):
+        adj[src].append(dst)
+    score = {v: Fraction(0) for v in adj}
+    for source in adj:
+        dist = {source: 0}
+        sigma = {source: 1}
+        preds: dict[str, list[str]] = {v: [] for v in adj}
+        order: list[str] = []
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] = sigma.get(w, 0) + sigma[v]
+                    preds[w].append(v)
+        delta = {v: Fraction(0) for v in order}
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
+            if w != source:
+                score[w] += delta[w]
+    n = len(adj)
+    if n < 3:
+        return {v: Fraction(0) for v in adj}
     denom = (n - 1) * (n - 2)
     return {v: s / denom for v, s in score.items()}
 

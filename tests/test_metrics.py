@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from datetime import timedelta
 from fractions import Fraction
@@ -110,6 +111,50 @@ def test_betweenness_matches_path_enumeration(seed):
             nodes=frozenset(), edges=MappingProxyType({}))
         expected = oracles.enumeration_betweenness(g.nodes, g.edges)
         assert betweenness_centrality(g).values == expected
+
+
+JUNE = Period(ts("2012-06-01 00:00"), ts("2012-07-01 00:00"))
+
+
+@st.composite
+def digraphs(draw) -> WindowGraph:
+    """Up to 40 nodes, isolated ones included, and up to 6 edges per node."""
+    n = draw(st.integers(0, 40))
+    edges: dict[tuple[str, str], int] = {}
+    if n >= 2:
+        size = draw(st.integers(0, 6 * n))
+        for src, other in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)),
+                                        min_size=size, max_size=size)):
+            dst = other + (other >= src)  # any node but src
+            edges[(f"n{src:02d}", f"n{dst:02d}")] = 1
+    return WindowGraph(window=JUNE, nodes=frozenset(f"n{i:02d}" for i in range(n)),
+                       edges=MappingProxyType(edges))
+
+
+@given(digraphs())
+@settings(max_examples=60, deadline=None)
+def test_betweenness_matches_fraction_accumulation(g):
+    """Graphs past enumeration's reach agree exactly with per-edge Fraction Brandes."""
+    assert betweenness_centrality(g).values == oracles.accumulation_betweenness(g.nodes, g.edges)
+
+
+def test_betweenness_on_a_ladder_with_huge_path_counts():
+    """Chained 2-, 3- and 5-way fans: hub h(i) fans out to b(i) rungs that all
+    lead on to hub h(i+1), so σ from the first hub to the last is Π b(i),
+    beyond 2⁶⁴, and the per-source lcm L is as large.  An edge from the last
+    hub back to the first lets every source reach every node."""
+    branches = [2, 3, 5] * 15
+    assert math.prod(branches) > 2 ** 64
+    edges = [(f"h{len(branches):02d}", "h00")]
+    for i, b in enumerate(branches):
+        for j in range(b):
+            rung = f"r{i:02d}.{j}"
+            edges += [(f"h{i:02d}", rung), (rung, f"h{i + 1:02d}")]
+    g = graph(*edges)
+    values = betweenness_centrality(g).values
+    assert values == oracles.accumulation_betweenness(g.nodes, g.edges)
+    assert all(0 <= v <= 1 for v in values.values())
+    assert values["h00"] > values["r00.0"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +487,49 @@ def test_awvci_stays_within_unit_interval(seed):
         days.append(_day(day, sent, received))
     if days:
         assert 0 <= awvci(days) <= 1
+
+
+@st.composite
+def activity_days(draw) -> list[DailyActivity]:
+    """1–5 days of 1–40 actors, each with 1 to 10⁶ messages sent plus received."""
+    days = []
+    for i in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(1, 40))
+        counts = draw(st.lists(
+            st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)).filter(any),
+            min_size=k, max_size=k))
+        sent = {f"a{j}": s for j, (s, _) in enumerate(counts) if s}
+        received = {f"a{j}": r for j, (_, r) in enumerate(counts) if r}
+        days.append(_day(ts("2012-06-04 09:00").date() + timedelta(days=i), sent, received))
+    return days
+
+
+@given(activity_days(), st.sampled_from(("edges", "actors")))
+@settings(max_examples=80, deadline=None)
+def test_awvci_matches_fraction_variance_oracle(days, weighting):
+    pairs = []
+    for d in days:
+        indices = [oracles.ci_formula(d.sent.get(a, 0), d.received.get(a, 0))
+                   for a in sorted(d.actors)]
+        weight = d.total_edges if weighting == "edges" else len(indices)
+        pairs.append((oracles.population_variance(indices), weight))
+    if sum(w for _, w in pairs) == 0:  # edge weights of receive-only days
+        with pytest.raises(NoActivity):
+            awvci(days, weighting)
+    else:
+        assert awvci(days, weighting) == oracles.weighted_variance_mean(pairs)
+
+
+@pytest.mark.parametrize("sent,received,error", [
+    ({"a": -1}, {"b": 1}, OutOfRange),
+    ({"a": 2}, {"b": -1}, OutOfRange),
+    ({"a": 2, "c": 0}, {"b": 2}, NoActivity),   # an actor without traffic
+    ({}, {}, NoActivity),                       # no active day
+])
+def test_awvci_rejects_bad_counts(sent, received, error):
+    d = _day(ts("2012-06-04 09:00").date(), sent, received)
+    with pytest.raises(error):
+        awvci([d], "actors")
 
 
 # ---------------------------------------------------------------------------

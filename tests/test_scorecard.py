@@ -112,6 +112,19 @@ def test_cohort_of_one_is_rejected():
         build_scorecard(vector("a"), [vector("a")])
 
 
+def test_scorecards_equal_one_card_per_team():
+    """Cohort statistics computed once give the cards scored one team at a time."""
+    cohort = [vector("d", art_median=None, avg_gbc=Fraction(1, 3), awvci=None),
+              vector("b", avg_gbc=Fraction(2, 7), oscillation_sum=5, awvci=None),
+              vector("a", art_median=None, avg_gbc=None, awvci=Fraction(1, 9)),
+              vector("c", avg_gbc=Fraction(5, 6), oscillation_sum=0, awvci=None)]
+    eligibility = {"a": True, "c": False}
+    assert build_scorecards(cohort, alert_sigma=0.5, eligibility=eligibility) == [
+        build_scorecard(team, cohort, alert_sigma=0.5,
+                        survey_eligible=eligibility.get(team.team_id))
+        for team in sorted(cohort, key=lambda m: m.team_id)]
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
