@@ -368,7 +368,7 @@ def _argument(convert: Callable[[str], Any]) -> Callable[[str], Any]:
     def checked(raw: str) -> Any:
         try:
             return convert(raw)
-        except (OSError, TypeError, ValueError) as exc:
+        except (OSError, TypeError, ValueError, RecursionError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return checked
 

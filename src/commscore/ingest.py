@@ -69,7 +69,11 @@ def normalize_address(raw: str) -> ActorId:
 
 
 def parse_timestamp(raw: str) -> datetime:
-    """Parse an ISO-8601 instant with explicit offset into UTC, second resolution."""
+    """Parse an ISO-8601 instant with explicit offset into UTC, second resolution.
+
+    Raises ``ValueError`` for a malformed or offset-free text, and for an
+    instant that falls outside years 1–9999 in UTC.
+    """
     text = raw.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -79,7 +83,15 @@ def parse_timestamp(raw: str) -> datetime:
         raise ValueError(f"bad timestamp {raw!r}: {exc}") from None
     if stamp.tzinfo is None:
         raise ValueError(f"timestamp {raw!r} has no UTC offset")
-    return stamp.astimezone(timezone.utc).replace(microsecond=0)
+    return _utc_second(stamp)
+
+
+def _utc_second(stamp: datetime) -> datetime:
+    """``stamp`` in UTC at second resolution; ``ValueError`` outside years 1–9999."""
+    try:
+        return stamp.astimezone(timezone.utc).replace(microsecond=0)
+    except OverflowError:
+        raise ValueError(f"{stamp.isoformat()} falls outside years 1-9999 in UTC") from None
 
 
 def iso_utc(stamp: datetime) -> str:
@@ -133,7 +145,7 @@ def make_event(timestamp: datetime, sender: str, to: Iterable[str],
     Recipient lists are normalized and deduplicated while preserving order;
     addresses already present in ``to`` are dropped from ``cc``.  A team id
     that is not a single path component (``/``, ``\\``, NUL, ``.``, ``..``)
-    raises ``ValueError``.
+    raises ``ValueError``, as does a timestamp outside years 1–9999 in UTC.
     """
     if _UNSAFE_TEAM_RE.search(team_id):
         raise ValueError(f"team_id {team_id!r} is not a single path component")
@@ -153,9 +165,8 @@ def make_event(timestamp: datetime, sender: str, to: Iterable[str],
             cc_n.append(norm)
     if not to_n:
         raise MalformedAddress("empty to list after normalization")
-    stamp = timestamp.astimezone(timezone.utc).replace(microsecond=0)
     return EmailEvent(
-        timestamp=stamp,
+        timestamp=_utc_second(timestamp),
         sender=sender_n,
         to=tuple(to_n),
         cc=tuple(cc_n),
@@ -241,7 +252,7 @@ def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -
             continue
         try:
             record = json.loads(stripped.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             _issue(result, strict, name, lineno, f"bad JSON: {exc}")
             continue
         if not isinstance(record, dict):
@@ -357,10 +368,10 @@ class Period:
 
 @dataclass(frozen=True, slots=True)
 class TeamCorpus:
-    """Immutable, time-sorted event stream for one team within a period.
+    """Immutable event stream for one team within a period.
 
-    Raises ``ValueError`` unless ``events`` are in non-decreasing timestamp
-    order and all lie within ``period``.
+    Raises ``ValueError`` unless ``events`` are strictly increasing in
+    :func:`event_order` (so sorted and duplicate-free) and lie within ``period``.
     """
 
     team_id: str
@@ -368,10 +379,10 @@ class TeamCorpus:
     period: Period
 
     def __post_init__(self) -> None:
-        stamps = [ev.timestamp for ev in self.events]
-        if any(later < earlier for earlier, later in zip(stamps, stamps[1:])):
-            raise ValueError("corpus events are not in timestamp order")
-        if stamps and (stamps[0] not in self.period or stamps[-1] not in self.period):
+        keys = [event_order(ev) for ev in self.events]
+        if any(later <= earlier for earlier, later in zip(keys, keys[1:])):
+            raise ValueError("corpus events are not in event order (timestamp order, then fields)")
+        if any(ev.timestamp not in self.period for ev in self.events[:1] + self.events[-1:]):
             raise ValueError("corpus events lie outside the corpus period")
 
 

@@ -19,7 +19,7 @@ from math import lcm
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import FormatError, InsufficientWindows, NoActivity, OutOfRange
-from .ingest import ActorId, EmailEvent, TeamCorpus, event_order
+from .ingest import ActorId, EmailEvent, TeamCorpus
 from .tempograph import (
     DailyActivity,
     WindowGraph,
@@ -240,34 +240,31 @@ def match_replies(corpus: TeamCorpus, reply_cap: int = DEFAULT_REPLY_CAP) -> lis
 
     B replies to A iff B's sender was addressed by A (to or cc), A's sender is
     in B's ``to``, B is strictly later, the normalized subjects match, and the
-    latency does not exceed ``reply_cap`` seconds.  Of eligible originals sent
-    at the same time the one later in ``event_order`` wins, and pairs come in
-    the ``event_order`` of their replies, so the matching is deterministic
-    under any permutation of the input events.
+    latency does not exceed ``reply_cap`` seconds.  A subject that normalizes
+    to ``""`` (empty, or only ``Re:``/``Fwd:`` prefixes) is a thread like any
+    other.
+
+    One pass over the corpus, which is in ``event_order``: each event walks
+    back over the earlier events of its subject, skipping those sent at the
+    same instant and stopping past ``reply_cap``.  The first eligible one is
+    the latest in ``event_order``, and pairs come in the order of their
+    replies, so the matching does not depend on the order of the input events.
     """
-    by_subject: dict[str, list[EmailEvent]] = {}
-    for ev in corpus.events:
-        by_subject.setdefault(normalize_subject(ev.subject), []).append(ev)
+    threads: dict[str, list[EmailEvent]] = {}
     pairs: list[ReplyPair] = []
-    for group in by_subject.values():
-        for reply in group:
-            best: EmailEvent | None = None
-            for original in group:
-                if original.timestamp >= reply.timestamp:
-                    continue
-                latency = int((reply.timestamp - original.timestamp).total_seconds())
-                if latency > reply_cap:
-                    continue
-                if reply.sender not in original.to and reply.sender not in original.cc:
-                    continue
-                if original.sender not in reply.to:
-                    continue
-                if best is None or event_order(original) > event_order(best):
-                    best = original
-            if best is not None:
-                latency = int((reply.timestamp - best.timestamp).total_seconds())
-                pairs.append(ReplyPair(original=best, reply=reply, latency=latency))
-    pairs.sort(key=lambda p: event_order(p.reply))
+    for reply in corpus.events:
+        thread = threads.setdefault(normalize_subject(reply.subject), [])
+        for original in reversed(thread):
+            latency = int((reply.timestamp - original.timestamp).total_seconds())
+            if latency == 0:
+                continue
+            if latency > reply_cap:
+                break
+            if ((reply.sender in original.to or reply.sender in original.cc)
+                    and original.sender in reply.to):
+                pairs.append(ReplyPair(original=original, reply=reply, latency=latency))
+                break
+        thread.append(reply)
     return pairs
 
 

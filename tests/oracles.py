@@ -5,7 +5,8 @@ exhaustive shortest-path enumeration, and by dependency accumulation in one
 ``Fraction`` per predecessor edge instead of integers over a common
 denominator; p-values come from mpmath's incomplete beta instead of the finite
 Student's t series; AWVCI is a population variance of ``Fraction`` indices;
-and the survey scores are written straight from their defining formulas.
+reply matching compares every reply with every event of its thread; and the
+survey scores are written straight from their defining formulas.
 """
 
 from __future__ import annotations
@@ -228,6 +229,48 @@ def degree_map(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> dict[s
     if n <= 1:
         return {v: Fraction(0) for v in node_list}
     return {v: Fraction(len(nb), n - 1) for v, nb in neighbors.items()}
+
+
+# ---------------------------------------------------------------------------
+# reply oracle, over plain event attributes (``timestamp``, ``sender``, ``to``,
+# ``cc``, ``subject``, ``team_id``)
+
+
+def thread_subject(subject: str) -> str:
+    """The subject without its leading ``Re:``/``Fw:``/``Fwd:`` prefixes, any
+    case, whitespace collapsed and lowercased."""
+    text = subject
+    while True:
+        head, colon, rest = text.partition(":")
+        if not colon or head.strip().lower() not in ("re", "fw", "fwd"):
+            return " ".join(text.split()).lower()
+        text = rest
+
+
+def _event_key(ev) -> tuple:
+    return (ev.timestamp, ev.sender, ev.to, ev.cc, ev.subject, ev.team_id)
+
+
+def reply_pairs(events: Sequence, reply_cap: int) -> list[tuple[object, object, int]]:
+    """(original, reply, latency) per reply, by comparing every pair of events.
+
+    An original qualifies if it shares the reply's thread subject, is strictly
+    earlier by at most ``reply_cap`` seconds, addressed the reply's sender (to
+    or cc), and its own sender is in the reply's ``to``.  Of those the one with
+    the largest event key wins.  Pairs come in the event-key order of replies.
+    """
+    pairs = []
+    for reply in sorted(events, key=_event_key):
+        eligible = [
+            original for original in events
+            if thread_subject(original.subject) == thread_subject(reply.subject)
+            and 0 < (reply.timestamp - original.timestamp).total_seconds() <= reply_cap
+            and reply.sender in original.to + original.cc
+            and original.sender in reply.to]
+        if eligible:
+            best = max(eligible, key=_event_key)
+            pairs.append((best, reply, int((reply.timestamp - best.timestamp).total_seconds())))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,19 @@ def _empty_archive(d: Path) -> Path:
     return d / "c"
 
 
+def _archive(d: Path, start: str = "2012-06-01T00:00:00Z", corpus: bytes = b"") -> Path:
+    """An archive whose manifest period begins at ``start``, with one team corpus."""
+    period = {"start": start, "end": "2012-09-01T00:00:00Z"}
+    _write(d / "a" / "manifest.json", json.dumps({"period": period}).encode())
+    _write(d / "a" / "corpora" / "team.jsonl", corpus)
+    return d / "a"
+
+
+#: Year 1's first instant one hour east of UTC, which is still year 0 in UTC.
+BEFORE_YEAR_1 = "0001-01-01T00:00:00+01:00"
+#: JSON nested deeper than the decoder's recursion limit.
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+
 DUPLICATE_TEAM = ("alpha", "bravo", "carol", "alpha")
 PADDED_DUPLICATE_TEAM = ("alpha", "bravo", "carol", " alpha")
 EMPTY_TEAM = ("alpha", "bravo", "carol", " ")
@@ -262,6 +275,9 @@ EXIT_CODE_CASES = [
     pytest.param(1, lambda d: ["ingest", _write(d / "t.csv", MAIL_HEADER + MAIL_ROW),
                                "--period", "2012-06-01", "--out", d / "o"],
                  id="bad-period"),
+    pytest.param(1, lambda d: ["ingest", _write(d / "t.csv", MAIL_HEADER + MAIL_ROW),
+                               "--period", f"{BEFORE_YEAR_1}..2012-02-01", "--out", d / "o"],
+                 id="period-before-year-1"),
     pytest.param(1, lambda d: ["analyze", d, "--out", d / "o", "--reply-cap", "0"],
                  id="reply-cap-0"),
     pytest.param(1, lambda d: ["correlate", d / "m.csv", d / "s.csv", "--out", d / "o",
@@ -269,6 +285,16 @@ EXIT_CODE_CASES = [
                  id="alert-sigma-0"),
     pytest.param(1, lambda d: ["synth", "--out", d / "o", "--effects", '{"bogus": 0.5}'],
                  id="unknown-effect-key"),
+    pytest.param(1, lambda d: ["synth", "--out", d / "o",
+                               "--effects", _write(d / "e.json", DEEP_JSON)],
+                 id="deeply-nested-effects-file"),
+    pytest.param(2, lambda d: ["ingest", _write(d / "t.csv", MAIL_HEADER + MAIL_ROW.replace(
+                                   b"2012-06-04T09:00:00Z", BEFORE_YEAR_1.encode())),
+                               "--period", PERIOD, "--out", d / "o", "--strict"],
+                 id="strict-row-before-year-1"),
+    pytest.param(2, lambda d: ["ingest", _write(d / "t.jsonl", DEEP_JSON), "--format", "jsonl",
+                               "--period", PERIOD, "--out", d / "o", "--strict"],
+                 id="strict-deeply-nested-jsonl"),
     pytest.param(2, lambda d: ["ingest", _write(d / "t.csv", MAIL_HEADER + BAD_ROW),
                                "--period", PERIOD, "--out", d / "o", "--strict"],
                  id="strict-malformed-row"),
@@ -281,6 +307,10 @@ EXIT_CODE_CASES = [
                  id="strict-unsafe-team-id"),
     pytest.param(3, lambda d: ["analyze", _empty_archive(d), "--out", d / "o"],
                  id="empty-archive"),
+    pytest.param(3, lambda d: ["analyze", _archive(d, start=BEFORE_YEAR_1), "--out", d / "o"],
+                 id="archive-period-before-year-1"),
+    pytest.param(3, lambda d: ["analyze", _archive(d, corpus=DEEP_JSON), "--out", d / "o"],
+                 id="deeply-nested-archive-corpus"),
     pytest.param(4, lambda d: ["correlate", _write(d / "m.csv", _metrics("nan")),
                                _write(d / "s.csv", _survey()), "--out", d / "o",
                                "--eligibility-min", "1"],

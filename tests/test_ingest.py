@@ -63,6 +63,13 @@ def test_timestamp_requires_offset():
     assert stamp == datetime(2012, 7, 1, 9, 0, tzinfo=timezone.utc)
 
 
+@pytest.mark.parametrize("raw", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00"])
+def test_timestamp_outside_utc_years_1_to_9999_raises(raw):
+    with pytest.raises(ValueError, match="outside years 1-9999"):
+        parse_timestamp(raw)
+    assert parse_timestamp("0001-01-01T00:00:00-01:00").year == 1
+
+
 # ---------------------------------------------------------------------------
 # CSV / JSONL / mbox parsing
 
@@ -180,6 +187,23 @@ def test_mbox_missing_date_reported():
     assert "Date" in result.issues[0].message
 
 
+def test_mbox_date_past_year_9999_in_utc_reported():
+    doc = MBOX_DOC.replace(b"Sun, 01 Jul 2012 09:00:00 +0000",
+                           b"Fri, 31 Dec 9999 23:30:00 -0100")
+    result = parse_events(io.BytesIO(doc), "mbox")
+    assert result.events == []
+    assert "outside years 1-9999" in result.issues[0].message
+
+
+def test_jsonl_nesting_too_deep_to_decode_is_bad_json():
+    doc = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+    result = parse_events(io.BytesIO(doc), "jsonl")
+    assert result.events == []
+    assert (result.issues[0].line, result.issues[0].message[:9]) == (1, "bad JSON:")
+    with pytest.raises(MalformedRecord, match="bad JSON"):
+        parse_events(io.BytesIO(doc), "jsonl", strict=True)
+
+
 def test_mbox_leading_garbage_is_a_format_error():
     with pytest.raises(FormatError):
         parse_events(io.BytesIO(b"garbage\nFrom a@x.com\n"), "mbox")
@@ -273,6 +297,10 @@ def test_team_corpus_rejects_unsorted_or_out_of_period_events(summer):
     assert TeamCorpus("t", (first, same_time, last), summer).events[-1] == last
     with pytest.raises(ValueError, match="timestamp order"):
         TeamCorpus("t", (last, first), summer)
+    # same instant out of event order (sender b before a), and a duplicate
+    for events in ((same_time, first), (first, first)):
+        with pytest.raises(ValueError, match="event order"):
+            TeamCorpus("t", events, summer)
     before, after = ev("2012-05-31 23:59", "a", "b"), ev("2012-09-01 00:00", "a", "b")
     for events in ((before,), (after,), (before, first), (first, after)):
         with pytest.raises(ValueError, match="outside the corpus period"):

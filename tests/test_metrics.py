@@ -20,7 +20,7 @@ from commscore.errors import (
     NoActivity,
     OutOfRange,
 )
-from commscore.ingest import Period
+from commscore.ingest import Period, make_event
 from commscore.metrics import (
     CentralityMap,
     MetricConfig,
@@ -50,7 +50,7 @@ from commscore.tempograph import (
 )
 
 import oracles
-from conftest import corpus_of, ev, ts
+from conftest import addr, corpus_of, ev, ts
 
 
 def graph(*edges: tuple[str, str], counts: dict | None = None) -> WindowGraph:
@@ -390,6 +390,52 @@ def test_reply_matching_is_order_invariant(order):
     baseline = match_replies(corpus_of(events))
     assert len(baseline) >= 3
     assert match_replies(corpus_of(shuffled)) == baseline
+
+
+def test_empty_subjects_pair_like_any_thread():
+    """Subjects that normalize to "" form one thread, as any other subject does."""
+    blank = ev("2012-06-04 09:00", "a", "b", subject="")
+    other = ev("2012-06-04 09:30", "a", "b", subject="x")
+    reply = ev("2012-06-04 10:00", "b", "a", subject="Re:")
+    forward = ev("2012-06-04 11:00", "a", "b", subject=" Fwd :  ")
+    pairs = match_replies(corpus_of([blank, other, reply, forward]))
+    assert [(p.original, p.reply, p.latency) for p in pairs] == [
+        (blank, reply, 3600), (reply, forward, 3600)]
+
+
+@st.composite
+def reply_corpora(draw):
+    """(reply cap, events): a few actors and subjects, instants near multiples of the cap."""
+    cap = draw(st.sampled_from((60, 3600, 7 * 86400)))
+    actors = [addr(f"p{i}") for i in range(draw(st.integers(2, 5)))]
+    topics = draw(st.lists(st.sampled_from(("", "invoice", "Plan  B")),
+                           min_size=1, max_size=3, unique=True))
+    start = ts("2012-06-04 00:00")
+    events = []
+    for _ in range(draw(st.integers(0, 40))):
+        # 4 multiples of the cap, each ±1 s or half a cap later: several
+        # events per instant, and gaps of 0, 1, 2 s and cap − 2 … cap + 2 s
+        offset = (draw(st.integers(0, 3)) * cap
+                  + draw(st.sampled_from((-1, 0, 1, cap // 2))))
+        subject = draw(st.sampled_from(("", "Re: ", "Fwd: ", "RE: fw:"))) + draw(
+            st.sampled_from(topics))
+        events.append(make_event(
+            start + timedelta(seconds=offset), draw(st.sampled_from(actors)),
+            draw(st.lists(st.sampled_from(actors), min_size=1, max_size=3, unique=True)),
+            draw(st.lists(st.sampled_from(actors), max_size=2, unique=True)), subject, "t"))
+    return cap, events
+
+
+@given(reply_corpora())
+@settings(max_examples=200, deadline=None)
+def test_reply_matching_equals_all_pairs_oracle(case):
+    cap, events = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyCorpusWarning)
+        corpus = corpus_of(events)
+    pairs = match_replies(corpus, reply_cap=cap)
+    assert [(p.original, p.reply, p.latency) for p in pairs] == oracles.reply_pairs(
+        corpus.events, cap)
 
 
 def test_response_time_medians():
