@@ -15,6 +15,7 @@ from .ingest import (
     Period,
     TeamCorpus,
     build_corpus,
+    load_corpus,
     normalize_address,
     parse_events,
     serialize_events,
@@ -76,6 +77,7 @@ __all__ = [
     "correlate_all",
     "daily_activity",
     "kpd",
+    "load_corpus",
     "monthly_windows",
     "normalize_address",
     "nps",

@@ -36,6 +36,7 @@ from .ingest import (
     Period,
     build_corpus,
     iso_utc,
+    load_corpus,
     parse_events,
     parse_timestamp,
     serialize_events,
@@ -223,10 +224,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptyCorpusWarning)
         for path in corpora:
-            with open(path, "rb") as fh:
-                result = parse_events(fh, "jsonl", default_team=path.stem,
-                                      source_name=path.name, strict=True)
-            corpus = build_corpus(result.events, path.stem, period)
+            corpus = load_corpus(path, path.stem, period)
             if corpus.events:
                 analyzable += 1
             vectors.append(metrics_mod.compute_metric_vector(corpus, metric_config))

@@ -11,17 +11,26 @@ Three wire formats are supported:
 
 Timestamps must carry an explicit UTC offset and are stored in UTC at second
 resolution.  Addresses are lowercased with display names stripped.
+
+The ``corpora/<team>.jsonl`` files that ``ingest`` archives are the normal
+form: every record is already normalized and the file is deduplicated and in
+:func:`event_order`.  :func:`load_corpus` reads such a file back as it stands.
+A record or file that is not in normal form, such as a hand-edited archive,
+is normalized and rebuilt as any other input, with the same result.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from email import message_from_bytes, policy
 from email.utils import getaddresses, parsedate_to_datetime
+from itertools import groupby
+from operator import attrgetter
 from typing import BinaryIO, Iterable
 
 from ._text import csv_line, read_csv
@@ -246,6 +255,7 @@ def _parse_csv(source: BinaryIO, default_team: str, name: str, strict: bool) -> 
 
 def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -> ParseResult:
     result = ParseResult(events=[])
+    normal: set[str] = set()  # addresses seen to be in normal form
     for lineno, raw in enumerate(source, start=1):
         stripped = raw.strip()
         if not stripped:
@@ -264,12 +274,14 @@ def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -
             continue
         try:
             stamp = parse_timestamp(str(record["timestamp"]))
-            to = record.get("to") or []
-            cc = record.get("cc") or []
-            if not isinstance(to, list) or not isinstance(cc, list):
-                raise ValueError("to/cc must be arrays")
-            event = make_event(stamp, str(record["from"]), [str(a) for a in to],
-                               [str(a) for a in cc], str(record.get("subject", "")), team)
+            event = _normal_event(record, stamp, team, normal)
+            if event is None:
+                to = record.get("to") or []
+                cc = record.get("cc") or []
+                if not isinstance(to, list) or not isinstance(cc, list):
+                    raise ValueError("to/cc must be arrays")
+                event = make_event(stamp, str(record["from"]), [str(a) for a in to],
+                                   [str(a) for a in cc], str(record.get("subject", "")), team)
         except KeyError as exc:
             _issue(result, strict, name, lineno, f"missing key {exc}")
             continue
@@ -278,6 +290,48 @@ def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -
             continue
         result.events.append(event)
     return result
+
+
+def _normal_event(record: dict, stamp: datetime, team: str,
+                  normal: set[str]) -> EmailEvent | None:
+    """The event of a JSONL record already in normal form, else ``None``.
+
+    Normal form is what :func:`make_event` would return unchanged: string
+    addresses that :func:`normalize_address` leaves as they are, a non-empty
+    ``to``, no address twice in ``to`` and ``cc`` together, a string subject
+    (or none) and a safe team id.  ``normal`` remembers the addresses already
+    checked, so each distinct address is normalized once per file.
+    """
+    sender, to, cc = record.get("from"), record.get("to"), record.get("cc")
+    subject = record.get("subject", "")
+    if not (isinstance(to, list) and isinstance(cc, list) and isinstance(subject, str)):
+        return None
+    addresses = [sender, *to, *cc]
+    try:
+        known = normal.issuperset(addresses)
+    except TypeError:  # an array or object in place of an address
+        return None
+    if not (known or all(_is_normal(a, normal) for a in addresses)) \
+            or _UNSAFE_TEAM_RE.search(team):
+        return None
+    try:
+        return EmailEvent(stamp, sender, tuple(to), tuple(cc), subject, team)
+    except ValueError:  # an empty or repeated recipient: make_event decides
+        return None
+
+
+def _is_normal(addr: object, normal: set[str]) -> bool:
+    """Whether ``addr`` is a string :func:`normalize_address` leaves unchanged."""
+    if not isinstance(addr, str):
+        return False
+    if addr not in normal:
+        try:
+            if normalize_address(addr) != addr:
+                return False
+        except MalformedAddress:
+            return False
+        normal.add(addr)
+    return True
 
 
 def _parse_mbox(source: BinaryIO, default_team: str, name: str, strict: bool) -> ParseResult:
@@ -414,3 +468,40 @@ def build_corpus(events: Iterable[EmailEvent], team_id: str, period: Period) -> 
 
 def _retention_rank(ev: EmailEvent) -> tuple:
     return (len(ev.cc), ev.cc, ev.to)
+
+
+def load_corpus(path: str | os.PathLike, team_id: str, period: Period) -> TeamCorpus:
+    """Read one archived corpus file (``corpora/<team>.jsonl``) into a :class:`TeamCorpus`.
+
+    The file is parsed strictly: a malformed line raises :class:`MalformedRecord`
+    naming the file and line.  The result equals :func:`build_corpus` of the
+    parsed events.  An archive written by ``ingest`` already holds this team's
+    events, duplicate-free and in :func:`event_order` inside ``period``, so
+    they form the corpus as read; any other file goes through
+    :func:`build_corpus`, including its :class:`EmptyCorpusWarning`.
+    """
+    with open(path, "rb") as fh:
+        events = _parse_jsonl(fh, team_id, os.path.basename(path), strict=True).events
+    if events and _distinct_for_team(events, team_id):
+        try:
+            return TeamCorpus(team_id, tuple(events), period)
+        except ValueError:  # out of event order or outside the period
+            pass
+    return build_corpus(events, team_id, period)
+
+
+def _distinct_for_team(events: list[EmailEvent], team_id: str) -> bool:
+    """Whether every event is ``team_id``'s and no two share a :func:`build_corpus` dedup key.
+
+    Keys are compared within runs of equal timestamps only: in a time-sorted
+    list such a run holds every event that could share a key, and
+    :class:`TeamCorpus` refuses a list out of time order.
+    """
+    if any(ev.team_id != team_id for ev in events):
+        return False
+    for _, run in groupby(events, key=attrgetter("timestamp")):
+        run = list(run)
+        if len(run) > 1 and len({(ev.timestamp, ev.sender, frozenset(ev.to), ev.subject)
+                                 for ev in run}) < len(run):
+            return False
+    return True

@@ -5,13 +5,16 @@ from __future__ import annotations
 import io
 import json
 import tempfile
+import warnings
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from commscore import ingest
 from commscore.cli import main
 from commscore.errors import (
     EmptyCorpusWarning,
@@ -24,6 +27,8 @@ from commscore.ingest import (
     Period,
     TeamCorpus,
     build_corpus,
+    event_order,
+    load_corpus,
     make_event,
     normalize_address,
     parse_events,
@@ -337,6 +342,9 @@ def _same_time_events(draw):
                       draw(st.sampled_from(["s", "Re: s", "t"])), "t")
 
 
+_JUNE = Period(ts("2012-06-01 00:00"), ts("2012-07-01 00:00"))
+
+
 @given(st.lists(_same_time_events(), min_size=1, max_size=12))
 @settings(max_examples=40, deadline=None)
 def test_archive_is_a_fixed_point_of_the_reload(events):
@@ -346,19 +354,142 @@ def test_archive_is_a_fixed_point_of_the_reload(events):
         mail.write_bytes(serialize_events(events, "jsonl"))
         assert main(["ingest", str(mail), "--format", "jsonl", "--period",
                      "2012-06-01..2012-07-01", "--out", f"{tmp}/out"]) == 0
-        archived = (Path(tmp) / "out" / "corpora" / "t.jsonl").read_bytes()
+        archive = Path(tmp) / "out" / "corpora" / "t.jsonl"
+        archived = archive.read_bytes()
+        loaded = load_corpus(archive, "t", _JUNE)
     reloaded = parse_events(io.BytesIO(archived), "jsonl", default_team="t", strict=True)
-    corpus = build_corpus(reloaded.events, "t",
-                          Period(ts("2012-06-01 00:00"), ts("2012-07-01 00:00")))
+    corpus = build_corpus(reloaded.events, "t", _JUNE)
     assert serialize_events(corpus.events, "jsonl") == archived
+    assert loaded == corpus
+
+
+_UNNORMAL = (str.upper, "Ann Example <{}>".format, '"{}"'.format, "  {}\t".format)
+#: Edits that keep each field's type, and fields set to a wrong type.
+_EDITS = ("address", "repeat", "no-subject", "null-subject", "no-team", "other-team",
+          "unsafe-team", "shuffle", "duplicate", "twin", "outside", "stamp")
+_WRONG_TYPES = (("from", 5), ("to", []), ("to", [7]), ("to", "b@ex.com"),
+                ("to", {"b@ex.com": 1}), ("cc", None), ("cc", [["c@ex.com"]]))
+
+
+@st.composite
+def _archive_lines(draw):
+    """An archive ``ingest`` could write, then edited by hand or by another writer."""
+    events = draw(st.lists(_same_time_events(), max_size=10))
+    if draw(st.booleans()):
+        archived = build_corpus(events, "t", _JUNE).events if events else ()
+    else:  # sorted, but with the duplicates build_corpus would drop
+        archived = sorted(set(events), key=event_order)
+    records = [json.loads(line) for line in serialize_events(archived, "jsonl").splitlines()]
+    edits = draw(st.lists(st.sampled_from(_EDITS + _WRONG_TYPES), min_size=1, max_size=2))
+    for edit in sorted(edits, key=lambda e: e in _WRONG_TYPES):
+        if not records:
+            break
+        i = draw(st.integers(0, len(records) - 1))
+        rec = records[i]
+        if edit in _WRONG_TYPES:
+            rec[edit[0]] = edit[1]
+        elif edit == "address":
+            field = draw(st.sampled_from(["from", "to", "cc"] if rec["cc"] else ["from", "to"]))
+            spoil = draw(st.sampled_from(_UNNORMAL))
+            if field == "from":
+                rec["from"] = spoil(rec["from"])
+            else:
+                j = draw(st.integers(0, len(rec[field]) - 1))
+                rec[field][j] = spoil(rec[field][j])
+        elif edit == "repeat":
+            rec["cc"].append(rec["to"][0])
+        elif edit == "no-subject":
+            rec.pop("subject", None)
+        elif edit == "null-subject":
+            rec["subject"] = None
+        elif edit == "no-team":
+            rec.pop("team_id", None)
+        elif edit == "other-team":
+            rec["team_id"] = "u"
+        elif edit == "unsafe-team":
+            rec["team_id"] = draw(st.sampled_from(["../escaped", "."]))
+        elif edit == "shuffle":
+            records = draw(st.permutations(records))
+        elif edit == "duplicate":
+            records.insert(draw(st.integers(0, len(records))), json.loads(json.dumps(rec)))
+        elif edit == "twin":  # the same event at the same instant with another cc
+            twin = json.loads(json.dumps(rec))
+            spare = [a for a in _ACTORS if a not in rec["to"] + rec["cc"]]
+            if draw(st.booleans()):
+                twin["cc"] = []
+                records.insert(i, twin)
+            else:  # after it, maybe with another event of that instant between
+                twin["cc"].extend(spare[:1])
+                between = {**rec, "subject": "zz"}
+                records[i + 1:i + 1] = [between, twin] if draw(st.booleans()) else [twin]
+        elif edit == "outside":
+            rec["timestamp"] = draw(st.sampled_from(
+                ["2012-05-31T23:59:59Z", "2012-07-01T00:00:00Z"]))
+        elif edit == "stamp":  # the same second, written another way
+            stamp = parse_timestamp(rec["timestamp"])
+            rec["timestamp"] = draw(st.sampled_from([
+                stamp.astimezone(timezone(timedelta(hours=1))).isoformat(),
+                rec["timestamp"][:-1] + ".75Z", rec["timestamp"][:-1] + ".000001+00:00"]))
+    return "".join(json.dumps(rec) + "\n" for rec in records).encode("utf-8")
+
+
+def _outcome(load) -> tuple:
+    """The corpus ``load()`` returns and the warnings it gives, or its ``MalformedRecord``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            corpus = load()
+        except MalformedRecord as exc:
+            return ("malformed", str(exc), exc.source, exc.line)
+    return ("corpus", corpus, [(w.category, str(w.message)) for w in caught])
+
+
+_RECORD = {"timestamp": "2012-06-04T09:00:00Z", "from": "a@ex.com", "to": ["b@ex.com"],
+           "cc": [], "subject": "s", "team_id": "t"}
+
+
+@given(_archive_lines())
+@example(b"")
+# in event order, but the first and last share build_corpus's dedup key
+@example(b"".join(json.dumps({**_RECORD, **edit}).encode() + b"\n"
+                  for edit in ({}, {"subject": "zz"}, {"cc": ["c@ex.com"]})))
+@settings(max_examples=400, deadline=None)
+def test_load_corpus_equals_parse_and_build(archived):
+    """Both shortcuts are exact: the same corpus, warnings and errors as reading
+    every record through ``make_event`` and rebuilding with ``build_corpus``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        path.write_bytes(archived)
+
+        def parse_and_build():
+            with open(path, "rb") as fh, \
+                    mock.patch.object(ingest, "_normal_event", return_value=None):
+                parsed = parse_events(fh, "jsonl", default_team="t",
+                                      source_name=path.name, strict=True)
+            return build_corpus(parsed.events, "t", _JUNE)
+
+        assert _outcome(lambda: load_corpus(path, "t", _JUNE)) == _outcome(parse_and_build)
+
+
+@pytest.mark.parametrize("line, message", [
+    (b"[1, 2]", "record is not an object"),
+    (b'{"timestamp": "2012-06-04T09:00:00Z", "to": ["b@ex.com"], "cc": [], '
+     b'"subject": "s", "team_id": "t"}', "missing key 'from'"),
+])
+def test_load_corpus_names_the_file_and_line_of_a_malformed_record(tmp_path, line, message):
+    path = tmp_path / "t.jsonl"  # a good record, a blank line, the bad one
+    path.write_bytes(serialize_events([ev("2012-06-04 09:00", "a", "b")], "jsonl")
+                     + b"\n" + line + b"\n")
+    with pytest.raises(MalformedRecord) as info:
+        load_corpus(path, "t", _JUNE)
+    assert (info.value.source, info.value.line) == ("t.jsonl", 3)
+    assert str(info.value) == f"t.jsonl:3: {message}"
 
 
 @given(st.lists(_events(), max_size=10))
 @settings(max_examples=40)
 def test_every_corpus_event_is_inside_the_period(events):
     period = Period(ts("2012-07-01 00:00"), ts("2012-08-01 00:00"))
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptyCorpusWarning)
         corpus = build_corpus(events, "team", period)
