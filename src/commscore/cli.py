@@ -170,7 +170,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             corpus = build_corpus(events_by_team[team], team, config.period)
             (corpora_dir / f"{team}.jsonl").write_bytes(
                 serialize_events(corpus.events, "jsonl"))
-            gaps = [w.start.strftime("%Y-%m") for w in month_periods(config.period)
+            gaps = [iso_utc(w.start)[:7] for w in month_periods(config.period)
                     if not window_events(corpus, w)]
             teams_report[team] = {"events": len(corpus.events), "gap_months": gaps}
     manifest = {

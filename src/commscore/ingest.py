@@ -10,7 +10,9 @@ Three wire formats are supported:
   ``Subject``/``Date`` headers are consumed.
 
 Timestamps must carry an explicit UTC offset and are stored in UTC at second
-resolution.  Addresses are lowercased with display names stripped.
+resolution; written out (:func:`iso_utc`) they read ``YYYY-MM-DDTHH:MM:SSZ``,
+the year always four digits (``0999-01-02T03:04:05Z``).  Addresses are
+lowercased with display names stripped.
 
 The ``corpora/<team>.jsonl`` files that ``ingest`` archives are the normal
 form: every record is already normalized and the file is deduplicated and in
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from email import message_from_bytes, policy
 from email.utils import getaddresses, parsedate_to_datetime
+from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 from typing import BinaryIO, Iterable
@@ -55,12 +58,14 @@ _ANGLE_RE = re.compile(r"<([^<>]*)>")
 _UNSAFE_TEAM_RE = re.compile(r"[/\\\x00]|\A\.\.?\Z")
 
 
+@lru_cache(maxsize=1 << 16)
 def normalize_address(raw: str) -> ActorId:
     """Normalize one address to its lowercase ``local@domain`` form.
 
     Display names and angle brackets are stripped, surrounding whitespace and
     quotes removed, and the whole address lowercased.  Plus-addressing is
-    deliberately not folded.
+    deliberately not folded.  Results are cached, so each distinct address
+    string is normalized once.
 
     Raises
     ------
@@ -97,6 +102,8 @@ def parse_timestamp(raw: str) -> datetime:
 
 def _utc_second(stamp: datetime) -> datetime:
     """``stamp`` in UTC at second resolution; ``ValueError`` outside years 1–9999."""
+    if stamp.tzinfo is timezone.utc and not stamp.microsecond:
+        return stamp
     try:
         return stamp.astimezone(timezone.utc).replace(microsecond=0)
     except OverflowError:
@@ -104,7 +111,8 @@ def _utc_second(stamp: datetime) -> datetime:
 
 
 def iso_utc(stamp: datetime) -> str:
-    return stamp.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """``YYYY-MM-DDTHH:MM:SSZ`` in UTC, the year always four digits."""
+    return stamp.astimezone(timezone.utc).isoformat(timespec="seconds")[:-6] + "Z"
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,7 +238,7 @@ def _issue(result: ParseResult, strict: bool, source: str, line: int, message: s
 
 
 def _split_list(raw: str) -> list[str]:
-    return [part for part in (p.strip() for p in raw.split(";")) if part]
+    return [part for part in map(str.strip, raw.split(";")) if part]
 
 
 def _parse_csv(source: BinaryIO, default_team: str, name: str, strict: bool) -> ParseResult:
@@ -255,7 +263,6 @@ def _parse_csv(source: BinaryIO, default_team: str, name: str, strict: bool) -> 
 
 def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -> ParseResult:
     result = ParseResult(events=[])
-    normal: set[str] = set()  # addresses seen to be in normal form
     for lineno, raw in enumerate(source, start=1):
         stripped = raw.strip()
         if not stripped:
@@ -274,7 +281,7 @@ def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -
             continue
         try:
             stamp = parse_timestamp(str(record["timestamp"]))
-            event = _normal_event(record, stamp, team, normal)
+            event = _normal_event(record, stamp, team)
             if event is None:
                 to = record.get("to") or []
                 cc = record.get("cc") or []
@@ -292,27 +299,19 @@ def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -
     return result
 
 
-def _normal_event(record: dict, stamp: datetime, team: str,
-                  normal: set[str]) -> EmailEvent | None:
+def _normal_event(record: dict, stamp: datetime, team: str) -> EmailEvent | None:
     """The event of a JSONL record already in normal form, else ``None``.
 
     Normal form is what :func:`make_event` would return unchanged: string
     addresses that :func:`normalize_address` leaves as they are, a non-empty
     ``to``, no address twice in ``to`` and ``cc`` together, a string subject
-    (or none) and a safe team id.  ``normal`` remembers the addresses already
-    checked, so each distinct address is normalized once per file.
+    (or none) and a safe team id.
     """
     sender, to, cc = record.get("from"), record.get("to"), record.get("cc")
     subject = record.get("subject", "")
     if not (isinstance(to, list) and isinstance(cc, list) and isinstance(subject, str)):
         return None
-    addresses = [sender, *to, *cc]
-    try:
-        known = normal.issuperset(addresses)
-    except TypeError:  # an array or object in place of an address
-        return None
-    if not (known or all(_is_normal(a, normal) for a in addresses)) \
-            or _UNSAFE_TEAM_RE.search(team):
+    if not all(map(_is_normal, [sender, *to, *cc])) or _UNSAFE_TEAM_RE.search(team):
         return None
     try:
         return EmailEvent(stamp, sender, tuple(to), tuple(cc), subject, team)
@@ -320,18 +319,12 @@ def _normal_event(record: dict, stamp: datetime, team: str,
         return None
 
 
-def _is_normal(addr: object, normal: set[str]) -> bool:
+def _is_normal(addr: object) -> bool:
     """Whether ``addr`` is a string :func:`normalize_address` leaves unchanged."""
-    if not isinstance(addr, str):
+    try:
+        return isinstance(addr, str) and normalize_address(addr) == addr
+    except MalformedAddress:
         return False
-    if addr not in normal:
-        try:
-            if normalize_address(addr) != addr:
-                return False
-        except MalformedAddress:
-            return False
-        normal.add(addr)
-    return True
 
 
 def _parse_mbox(source: BinaryIO, default_team: str, name: str, strict: bool) -> ParseResult:
@@ -378,6 +371,11 @@ def _parse_mbox(source: BinaryIO, default_team: str, name: str, strict: bool) ->
     return result
 
 
+#: One encoder for every archive line: ``json.dumps`` with these arguments
+#: would build a new one per call.
+_encode_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
 def serialize_events(events: Iterable[EmailEvent], format: str) -> bytes:
     """Serialize events back to CSV or JSONL wire bytes.
 
@@ -394,11 +392,10 @@ def serialize_events(events: Iterable[EmailEvent], format: str) -> bytes:
     if format == "jsonl":
         lines = []
         for ev in events:
-            lines.append(json.dumps(
+            lines.append(_encode_json(
                 {"timestamp": iso_utc(ev.timestamp), "from": ev.sender,
                  "to": list(ev.to), "cc": list(ev.cc),
-                 "subject": ev.subject, "team_id": ev.team_id},
-                ensure_ascii=False, separators=(",", ":")))
+                 "subject": ev.subject, "team_id": ev.team_id}))
         return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
     raise UnsupportedFormat(f"cannot serialize format: {format!r}")
 

@@ -5,12 +5,15 @@ exhaustive shortest-path enumeration, and by dependency accumulation in one
 ``Fraction`` per predecessor edge instead of integers over a common
 denominator; p-values come from mpmath's incomplete beta instead of the finite
 Student's t series; AWVCI is a population variance of ``Fraction`` indices;
-reply matching compares every reply with every event of its thread; and the
-survey scores are written straight from their defining formulas.
+reply matching compares every reply with every event of its thread; the
+survey scores are written straight from their defining formulas; archive
+lines come from ``json.dumps`` per event with the timestamp formatted field by
+field; and UTC conversion always converts.
 """
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from datetime import date, datetime, timedelta, timezone
 from fractions import Fraction
@@ -325,3 +328,27 @@ def population_variance(values: Sequence[Fraction]) -> Fraction:
     n = len(values)
     mean = sum(values, start=Fraction(0)) / n
     return sum(((v - mean) ** 2 for v in values), start=Fraction(0)) / n
+
+
+# ---------------------------------------------------------------------------
+# archive oracles
+
+
+def utc_second(stamp: datetime) -> datetime:
+    """``stamp`` converted to UTC and truncated to the second, whatever its zone."""
+    return stamp.astimezone(timezone.utc).replace(microsecond=0)
+
+
+def archive_bytes(events: Iterable) -> bytes:
+    """The JSONL archive of ``events``: one ``json.dumps`` line per event, the
+    timestamp ``YYYY-MM-DDTHH:MM:SSZ`` in UTC with a zero-padded year."""
+    lines = []
+    for ev in events:
+        t = ev.timestamp.astimezone(timezone.utc)
+        stamp = (f"{t.year:04d}-{t.month:02d}-{t.day:02d}"
+                 f"T{t.hour:02d}:{t.minute:02d}:{t.second:02d}Z")
+        lines.append(json.dumps(
+            {"timestamp": stamp, "from": ev.sender, "to": list(ev.to), "cc": list(ev.cc),
+             "subject": ev.subject, "team_id": ev.team_id},
+            ensure_ascii=False, separators=(",", ":")) + "\n")
+    return "".join(lines).encode("utf-8")

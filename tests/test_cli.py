@@ -103,6 +103,22 @@ def test_ingest_reports_gap_months(tmp_path, capsys):
     assert manifest["teams"]["team"]["gap_months"] == ["2012-07"]
 
 
+def test_archive_before_year_1000_reads_back(tmp_path, capsys):
+    mail = tmp_path / "team.csv"
+    mail.write_text("timestamp,from,to,cc,subject\n"
+                    "0999-01-02T03:04:05Z,a@x.com,b@x.com,,hello\n")
+    assert run("ingest", mail, "--period", "0999-01-01..0999-03-01",
+               "--out", tmp_path / "c") == 0
+    assert "months without e-mail: 0999-02" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert manifest["period"] == {"start": "0999-01-01T00:00:00Z",
+                                  "end": "0999-03-01T00:00:00Z"}
+    assert manifest["teams"]["team"]["gap_months"] == ["0999-02"]
+    archived = (tmp_path / "c" / "corpora" / "team.jsonl").read_text()
+    assert archived.startswith('{"timestamp":"0999-01-02T03:04:05Z",')
+    assert run("analyze", tmp_path / "c", "--out", tmp_path / "m") == 0
+
+
 def test_ingest_lenient_skips_and_counts_bad_rows(tmp_path):
     mail = tmp_path / "team.csv"
     mail.write_text("timestamp,from,to,cc,subject\n"

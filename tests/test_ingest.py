@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import tempfile
@@ -24,6 +25,7 @@ from commscore.errors import (
     UnsupportedFormat,
 )
 from commscore.ingest import (
+    EmailEvent,
     Period,
     TeamCorpus,
     build_corpus,
@@ -36,7 +38,10 @@ from commscore.ingest import (
     serialize_events,
 )
 
+import oracles
 from conftest import corpus_of, ev, ts
+
+FIXTURE = Path(__file__).parent / "data" / "fixture"
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +229,7 @@ _address = st.builds(
 )
 _subject = st.text(
     alphabet=st.characters(blacklist_categories=("Cs", "Cc")), max_size=40)
-_stamp = st.datetimes(
-    min_value=datetime(2012, 6, 1), max_value=datetime(2012, 12, 31),
-).map(lambda d: d.replace(tzinfo=timezone.utc, microsecond=0))
+_stamp = st.datetimes().map(lambda d: d.replace(tzinfo=timezone.utc, microsecond=0))
 
 
 @st.composite
@@ -248,6 +251,77 @@ def test_parse_serialize_parse_is_fixed_point(events, format):
     assert not reparsed.issues
     assert reparsed.events == list(events)
     assert serialize_events(reparsed.events, format) == blob
+
+
+# Instants with microseconds in any fixed zone, a day clear of the ends of
+# years 1-9999 so that converting them to UTC cannot overflow.
+_zoned_stamp = st.datetimes(
+    min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
+    timezones=st.one_of(st.just(timezone.utc), st.timedeltas(
+        min_value=timedelta(hours=-23, minutes=-59),
+        max_value=timedelta(hours=23, minutes=59)).map(timezone)))
+# Text with JSON's hard cases: quotes, backslashes, control characters, line
+# and paragraph separators, and characters outside the BMP.
+_wild_text = st.text(st.one_of(
+    st.characters(blacklist_categories=("Cs",)),
+    st.sampled_from('"\\\x00\x08\x1f\x7f\u2028\u2029\U0001F600\U0001D11E')), max_size=12)
+
+
+@st.composite
+def _wild_events(draw):
+    names = draw(st.lists(_wild_text.filter(bool), min_size=2, max_size=5, unique=True))
+    split = draw(st.integers(2, len(names)))
+    return EmailEvent(draw(_zoned_stamp), names[0], tuple(names[1:split]),
+                      tuple(names[split:]), draw(_wild_text), draw(_wild_text))
+
+
+@given(st.lists(_wild_events(), max_size=6))
+@example([EmailEvent(datetime(999, 1, 2, 3, 4, 5, tzinfo=timezone.utc), 'a"\\',
+                     ("b\x00\n",), ("\U0001F600",), "\x1f \\u0041", "t\u2028")])
+@settings(max_examples=200)
+def test_jsonl_archive_equals_json_dumps_per_event(events):
+    assert serialize_events(events, "jsonl") == oracles.archive_bytes(events)
+
+
+@given(_zoned_stamp, st.sampled_from(["+00:00", "Z", "z"]))
+@example(datetime(999, 1, 2, 3, 4, 5, 6, tzinfo=timezone.utc), "Z")
+@settings(max_examples=300)
+def test_parse_timestamp_converts_to_utc_as_the_oracle(stamp, utc_suffix):
+    text = stamp.isoformat()
+    if stamp.utcoffset() == timedelta(0):
+        text = text[:-len("+00:00")] + utc_suffix
+    parsed = parse_timestamp(text)
+    expected = oracles.utc_second(stamp)
+    assert parsed.tzinfo is timezone.utc
+    assert (parsed, parsed.isoformat()) == (expected, expected.isoformat())
+
+
+def test_each_distinct_address_is_normalized_once(tmp_path, summer):
+    """An operation bound: ingest and reload call the address normalizer's
+    body at most once per distinct address string."""
+    mail = sorted((FIXTURE / "mail").glob("*.csv"))
+    raw: set[str] = set()
+    for path in mail:
+        with open(path, encoding="utf-8", newline="") as fh:
+            for row in csv.DictReader(fh):
+                raw.add(row["from"])
+                raw.update(part.strip() for part in f"{row['to']};{row['cc']}".split(";")
+                           if part.strip())
+    normalize_address.cache_clear()
+    assert main(["ingest", *map(str, mail), "--period", "2012-06-01..2012-09-01",
+                 "--out", str(tmp_path)]) == 0
+    assert 0 < normalize_address.cache_info().misses <= len(raw)
+
+    corpora = sorted((tmp_path / "corpora").glob("*.jsonl"))
+    archived: set[str] = set()
+    for path in corpora:
+        for line in path.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            archived.update([record["from"], *record["to"], *record["cc"]])
+    normalize_address.cache_clear()
+    for path in corpora:
+        load_corpus(path, path.stem, summer)
+    assert 0 < normalize_address.cache_info().misses <= len(archived)
 
 
 # ---------------------------------------------------------------------------
