@@ -28,7 +28,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from email import message_from_bytes, policy
 from email.utils import getaddresses, parsedate_to_datetime
 from functools import lru_cache
@@ -82,6 +82,9 @@ def normalize_address(raw: str) -> ActorId:
     return candidate
 
 
+_SUBSECOND_OFFSET_RE = re.compile(r"([+-])00:?00:?00[.,](\d{1,6})$")
+
+
 def parse_timestamp(raw: str) -> datetime:
     """Parse an ISO-8601 instant with explicit offset into UTC, second resolution.
 
@@ -89,14 +92,23 @@ def parse_timestamp(raw: str) -> datetime:
     instant that falls outside years 1–9999 in UTC.
     """
     text = raw.strip()
+    subsecond = None
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
+    else:
+        # CPython 3.11's fromisoformat reads an offset under one second, such
+        # as +00:00:00.5, as UTC; such an offset is taken from the text
+        subsecond = _SUBSECOND_OFFSET_RE.search(text)
     try:
         stamp = datetime.fromisoformat(text)
     except ValueError as exc:
         raise ValueError(f"bad timestamp {raw!r}: {exc}") from None
     if stamp.tzinfo is None:
         raise ValueError(f"timestamp {raw!r} has no UTC offset")
+    if subsecond:
+        micros = int(subsecond[2].ljust(6, "0"))
+        stamp = stamp.replace(tzinfo=timezone(
+            timedelta(microseconds=-micros if subsecond[1] == "-" else micros)))
     return _utc_second(stamp)
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import BinaryIO, Sequence
 
 from ._text import read_csv
@@ -56,19 +58,27 @@ def nps(responses: Sequence[SurveyResponse]) -> Fraction:
     """100 · (#promoters − #detractors) / #responses."""
     if not responses:
         raise NoResponses("nps over zero responses")
-    promoters = sum(1 for r in responses if classify_respondent(r.nps_answer) == "promoter")
-    detractors = sum(1 for r in responses if classify_respondent(r.nps_answer) == "detractor")
-    return Fraction(100 * (promoters - detractors), len(responses))
+    tally = Counter(classify_respondent(r.nps_answer) for r in responses)
+    return Fraction(100 * (tally["promoter"] - tally["detractor"]), len(responses))
 
 
 def kpd(responses: Sequence[SurveyResponse]) -> Fraction:
-    """Mean over respondents of each respondent's mean of 8 answers."""
+    """Mean over respondents of each respondent's mean of 8 answers.
+
+    Every respondent gives exactly 8 answers, so this is Σ answers / (8·n).
+    The numerators are summed as integers per denominator and put over
+    their lcm once.
+    """
     if not responses:
         raise NoResponses("kpd over zero responses")
-    per_respondent = [
-        sum(r.kpd_answers, start=Fraction(0)) / 8 for r in responses
-    ]
-    return sum(per_respondent, start=Fraction(0)) / len(per_respondent)
+    numerators: dict[int, int] = {}
+    for r in responses:
+        for answer in r.kpd_answers:
+            den = answer.denominator
+            numerators[den] = numerators.get(den, 0) + answer.numerator
+    common = lcm(*numerators)
+    total = sum(num * (common // den) for den, num in numerators.items())
+    return Fraction(total, 8 * len(responses) * common)
 
 
 def team_satisfaction(responses: Sequence[SurveyResponse], team_id: str,
@@ -97,6 +107,9 @@ def load_survey(source: BinaryIO, *, source_name: str = "<stream>") -> list[Surv
     """
     out: list[SurveyResponse] = []
     seen: set[tuple[str, str]] = set()
+    # each distinct answer text is checked and converted once; texts that
+    # fail are never stored, so every row holding one is rejected
+    answer_of: dict[str, Fraction] = {}
     for line, row in read_csv(source, source_name, SURVEY_HEADER):
         if not row:
             continue
@@ -115,7 +128,10 @@ def load_survey(source: BinaryIO, *, source_name: str = "<stream>") -> list[Surv
         seen.add((team, respondent))
         try:
             answer = int(raw_nps)
-            answers = tuple(_kpd_answer(v) for v in raw_kpd)
+            for v in raw_kpd:
+                if v not in answer_of:
+                    answer_of[v] = _kpd_answer(v)
+            answers = tuple(map(answer_of.__getitem__, raw_kpd))
             response = SurveyResponse(team_id=team, respondent_id=respondent,
                                       nps_answer=answer, kpd_answers=answers)
         except (ValueError, OutOfRange) as exc:

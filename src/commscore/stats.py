@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from ._text import csv_line
@@ -17,25 +18,44 @@ ALPHA = 0.05
 TARGETS = ("NPS", "KPD")
 
 
+def _over_common_denominator(values: Sequence[float]) -> tuple[list[int], int]:
+    """Integers ``k`` and one denominator ``d`` with ``values[i] == k[i] / d``."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
+
+
 def _pearson_parts(x: Sequence[float], y: Sequence[float]) -> tuple[Fraction, Fraction, Fraction]:
+    """n·Σxy − Σx·Σy, n·Σx² − (Σx)² and n·Σy² − (Σy)², summed exactly as integers."""
     n = len(x)
-    xs = [Fraction(v) for v in x]
-    ys = [Fraction(v) for v in y]
+    xs, dx = _over_common_denominator(x)
+    ys, dy = _over_common_denominator(y)
     sx, sy = sum(xs), sum(ys)
-    sxy = sum(a * b for a, b in zip(xs, ys))
-    sxx = sum(a * a for a in xs)
-    syy = sum(b * b for b in ys)
-    cov = n * sxy - sx * sy
-    varx = n * sxx - sx * sx
-    vary = n * syy - sy * sy
-    return cov, varx, vary
+    cov = n * sum(map(mul, xs, ys)) - sx * sy
+    varx = n * sum(map(mul, xs, xs)) - sx * sx
+    vary = n * sum(map(mul, ys, ys)) - sy * sy
+    return Fraction(cov, dx * dy), Fraction(varx, dx * dx), Fraction(vary, dy * dy)
+
+
+def _times_power_of_two(value: Fraction, exponent: int) -> float:
+    """``value · 2**exponent``, rounded to a float once."""
+    num, den = value.numerator, value.denominator
+    return (num << exponent) / den if exponent >= 0 else num / (den << -exponent)
+
+
+def _half_scale(var: Fraction) -> int:
+    """An ``a`` that puts ``var · 4**a`` in [1/4, 2), well inside the normal floats."""
+    return (var.denominator.bit_length() - var.numerator.bit_length()) // 2
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson product-moment coefficient.
 
     Raises LengthMismatch for unequal lengths and DegenerateSeries for
-    constant or too-short (< 3) input.
+    constant or too-short (< 3) input.  r = cov / √(varx·vary) is evaluated in
+    floats after scaling varx by 4**a, vary by 4**b and cov by 2**(a+b), so
+    that no step underflows or overflows; in the normal float range such a
+    scaling is exact, and r is the same as without it.
     """
     if len(x) != len(y):
         raise LengthMismatch(f"series lengths differ: {len(x)} vs {len(y)}")
@@ -46,7 +66,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise DegenerateSeries("constant series has no correlation")
     if cov * cov == varx * vary:
         return 1.0 if cov > 0 else -1.0
-    r = float(cov) / math.sqrt(float(varx) * float(vary))
+    a, b = _half_scale(varx), _half_scale(vary)
+    r = _times_power_of_two(cov, a + b) / math.sqrt(
+        _times_power_of_two(varx, 2 * a) * _times_power_of_two(vary, 2 * b))
     return max(-1.0, min(1.0, r))
 
 

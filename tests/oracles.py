@@ -6,7 +6,9 @@ exhaustive shortest-path enumeration, and by dependency accumulation in one
 denominator; p-values come from mpmath's incomplete beta instead of the finite
 Student's t series; AWVCI is a population variance of ``Fraction`` indices;
 reply matching compares every reply with every event of its thread; the
-survey scores are written straight from their defining formulas; archive
+Pearson sums take one ``Fraction`` per element instead of integers over a
+common denominator; the survey scores are written straight from their
+defining formulas, KPD as a mean of per-respondent means; archive
 lines come from ``json.dumps`` per event with the timestamp formatted field by
 field; and UTC conversion always converts.
 """
@@ -290,6 +292,19 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     return cov / (vx * vy) ** 0.5
 
 
+def pearson_parts(x: Sequence[float],
+                  y: Sequence[float]) -> tuple[Fraction, Fraction, Fraction]:
+    """n·Σxy − Σx·Σy, n·Σx² − (Σx)² and n·Σy² − (Σy)², one ``Fraction`` per element."""
+    n = len(x)
+    xs = [Fraction(v) for v in x]
+    ys = [Fraction(v) for v in y]
+    sx, sy = sum(xs), sum(ys)
+    sxy = sum(a * b for a, b in zip(xs, ys))
+    sxx = sum(a * a for a in xs)
+    syy = sum(b * b for b in ys)
+    return n * sxy - sx * sy, n * sxx - sx * sx, n * syy - sy * sy
+
+
 def student_t_p(r: float, n: int) -> float:
     """Two-tailed p for a Pearson r: the regularized incomplete beta
     I_{1-r²}((n-2)/2, 1/2), evaluated by mpmath at 40 digits from the exact
@@ -311,6 +326,13 @@ def reichheld_nps(answers: Sequence[int]) -> Fraction:
     promoters = sum(1 for a in answers if a in (9, 10))
     detractors = sum(1 for a in answers if 0 <= a <= 6)
     return Fraction(100 * (promoters - detractors), len(answers))
+
+
+def respondent_mean_kpd(responses: Sequence) -> Fraction:
+    """KPD: the mean over respondents of each respondent's mean answer."""
+    per_respondent = [sum(r.kpd_answers, start=Fraction(0)) / len(r.kpd_answers)
+                      for r in responses]
+    return sum(per_respondent, start=Fraction(0)) / len(per_respondent)
 
 
 def ci_formula(sent: int, received: int) -> Fraction:

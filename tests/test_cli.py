@@ -226,11 +226,15 @@ def _jsonl(team_id: str) -> bytes:
                         "to": ["b@x.com"], "team_id": team_id}) + "\n").encode()
 
 
-def _metrics(*cells: str, teams: tuple[str, ...] = ("alpha", "bravo", "carol")) -> bytes:
-    """A metrics CSV with one row per team; ``cells`` fill the first team's row."""
+def _metrics(*cells: str, teams: tuple[str, ...] = ("alpha", "bravo", "carol"),
+             scale: str = "") -> bytes:
+    """A metrics CSV with one row per team; ``cells`` fill the first team's row.
+
+    ``scale`` is appended to every generated cell, e.g. ``"e-200"``.
+    """
     rows = [METRICS_CSV_HEADER]
     for n, team in enumerate(teams):
-        values = [str(0.25 * (n + 1) + k) for k in range(len(METRICS_CSV_HEADER) - 1)]
+        values = [f"{0.25 * (n + 1) + k}{scale}" for k in range(len(METRICS_CSV_HEADER) - 1)]
         if n == 0:
             values[:len(cells)] = cells
         rows.append((team, *values))
@@ -341,6 +345,10 @@ EXIT_CODE_CASES = [
     pytest.param(4, lambda d: ["scorecard", _write(d / "m.csv", _metrics("1e200")),
                                "--out", d / "o"],
                  id="huge-metric-scorecard"),
+    pytest.param(0, lambda d: ["correlate", _write(d / "m.csv", _metrics(scale="e-200")),
+                               _write(d / "s.csv", _survey()), "--out", d / "o",
+                               "--eligibility-min", "1"],
+                 id="tiny-metric-correlate"),
     *(pytest.param(4, _metrics_argv(command, teams), id=f"{name}-team-{command}")
       for name, teams in (("duplicate", DUPLICATE_TEAM),
                           ("padded-duplicate", PADDED_DUPLICATE_TEAM), ("empty", EMPTY_TEAM))
@@ -356,9 +364,10 @@ EXIT_CODE_CASES = [
 
 @pytest.mark.parametrize("code, argv", EXIT_CODE_CASES)
 def test_exit_code_contract(tmp_path, capsys, code, argv):
-    """Usage 1, ingest 2, analyze 3, correlate/scorecard 4, each with one error line."""
+    """Usage 1, ingest 2, analyze 3, correlate/scorecard 4, each with one error
+    line; success 0 with none."""
     assert run(*argv(tmp_path)) == code
-    assert "error: " in capsys.readouterr().err
+    assert ("error: " in capsys.readouterr().err) == (code != 0)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "x"])

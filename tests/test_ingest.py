@@ -285,6 +285,8 @@ def test_jsonl_archive_equals_json_dumps_per_event(events):
 
 @given(_zoned_stamp, st.sampled_from(["+00:00", "Z", "z"]))
 @example(datetime(999, 1, 2, 3, 4, 5, 6, tzinfo=timezone.utc), "Z")
+@example(datetime(2000, 1, 1, tzinfo=timezone(timedelta(microseconds=1))), "Z")
+@example(datetime(2000, 1, 1, 0, 0, 0, 999999, tzinfo=timezone(timedelta(microseconds=-1))), "Z")
 @settings(max_examples=300)
 def test_parse_timestamp_converts_to_utc_as_the_oracle(stamp, utc_suffix):
     text = stamp.isoformat()

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import csv
 import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from commscore import satisfaction
 from commscore.errors import FormatError, MalformedRecord, NoResponses, OutOfRange
 from commscore.satisfaction import (
     SurveyResponse,
@@ -65,9 +68,11 @@ def test_nps_extremes_and_mixture():
     assert nps([resp(9), resp(10), resp(7), resp(3)]) == 25
 
 
-def test_nps_matches_reichheld_formula_on_samples():
-    answers = [9, 10, 7, 3, 6, 8, 9, 0, 10]
-    assert nps([resp(a) for a in answers]) == oracles.reichheld_nps(answers)
+@given(st.lists(st.integers(0, 10), min_size=1, max_size=40))
+@example([9, 10, 7, 3, 6, 8, 9, 0, 10])
+def test_nps_matches_reichheld_formula_on_samples(answers):
+    assert nps([resp(a, rid=f"r{i}") for i, a in enumerate(answers)]) == \
+        oracles.reichheld_nps(answers)
 
 
 @given(st.lists(st.integers(0, 10), min_size=1, max_size=12),
@@ -112,6 +117,20 @@ def test_kpd_averages_respondent_means():
 def test_kpd_is_respondent_order_invariant(order):
     responses = [resp(9, rid=f"r{i}", kpd_value=1.0 + i * 0.5) for i in range(6)]
     assert kpd([responses[i] for i in order]) == kpd(responses)
+
+
+#: KPD answers in 1..5 with denominators 1, 2, 5 and 10, as survey texts such
+#: as ``3``, ``2.5``, ``4.2`` and ``1.7`` give them.
+_answer = st.sampled_from([1, 2, 5, 10]).flatmap(
+    lambda den: st.integers(den, 5 * den).map(lambda num: Fraction(num, den)))
+
+
+@given(st.lists(st.tuples(*[_answer] * 8), min_size=1, max_size=30))
+@example([(Fraction(1),) * 7 + (Fraction(5, 2),), (Fraction(21, 5),) * 8,
+          (Fraction(17, 10),) * 8])
+def test_kpd_equals_mean_of_respondent_means(rows):
+    responses = [SurveyResponse("t", f"r{i}", 9, answers) for i, answers in enumerate(rows)]
+    assert kpd(responses) == oracles.respondent_mean_kpd(responses)
 
 
 def test_kpd_requires_eight_answers():
@@ -166,6 +185,25 @@ def test_survey_csv_parses_and_groups():
     assert sorted(grouped) == ["alpha", "bravo"]
     assert nps(grouped["alpha"]) == 0        # one promoter, one detractor
     assert kpd(grouped["bravo"]) == 3
+
+
+def test_each_distinct_kpd_text_is_converted_once(monkeypatch):
+    """An operation bound: parsing the fixture survey builds at most one
+    ``Fraction`` per distinct KPD answer text, and every answer equals its text."""
+    path = Path(__file__).parent / "data" / "fixture" / "survey.csv"
+    with open(path, encoding="utf-8", newline="") as fh:
+        texts = [[cell.strip() for cell in row[3:]] for row in list(csv.reader(fh))[1:]]
+    built: list[str] = []
+
+    def counting_fraction(text: str) -> Fraction:
+        built.append(text)
+        return Fraction(text)
+
+    monkeypatch.setattr(satisfaction, "Fraction", counting_fraction)
+    with open(path, "rb") as fh:
+        rows = load_survey(fh)
+    assert 0 < len(built) <= len({t for row in texts for t in row})
+    assert [r.kpd_answers for r in rows] == [tuple(map(Fraction, row)) for row in texts]
 
 
 def test_survey_rejects_missing_answers():

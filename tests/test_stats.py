@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from commscore import stats
 from commscore.errors import DegenerateInput, DegenerateSeries, LengthMismatch
 from commscore.metrics import METRIC_FIELDS, MetricVector
 from commscore.satisfaction import TeamSatisfaction
@@ -83,6 +85,70 @@ def test_exactness_detects_rational_collinearity():
     x = [1.0, 2.0, 3.0]
     assert is_exact(x, [v / 4 for v in x])     # exactly representable slope
     assert not is_exact(x, [1.0, 2.0, 3.5])
+
+
+def test_tiny_series_do_not_underflow():
+    # n·Σx² − (Σx)² is about 1e-399 here, below the smallest float
+    assert pearson([1e-200, 2e-200, 4e-200], [1, 2, 5]) == \
+        pytest.approx(pearson([1, 2, 4], [1, 2, 5]), abs=1e-15)
+
+
+#: Metric-like floats: either sign, from 1e-300 to 1e15, with 0 and -0.0.
+_float = st.one_of(
+    st.builds(lambda v, negative: -v if negative else v,
+              st.floats(min_value=1e-300, max_value=1e15), st.booleans()),
+    st.sampled_from([0.0, -0.0]),
+)
+#: Any value the old per-element ``Fraction`` sums accepted: integers, floats
+#: and fractions whose denominators are not powers of two.
+_value = st.one_of(st.integers(-10**6, 10**6), _float,
+                   st.fractions(min_value=-10**6, max_value=10**6, max_denominator=60))
+
+
+@st.composite
+def _series_pair(draw, min_size=0, values=_value):
+    n = draw(st.integers(min_size, 12))
+    return (draw(st.lists(values, min_size=n, max_size=n)),
+            draw(st.lists(_value, min_size=n, max_size=n)))
+
+
+@given(_series_pair())
+@example(([1e-300, -0.0, 1e15], [3, -0.0, 0.5]))
+@settings(max_examples=300)
+def test_integer_pearson_parts_equal_fraction_sums(pair):
+    x, y = pair
+    assert stats._pearson_parts(x, y) == oracles.pearson_parts(x, y)
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=12, unique=True),
+       st.integers(-2**20, 2**20).filter(bool), st.integers(-2**20, 2**20),
+       st.integers(-1074, 30))
+@settings(max_examples=200)
+def test_collinear_series_take_the_exact_path(ints, slope, shift, exponent):
+    x = [math.ldexp(v, exponent) for v in ints]   # exact, subnormals included
+    y = [slope * v + shift for v in ints]
+    assert stats._pearson_parts(x, y) == oracles.pearson_parts(x, y)
+    assert is_exact(x, y)
+    assert pearson(x, y) == math.copysign(1.0, slope)
+
+
+@st.composite
+def _scaled_case(draw):
+    """(x, y, k) with every x·2**k a normal float or zero."""
+    x, y = draw(_series_pair(min_size=3, values=_float))
+    exponents = [math.frexp(v)[1] for v in x if v]
+    k = draw(st.integers(sys.float_info.min_exp - min(exponents, default=0),
+                         sys.float_info.max_exp - max(exponents, default=0)))
+    return x, y, k
+
+
+@given(_scaled_case())
+@example(([1.0, 2.0, 4.0], [1, 2, 5], -700))   # varx of the scaled x is about 5e-421
+@settings(max_examples=300)
+def test_r_is_exactly_invariant_under_power_of_two_scaling(case):
+    x, y, k = case
+    assume(len(set(x)) > 1 and len(set(y)) > 1)
+    assert pearson([math.ldexp(v, k) for v in x], y) == pearson(x, y)
 
 
 # ---------------------------------------------------------------------------
