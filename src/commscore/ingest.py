@@ -14,11 +14,10 @@ resolution; written out (:func:`iso_utc`) they read ``YYYY-MM-DDTHH:MM:SSZ``,
 the year always four digits (``0999-01-02T03:04:05Z``).  Addresses are
 lowercased with display names stripped.
 
-The ``corpora/<team>.jsonl`` files that ``ingest`` archives are the normal
-form: every record is already normalized and the file is deduplicated and in
-:func:`event_order`.  :func:`load_corpus` reads such a file back as it stands.
-A record or file that is not in normal form, such as a hand-edited archive,
-is normalized and rebuilt as any other input, with the same result.
+Every record of every format goes through one party normalizer, memoized per
+parse: a file's repeated ``from``/``to``/``cc`` fields are normalized once.
+:func:`load_corpus` keeps an archive that ``ingest`` wrote (deduplicated, in
+:func:`event_order`) as it stands, and rebuilds any other file.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from email.utils import getaddresses, parsedate_to_datetime
 from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Callable, Iterable
 
 from ._text import csv_line, read_csv
 from .errors import (
@@ -167,6 +166,29 @@ def event_order(ev: EmailEvent) -> tuple:
     return (ev.timestamp, ev.sender, ev.to, ev.cc, ev.subject, ev.team_id)
 
 
+@lru_cache(maxsize=1 << 10)
+def _team_error(team_id: str) -> str | None:
+    """Why ``team_id`` cannot name a corpus file, or ``None`` when it can (cached)."""
+    if _UNSAFE_TEAM_RE.search(team_id):
+        return f"team_id {team_id!r} is not a single path component"
+    return None
+
+
+def _parties(sender: str, to: Iterable[str],
+             cc: Iterable[str]) -> tuple[ActorId, tuple[ActorId, ...], tuple[ActorId, ...]]:
+    """The normalized ``(sender, to, cc)`` of :func:`make_event`.
+
+    Raises :class:`MalformedAddress` for an address without ``local@domain``
+    and for a ``to`` left empty.
+    """
+    sender_n = normalize_address(sender)
+    to_n = dict.fromkeys(map(normalize_address, to))
+    cc_n = tuple(addr for addr in dict.fromkeys(map(normalize_address, cc)) if addr not in to_n)
+    if not to_n:
+        raise MalformedAddress("empty to list after normalization")
+    return sender_n, tuple(to_n), cc_n
+
+
 def make_event(timestamp: datetime, sender: str, to: Iterable[str],
                cc: Iterable[str] = (), subject: str = "", team_id: str = "") -> EmailEvent:
     """Build an :class:`EmailEvent` from raw strings, normalizing as it goes.
@@ -176,32 +198,11 @@ def make_event(timestamp: datetime, sender: str, to: Iterable[str],
     that is not a single path component (``/``, ``\\``, NUL, ``.``, ``..``)
     raises ``ValueError``, as does a timestamp outside years 1–9999 in UTC.
     """
-    if _UNSAFE_TEAM_RE.search(team_id):
-        raise ValueError(f"team_id {team_id!r} is not a single path component")
-    sender_n = normalize_address(sender)
-    seen: set[str] = set()
-    to_n: list[str] = []
-    for addr in to:
-        norm = normalize_address(addr)
-        if norm not in seen:
-            seen.add(norm)
-            to_n.append(norm)
-    cc_n: list[str] = []
-    for addr in cc:
-        norm = normalize_address(addr)
-        if norm not in seen:
-            seen.add(norm)
-            cc_n.append(norm)
-    if not to_n:
-        raise MalformedAddress("empty to list after normalization")
-    return EmailEvent(
-        timestamp=_utc_second(timestamp),
-        sender=sender_n,
-        to=tuple(to_n),
-        cc=tuple(cc_n),
-        subject=subject,
-        team_id=team_id,
-    )
+    error = _team_error(team_id)
+    if error:
+        raise ValueError(error)
+    sender, to, cc = _parties(sender, to, cc)
+    return EmailEvent(_utc_second(timestamp), sender, to, cc, subject, team_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,38 +244,64 @@ def parse_events(source: BinaryIO, format: str, *, default_team: str = "",
     raise UnsupportedFormat(f"unknown mail format: {format!r}")
 
 
-def _issue(result: ParseResult, strict: bool, source: str, line: int, message: str) -> None:
-    if strict:
-        raise MalformedRecord(message, source=source, line=line)
-    result.issues.append(ParseIssue(source=source, line=line, message=message))
+class _Records:
+    """One parse's events and issues, each record built as :func:`make_event` builds it.
+
+    The memo maps each distinct raw party key to ``parties(*key)`` or to the
+    text of its error.  A cached error is still reported once per record, with
+    that record's own line.
+    """
+
+    def __init__(self, name: str, strict: bool, parties: Callable[..., tuple]) -> None:
+        self.name, self.strict, self._parties = name, strict, parties
+        self.result = ParseResult(events=[])
+        self._memo: dict[tuple, tuple | str] = {}
+
+    def issue(self, line: int, message: str) -> None:
+        if self.strict:
+            raise MalformedRecord(message, source=self.name, line=line)
+        self.result.issues.append(ParseIssue(source=self.name, line=line, message=message))
+
+    def add(self, line: int, stamp: datetime, key: tuple, subject: str, team: str) -> None:
+        """The event of a record with this stamp and raw party key, or its issue;
+        ``ValueError`` for a stamp outside years 1–9999 in UTC."""
+        parties = self._memo.get(key)
+        if parties is None:
+            try:
+                parties = self._parties(*key)
+            except MalformedAddress as exc:
+                parties = str(exc)
+            self._memo[key] = parties
+        error = _team_error(team) or parties
+        if isinstance(error, str):
+            self.issue(line, error)
+        else:
+            self.result.events.append(EmailEvent(_utc_second(stamp), *parties, subject, team))
 
 
-def _split_list(raw: str) -> list[str]:
-    return [part for part in map(str.strip, raw.split(";")) if part]
+def _csv_parties(sender: str, to: str, cc: str) -> tuple:
+    """:func:`_parties` of a CSV row's ``from`` cell and ``;``-separated ``to``/``cc`` cells."""
+    split = [[part for part in map(str.strip, cell.split(";")) if part] for cell in (to, cc)]
+    return _parties(sender, *split)
 
 
 def _parse_csv(source: BinaryIO, default_team: str, name: str, strict: bool) -> ParseResult:
-    result = ParseResult(events=[])
+    records = _Records(name, strict, _csv_parties)
     for line, row in read_csv(source, name, CSV_HEADER):
         if not row:
             continue
         if len(row) != 5:
-            _issue(result, strict, name, line, f"expected 5 fields, got {len(row)}")
+            records.issue(line, f"expected 5 fields, got {len(row)}")
             continue
-        raw_ts, raw_from, raw_to, raw_cc, subject = row
         try:
-            stamp = parse_timestamp(raw_ts)
-            event = make_event(stamp, raw_from, _split_list(raw_to),
-                               _split_list(raw_cc), subject, default_team)
-        except (ValueError, MalformedAddress) as exc:
-            _issue(result, strict, name, line, str(exc))
-            continue
-        result.events.append(event)
-    return result
+            records.add(line, parse_timestamp(row[0]), tuple(row[1:4]), row[4], default_team)
+        except ValueError as exc:
+            records.issue(line, str(exc))
+    return records.result
 
 
 def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -> ParseResult:
-    result = ParseResult(events=[])
+    records = _Records(name, strict, _parties)
     for lineno, raw in enumerate(source, start=1):
         stripped = raw.strip()
         if not stripped:
@@ -282,61 +309,29 @@ def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -
         try:
             record = json.loads(stripped.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            _issue(result, strict, name, lineno, f"bad JSON: {exc}")
+            records.issue(lineno, f"bad JSON: {exc}")
             continue
         if not isinstance(record, dict):
-            _issue(result, strict, name, lineno, "record is not an object")
+            records.issue(lineno, "record is not an object")
             continue
         team = str(record.get("team_id") or default_team)
         if not team:
-            _issue(result, strict, name, lineno, "missing team_id")
+            records.issue(lineno, "missing team_id")
             continue
         try:
             stamp = parse_timestamp(str(record["timestamp"]))
-            event = _normal_event(record, stamp, team)
-            if event is None:
-                to = record.get("to") or []
-                cc = record.get("cc") or []
-                if not isinstance(to, list) or not isinstance(cc, list):
-                    raise ValueError("to/cc must be arrays")
-                event = make_event(stamp, str(record["from"]), [str(a) for a in to],
-                                   [str(a) for a in cc], str(record.get("subject", "")), team)
+            to = record.get("to") or []
+            cc = record.get("cc") or []
+            if not isinstance(to, list) or not isinstance(cc, list):
+                raise ValueError("to/cc must be arrays")
+            key = (str(record["from"]), tuple(map(str, to)), tuple(map(str, cc)))
+            subject = record.get("subject")
+            records.add(lineno, stamp, key, "" if subject is None else str(subject), team)
         except KeyError as exc:
-            _issue(result, strict, name, lineno, f"missing key {exc}")
-            continue
-        except (ValueError, MalformedAddress) as exc:
-            _issue(result, strict, name, lineno, str(exc))
-            continue
-        result.events.append(event)
-    return result
-
-
-def _normal_event(record: dict, stamp: datetime, team: str) -> EmailEvent | None:
-    """The event of a JSONL record already in normal form, else ``None``.
-
-    Normal form is what :func:`make_event` would return unchanged: string
-    addresses that :func:`normalize_address` leaves as they are, a non-empty
-    ``to``, no address twice in ``to`` and ``cc`` together, a string subject
-    (or none) and a safe team id.
-    """
-    sender, to, cc = record.get("from"), record.get("to"), record.get("cc")
-    subject = record.get("subject", "")
-    if not (isinstance(to, list) and isinstance(cc, list) and isinstance(subject, str)):
-        return None
-    if not all(map(_is_normal, [sender, *to, *cc])) or _UNSAFE_TEAM_RE.search(team):
-        return None
-    try:
-        return EmailEvent(stamp, sender, tuple(to), tuple(cc), subject, team)
-    except ValueError:  # an empty or repeated recipient: make_event decides
-        return None
-
-
-def _is_normal(addr: object) -> bool:
-    """Whether ``addr`` is a string :func:`normalize_address` leaves unchanged."""
-    try:
-        return isinstance(addr, str) and normalize_address(addr) == addr
-    except MalformedAddress:
-        return False
+            records.issue(lineno, f"missing key {exc}")
+        except ValueError as exc:
+            records.issue(lineno, str(exc))
+    return records.result
 
 
 def _parse_mbox(source: BinaryIO, default_team: str, name: str, strict: bool) -> ParseResult:
@@ -358,7 +353,7 @@ def _parse_mbox(source: BinaryIO, default_team: str, name: str, strict: bool) ->
             current.append(raw)
     if current:
         messages.append((start_line, b"".join(current)))
-    result = ParseResult(events=[])
+    records = _Records(name, strict, _parties)
     for lineno, blob in messages:
         msg = message_from_bytes(blob, policy=policy.default)
         try:
@@ -371,16 +366,14 @@ def _parse_mbox(source: BinaryIO, default_team: str, name: str, strict: bool) ->
             froms = getaddresses([str(msg.get("From", ""))])
             if not froms or not froms[0][1]:
                 raise ValueError("missing From header")
-            to = [addr for _, addr in getaddresses([str(msg.get("To", ""))]) if addr]
-            cc = [addr for _, addr in getaddresses([str(msg.get("Cc", ""))]) if addr]
-            event = make_event(stamp, froms[0][1], to, cc,
-                               str(msg.get("Subject", "")), default_team)
+            to = tuple(addr for _, addr in getaddresses([str(msg.get("To", ""))]) if addr)
+            cc = tuple(addr for _, addr in getaddresses([str(msg.get("Cc", ""))]) if addr)
+            records.add(lineno, stamp, (froms[0][1], to, cc), str(msg.get("Subject", "")),
+                        default_team)
         # Python 3.10's parsedate_to_datetime raises TypeError on a bad Date
-        except (ValueError, TypeError, MalformedAddress) as exc:
-            _issue(result, strict, name, lineno, str(exc))
-            continue
-        result.events.append(event)
-    return result
+        except (ValueError, TypeError) as exc:
+            records.issue(lineno, str(exc))
+    return records.result
 
 
 #: One encoder for every archive line: ``json.dumps`` with these arguments

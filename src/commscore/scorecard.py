@@ -11,6 +11,7 @@ from typing import Mapping, Sequence
 from ._text import csv_line, fmt3
 from .errors import CohortTooSmall, UnsupportedFormat
 from .metrics import METRIC_FIELDS, MetricVector
+from .stats import population_sigma
 
 #: Expected correlation direction per metric (the score-card legend).
 DIRECTIONS: dict[str, str] = {
@@ -65,7 +66,7 @@ def _cohort_stats(cohort: Sequence[MetricVector]) -> dict[str, tuple[float, floa
             stats[field] = None
             continue
         mean = math.fsum(values) / len(values)
-        stats[field] = mean, math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
+        stats[field] = mean, population_sigma(values)
     return stats
 
 

@@ -18,23 +18,20 @@ ALPHA = 0.05
 TARGETS = ("NPS", "KPD")
 
 
-def _over_common_denominator(values: Sequence[float]) -> tuple[list[int], int]:
-    """Integers ``k`` and one denominator ``d`` with ``values[i] == k[i] / d``."""
+def _exact_parts(values: Sequence[float]) -> tuple[list[int], int, Fraction]:
+    """Integers ``k`` and one denominator ``d`` with ``values[i] == k[i] / d``, and
+    n·Σx² − (Σx)², n² times the population variance, summed exactly as integers."""
     ratios = [v.as_integer_ratio() for v in values]
     den = math.lcm(*(q for _, q in ratios))
-    return [p * (den // q) for p, q in ratios], den
+    ks = [p * (den // q) for p, q in ratios]
+    return ks, den, Fraction(len(ks) * sum(map(mul, ks, ks)) - sum(ks) ** 2, den * den)
 
 
 def _pearson_parts(x: Sequence[float], y: Sequence[float]) -> tuple[Fraction, Fraction, Fraction]:
     """n·Σxy − Σx·Σy, n·Σx² − (Σx)² and n·Σy² − (Σy)², summed exactly as integers."""
-    n = len(x)
-    xs, dx = _over_common_denominator(x)
-    ys, dy = _over_common_denominator(y)
-    sx, sy = sum(xs), sum(ys)
-    cov = n * sum(map(mul, xs, ys)) - sx * sy
-    varx = n * sum(map(mul, xs, xs)) - sx * sx
-    vary = n * sum(map(mul, ys, ys)) - sy * sy
-    return Fraction(cov, dx * dy), Fraction(varx, dx * dx), Fraction(vary, dy * dy)
+    xs, dx, varx = _exact_parts(x)
+    ys, dy, vary = _exact_parts(y)
+    return Fraction(len(xs) * sum(map(mul, xs, ys)) - sum(xs) * sum(ys), dx * dy), varx, vary
 
 
 def _times_power_of_two(value: Fraction, exponent: int) -> float:
@@ -46,6 +43,14 @@ def _times_power_of_two(value: Fraction, exponent: int) -> float:
 def _half_scale(var: Fraction) -> int:
     """An ``a`` that puts ``var · 4**a`` in [1/4, 2), well inside the normal floats."""
     return (var.denominator.bit_length() - var.numerator.bit_length()) // 2
+
+
+def population_sigma(values: Sequence[float]) -> float:
+    """Population σ, √(n·Σx² − (Σx)²) / n from the exact parts; as in :func:`pearson`,
+    the variance is scaled by 4**a into the normal floats and the root by 2**−a."""
+    var = _exact_parts(values)[2] / len(values) ** 2
+    a = _half_scale(var)
+    return math.ldexp(math.sqrt(_times_power_of_two(var, 2 * a)), -a)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:

@@ -10,14 +10,20 @@ Pearson sums take one ``Fraction`` per element instead of integers over a
 common denominator; the survey scores are written straight from their
 defining formulas, KPD as a mean of per-respondent means; archive
 lines come from ``json.dumps`` per event with the timestamp formatted field by
-field; and UTC conversion always converts.
+field; UTC conversion always converts; and mail files are parsed record by
+record, each through one call of the ``make_event`` the caller passes in, with
+nothing remembered between records.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from collections import deque
 from datetime import date, datetime, timedelta, timezone
+from email import message_from_bytes, policy
+from email.utils import getaddresses, parsedate_to_datetime
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -374,3 +380,94 @@ def archive_bytes(events: Iterable) -> bytes:
              "subject": ev.subject, "team_id": ev.team_id},
             ensure_ascii=False, separators=(",", ":")) + "\n")
     return "".join(lines).encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# mail oracle: the record rules of each format, one ``make_event`` per record
+
+
+def _csv_records(blob: bytes, make_event, parse_timestamp, team: str):
+    rows = csv.reader(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8-sig", newline=""))
+    next(rows)  # the header
+    for row in rows:
+        if not row:
+            continue
+        if len(row) != 5:
+            yield rows.line_num, ValueError(f"expected 5 fields, got {len(row)}")
+            continue
+
+        def build(row=row):
+            split = [[a.strip() for a in cell.split(";") if a.strip()] for cell in row[2:4]]
+            return make_event(parse_timestamp(row[0]), row[1], *split, row[4], team)
+        yield rows.line_num, build
+
+
+def _jsonl_records(blob: bytes, make_event, parse_timestamp, default_team: str):
+    for line, raw in enumerate(io.BytesIO(blob), start=1):
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw.strip().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            yield line, ValueError(f"bad JSON: {exc}")
+            continue
+        if not isinstance(record, dict):
+            yield line, ValueError("record is not an object")
+            continue
+        team = str(record.get("team_id") or default_team)
+        if not team:
+            yield line, ValueError("missing team_id")
+            continue
+
+        def build(record=record, team=team):
+            stamp = parse_timestamp(str(record["timestamp"]))
+            to, cc = record.get("to") or [], record.get("cc") or []
+            if not isinstance(to, list) or not isinstance(cc, list):
+                raise ValueError("to/cc must be arrays")
+            subject = record.get("subject")
+            return make_event(stamp, str(record["from"]), [str(a) for a in to],
+                              [str(a) for a in cc], "" if subject is None else str(subject), team)
+        yield line, build
+
+
+def _mbox_records(blob: bytes, make_event, parse_timestamp, team: str):
+    lines = io.BytesIO(blob).readlines()
+    starts = [i for i, raw in enumerate(lines) if raw.startswith(b"From ")]
+    for start, end in zip(starts, starts[1:] + [len(lines)]):
+        msg = message_from_bytes(b"".join(lines[start + 1:end]), policy=policy.default)
+
+        def build(msg=msg):
+            if msg.get("Date") is None:
+                raise ValueError("missing Date header")
+            stamp = parsedate_to_datetime(str(msg["Date"]))
+            if stamp.tzinfo is None:
+                raise ValueError(f"Date {msg['Date']!r} has no UTC offset")
+            sender = getaddresses([str(msg.get("From", ""))])
+            if not sender or not sender[0][1]:
+                raise ValueError("missing From header")
+            to, cc = ([a for _, a in getaddresses([str(msg.get(h, ""))]) if a] for h in ("To", "Cc"))
+            return make_event(stamp, sender[0][1], to, cc, str(msg.get("Subject", "")), team)
+        yield start + 1, build
+
+
+def reference_parse(blob: bytes, format: str, make_event: Callable, parse_timestamp: Callable,
+                    *, default_team: str = "", source: str = "<stream>") -> tuple[list, list]:
+    """The events of a well-framed CSV, JSONL or mbox file and its issues as
+    ``(source, line, message)``, each record built by its own ``make_event`` call.
+
+    A record's checks run in the order of its format's rules: the timestamp,
+    JSONL's array types, the ``from`` field, then ``make_event``'s team id,
+    addresses and conversion to UTC (which only an mbox Date can fail).
+    """
+    reader = {"csv": _csv_records, "jsonl": _jsonl_records, "mbox": _mbox_records}[format]
+    events, issues = [], []
+    for line, build in reader(blob, make_event, parse_timestamp, default_team):
+        try:
+            if isinstance(build, Exception):
+                raise build
+            events.append(build())
+        except KeyError as exc:
+            issues.append((source, line, f"missing key {exc}"))
+        except Exception as exc:  # every other error is the record's issue
+            issues.append((source, line, str(exc)))
+    return events, issues

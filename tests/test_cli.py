@@ -370,6 +370,15 @@ def test_exit_code_contract(tmp_path, capsys, code, argv):
     assert ("error: " in capsys.readouterr().err) == (code != 0)
 
 
+def test_scorecard_of_a_tiny_metric_column(tmp_path):
+    """A column of 0.25e-200, 0.5e-200 and 0.75e-200 is standardized as any other."""
+    assert run("scorecard", _write(tmp_path / "m.csv", _metrics(scale="e-200")),
+               "--out", tmp_path / "o") == 0
+    card = json.loads((tmp_path / "o" / "scorecard.json").read_text(encoding="utf-8"))
+    alpha = card["teams"][0]["metrics"]["avg_gbc"]
+    assert (alpha["z"], alpha["favorable"], alpha["alert"]) == (-1.225, False, True)
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "x"])
 def test_non_finite_metric_cells_are_format_errors(tmp_path, cell):
     survey = _write(tmp_path / "s.csv", _survey())

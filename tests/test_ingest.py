@@ -9,13 +9,13 @@ import tempfile
 import warnings
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commscore import ingest
+from commscore._text import csv_line
 from commscore.cli import main
 from commscore.errors import (
     EmptyCorpusWarning,
@@ -326,6 +326,133 @@ def test_each_distinct_address_is_normalized_once(tmp_path, summer):
     assert 0 < normalize_address.cache_info().misses <= len(archived)
 
 
+@pytest.mark.parametrize("subject", [{}, {"subject": None}])
+def test_jsonl_absent_or_null_subject_is_empty(subject):
+    record = {"timestamp": "2012-06-04T09:00:00Z", "from": "a@x.com", "to": ["b@x.com"],
+              "team_id": "t", **subject}
+    (event,) = parse_events(io.BytesIO(json.dumps(record).encode()), "jsonl").events
+    assert event.subject == ""
+    assert b'"subject":""' in serialize_events([event], "jsonl")
+
+
+def test_each_distinct_party_key_and_team_is_decided_once(monkeypatch, tmp_path):
+    """An operation bound: per parse, the party normalizer runs at most once per
+    distinct raw (from, to, cc) key and the team-id check once per distinct team."""
+    mail = sorted((FIXTURE / "mail").glob("*.csv"))
+    assert main(["ingest", *map(str, mail), "--period", "2012-06-01..2012-09-01",
+                 "--out", str(tmp_path)]) == 0
+    archive = b"".join(path.read_bytes() for path in sorted(tmp_path.glob("corpora/*.jsonl")))
+    calls: list[tuple] = []
+    searched: list[str] = []
+    parties, unsafe_team = ingest._parties, ingest._UNSAFE_TEAM_RE
+
+    def counting_parties(sender, to, cc):
+        calls.append((sender, tuple(to), tuple(cc)))
+        return parties(sender, to, cc)
+
+    class CountingPattern:
+        def search(self, text):
+            searched.append(text)
+            return unsafe_team.search(text)
+
+    monkeypatch.setattr(ingest, "_parties", counting_parties)
+    monkeypatch.setattr(ingest, "_UNSAFE_TEAM_RE", CountingPattern())
+    for blob, format, keys in (
+            *((path.read_bytes(), "csv",
+               {tuple(row[1:4]) for row in list(csv.reader(io.StringIO(path.read_text())))[1:]})
+              for path in mail),
+            (archive, "jsonl", {(r["from"], tuple(r["to"]), tuple(r["cc"]))
+                                for r in map(json.loads, archive.splitlines())}),
+            (MBOX_DOC * 3, "mbox", {("A@x.com", ("b@y.com",), ("c@y.com",))})):
+        calls.clear()
+        searched.clear()
+        ingest._team_error.cache_clear()
+        result = parse_events(io.BytesIO(blob), format, default_team="t")
+        assert len(result.events) > len(keys)  # so one call per record would break the bound
+        assert 0 < len(calls) <= len(keys)
+        assert sorted(searched) == sorted({ev.team_id for ev in result.events})
+
+
+# Raw spellings of four actors, some malformed, for records that repeat parties.
+_RAW_ADDRESSES = ("a@ex.com", "A@EX.COM", "Ann <a@ex.com>", " b@ex.com", "B@ex.com",
+                  "Cid <C@Ex.com>", "d@ex.com", "no-at-sign", "a@b@c")
+_STAMPS = ("2012-06-04T09:00:00Z", "2012-06-04T11:00:00+02:00", "2012-06-05T09:00:00Z",
+           "2012-06-04T09:00:00", "bad", "0001-01-01T00:00:00+01:00")
+_DATES = ("Mon, 04 Jun 2012 09:00:00 +0000", "Mon, 04 Jun 2012 11:00:00 +0200",
+          "Mon, 04 Jun 2012 09:00:00 -0000", "Fri, 31 Dec 9999 23:30:00 -0100", "not a date")
+_TEAMS = ("t", "u", "../up", ".")
+_party_triples = st.tuples(st.sampled_from(_RAW_ADDRESSES),
+                           st.lists(st.sampled_from(_RAW_ADDRESSES), max_size=3),
+                           st.lists(st.sampled_from(_RAW_ADDRESSES), max_size=2))
+
+
+@st.composite
+def _mail_files(draw):
+    """A mail file of one format whose records reuse a few raw party triples."""
+    format = draw(st.sampled_from(["csv", "jsonl", "mbox"]))
+    triples = draw(st.lists(_party_triples, min_size=1, max_size=3))
+    lines = ["timestamp,from,to,cc,subject\n"] if format == "csv" else []
+    for _ in range(draw(st.integers(0, 8))):
+        sender, to, cc = draw(st.sampled_from(triples))
+        subject = draw(st.sampled_from(["s", "Re: s, again", 'say "hi"', None]))
+        if format == "csv":
+            stamp = draw(st.sampled_from(_STAMPS))
+            lines.append(csv_line((stamp, sender, ";".join(to), ";".join(cc), subject or "")))
+        elif format == "jsonl":
+            record = {"timestamp": draw(st.sampled_from(_STAMPS)), "from": sender, "to": to,
+                      "cc": cc, "subject": subject, "team_id": draw(st.sampled_from(_TEAMS))}
+            if draw(st.integers(0, 9)) == 0:
+                record.pop(draw(st.sampled_from(["from", "subject", "team_id"])))
+            lines.append(json.dumps(record) + "\n")
+        else:
+            headers = [f"From: {sender}", f"To: {', '.join(to)}", f"Cc: {', '.join(cc)}"]
+            if subject is not None:
+                headers.append(f"Subject: {subject}")
+            if draw(st.integers(0, 9)):
+                headers.append(f"Date: {draw(st.sampled_from(_DATES))}")
+            lines.append("From x\n" + "\n".join(headers) + "\n\nbody\n")
+    return "".join(lines).encode(), format, draw(st.sampled_from(_TEAMS))
+
+
+@given(_mail_files())
+@example((b"timestamp,from,to,cc,subject\n2012-06-04T09:00:00Z,a@ex.com,a@ex.com;,a@ex.com,s\n"
+          b"2012-06-04T09:00:00Z,a@ex.com,;,,s\n" * 2, "csv", "t"))
+@settings(max_examples=300, deadline=None)
+def test_parse_events_equals_make_event_per_record(mail):
+    """The memoized parse gives the events, issues and strict-mode error of
+    building every record with its own ``make_event`` call."""
+    blob, format, team = mail
+    events, issues = oracles.reference_parse(blob, format, make_event, parse_timestamp,
+                                             default_team=team, source="m")
+    result = parse_events(io.BytesIO(blob), format, default_team=team, source_name="m")
+    assert result.events == events
+    assert [(i.source, i.line, i.message) for i in result.issues] == issues
+    if issues:
+        with pytest.raises(MalformedRecord) as info:
+            parse_events(io.BytesIO(blob), format, default_team=team, source_name="m",
+                         strict=True)
+        assert str(info.value) == str(MalformedRecord(issues[0][2], source="m",
+                                                      line=issues[0][1]))
+
+
+def test_ingesting_the_archive_again_writes_it_unchanged(tmp_path):
+    """Format round trip through ``main()``: the JSONL corpora that ``ingest``
+    wrote from CSV, ingested again as JSONL, come out byte-identical."""
+    period = "2012-06-01..2012-09-01"
+    mail = sorted((FIXTURE / "mail").glob("*.csv"))
+    assert main(["ingest", *map(str, mail), "--period", period,
+                 "--out", str(tmp_path / "csv")]) == 0
+    corpora = sorted((tmp_path / "csv" / "corpora").glob("*.jsonl"))
+    assert main(["ingest", *map(str, corpora), "--format", "jsonl", "--period", period,
+                 "--out", str(tmp_path / "jsonl")]) == 0
+    again = sorted((tmp_path / "jsonl" / "corpora").glob("*.jsonl"))
+    assert [p.name for p in again] == [p.name for p in corpora]
+    assert [p.read_bytes() for p in again] == [p.read_bytes() for p in corpora]
+    manifests = [json.loads((tmp_path / run / "manifest.json").read_text(encoding="utf-8"))
+                 for run in ("csv", "jsonl")]
+    assert manifests[0]["teams"] == manifests[1]["teams"]
+
+
 # ---------------------------------------------------------------------------
 # corpus assembly
 
@@ -531,18 +658,21 @@ _RECORD = {"timestamp": "2012-06-04T09:00:00Z", "from": "a@ex.com", "to": ["b@ex
                   for edit in ({}, {"subject": "zz"}, {"cc": ["c@ex.com"]})))
 @settings(max_examples=400, deadline=None)
 def test_load_corpus_equals_parse_and_build(archived):
-    """Both shortcuts are exact: the same corpus, warnings and errors as reading
-    every record through ``make_event`` and rebuilding with ``build_corpus``."""
+    """The memo and the corpus shortcut are exact: the same corpus, warnings and
+    errors as reading every record through ``make_event`` and rebuilding with
+    ``build_corpus``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.jsonl"
         path.write_bytes(archived)
 
         def parse_and_build():
-            with open(path, "rb") as fh, \
-                    mock.patch.object(ingest, "_normal_event", return_value=None):
-                parsed = parse_events(fh, "jsonl", default_team="t",
-                                      source_name=path.name, strict=True)
-            return build_corpus(parsed.events, "t", _JUNE)
+            events, issues = oracles.reference_parse(
+                archived, "jsonl", make_event, parse_timestamp, default_team="t",
+                source=path.name)
+            if issues:
+                source, line, message = issues[0]
+                raise MalformedRecord(message, source=source, line=line)
+            return build_corpus(events, "t", _JUNE)
 
         assert _outcome(lambda: load_corpus(path, "t", _JUNE)) == _outcome(parse_and_build)
 

@@ -107,6 +107,15 @@ def test_constant_cohort_column_scores_zero_z():
     assert card.metrics["avg_gbc"].favorable is True
 
 
+def test_tiny_column_is_standardized_without_underflow():
+    """Squared deviations of 1e-200 underflow in floats; σ comes from exact parts."""
+    cohort = [vector("alpha", avg_gbc=1e-200), vector("bravo", avg_gbc=2e-200),
+              vector("carol", avg_gbc=3e-200)]
+    score = build_scorecards(cohort)[0].metrics["avg_gbc"]
+    assert score.z == pytest.approx(-math.sqrt(1.5))
+    assert (round(score.z, 3), score.favorable, score.alert) == (-1.225, False, True)
+
+
 def test_cohort_of_one_is_rejected():
     with pytest.raises(CohortTooSmall):
         build_scorecard(vector("a"), [vector("a")])
