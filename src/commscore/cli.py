@@ -32,6 +32,7 @@ from .errors import (
 )
 from .ingest import (
     EmailEvent,
+    FORMATS,
     ParseIssue,
     Period,
     build_corpus,
@@ -403,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ingest = sub.add_parser("ingest", help="parse mail logs into a corpus archive")
     p_ingest.set_defaults(run=cmd_ingest, failure_code=2)
     p_ingest.add_argument("paths", nargs="+", type=Path)
-    p_ingest.add_argument("--format", choices=("csv", "jsonl", "mbox"), default="csv")
+    p_ingest.add_argument("--format", choices=FORMATS, default="csv")
     p_ingest.add_argument("--period", required=True, type=_argument(parse_period),
                           help="analysis interval START..END (end exclusive)")
     p_ingest.add_argument("--out", type=Path, required=True)

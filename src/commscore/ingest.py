@@ -16,8 +16,9 @@ lowercased with display names stripped.
 
 Every record of every format goes through one party normalizer, memoized per
 parse: a file's repeated ``from``/``to``/``cc`` fields are normalized once.
-:func:`load_corpus` keeps an archive that ``ingest`` wrote (deduplicated, in
-:func:`event_order`) as it stands, and rebuilds any other file.
+Every corpus, built from parsed mail or reloaded from an archive by
+:func:`load_corpus`, comes from :func:`build_corpus`: the team's events sorted
+by instant, deduplicated only where several share one instant.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ import json
 import os
 import re
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from email import message_from_bytes, policy
 from email.utils import getaddresses, parsedate_to_datetime
 from functools import lru_cache
-from itertools import groupby
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable
 
@@ -46,8 +47,6 @@ from .errors import (
 
 #: Actor identity: a normalized lowercase e-mail address string.
 ActorId = str
-
-FORMATS = ("csv", "jsonl", "mbox")
 
 CSV_HEADER = ("timestamp", "from", "to", "cc", "subject")
 
@@ -231,17 +230,15 @@ def parse_events(source: BinaryIO, format: str, *, default_team: str = "",
     Raises
     ------
     UnsupportedFormat
-        For a format name outside ``csv``/``jsonl``/``mbox``.
+        For a format name outside :data:`FORMATS`.
     FormatError
         When the stream framing itself is unparseable.
     """
-    if format == "csv":
-        return _parse_csv(source, default_team, source_name, strict)
-    if format == "jsonl":
-        return _parse_jsonl(source, default_team, source_name, strict)
-    if format == "mbox":
-        return _parse_mbox(source, default_team, source_name, strict)
-    raise UnsupportedFormat(f"unknown mail format: {format!r}")
+    try:
+        parse = _PARSERS[format]
+    except KeyError:
+        raise UnsupportedFormat(f"unknown mail format: {format!r}") from None
+    return parse(source, default_team, source_name, strict)
 
 
 class _Records:
@@ -363,6 +360,7 @@ def _parse_mbox(source: BinaryIO, default_team: str, name: str, strict: bool) ->
             stamp = parsedate_to_datetime(str(raw_date))
             if stamp.tzinfo is None:
                 raise ValueError(f"Date {raw_date!r} has no UTC offset")
+            stamp = _utc_second(stamp)
             froms = getaddresses([str(msg.get("From", ""))])
             if not froms or not froms[0][1]:
                 raise ValueError("missing From header")
@@ -374,6 +372,12 @@ def _parse_mbox(source: BinaryIO, default_team: str, name: str, strict: bool) ->
         except (ValueError, TypeError) as exc:
             records.issue(lineno, str(exc))
     return records.result
+
+
+_PARSERS = {"csv": _parse_csv, "jsonl": _parse_jsonl, "mbox": _parse_mbox}
+
+#: The mail formats :func:`parse_events` reads, one name per parser.
+FORMATS = tuple(_PARSERS)
 
 
 #: One encoder for every archive line: ``json.dumps`` with these arguments
@@ -445,27 +449,36 @@ class TeamCorpus:
 def build_corpus(events: Iterable[EmailEvent], team_id: str, period: Period) -> TeamCorpus:
     """Filter, deduplicate, and sort events into a :class:`TeamCorpus`.
 
-    Deduplication key is ``(timestamp, sender, to-set, subject)``; among
-    duplicates the record carrying the most cc information is retained.
-    Survivors are sorted by :func:`event_order`, so the corpus does not depend
-    on input order.  Zero surviving events emit an :class:`EmptyCorpusWarning`
-    and still return a corpus.
+    The team's events are sorted by timestamp and the period is cut out by
+    bisection.  Duplicates share ``(timestamp, sender, to-set, subject)``, so
+    only a run of events at one instant is deduplicated, keeping the record
+    with the most cc information, and sorted by :func:`event_order`.  The
+    corpus does not depend on input order.  Zero surviving events emit an
+    :class:`EmptyCorpusWarning` and still return a corpus.
     """
-    chosen: dict[tuple, EmailEvent] = {}
-    for ev in events:
-        if ev.team_id != team_id or ev.timestamp not in period:
-            continue
-        key = (ev.timestamp, ev.sender, frozenset(ev.to), ev.subject)
-        best = chosen.get(key)
-        if best is None or _retention_rank(ev) > _retention_rank(best):
-            chosen[key] = ev
-    ordered = tuple(sorted(chosen.values(), key=event_order))
-    if not ordered:
-        warnings.warn(
-            EmptyCorpusWarning(f"no events for team {team_id!r} within period"),
-            stacklevel=2,
-        )
-    return TeamCorpus(team_id=team_id, events=ordered, period=period)
+    instant = attrgetter("timestamp")
+    ordered = sorted((ev for ev in events if ev.team_id == team_id), key=instant)
+    start = bisect_left(ordered, period.start, key=instant)
+    end = bisect_left(ordered, period.end, start, key=instant)
+    kept: list[EmailEvent] = []
+    while start < end:
+        stop = start + 1
+        while stop < end and ordered[stop].timestamp == ordered[start].timestamp:
+            stop += 1
+        kept.extend(ordered[start:stop] if stop == start + 1 else _distinct(ordered[start:stop]))
+        start = stop
+    if not kept:
+        warnings.warn(EmptyCorpusWarning(f"no events for team {team_id!r} within period"),
+                      stacklevel=2)
+    return TeamCorpus(team_id=team_id, events=tuple(kept), period=period)
+
+
+def _distinct(run: list[EmailEvent]) -> list[EmailEvent]:
+    """Per dedup key of a same-instant run, the event of highest :func:`_retention_rank`
+    (written last), in :func:`event_order`."""
+    chosen = {(ev.sender, frozenset(ev.to), ev.subject): ev
+              for ev in sorted(run, key=_retention_rank)}
+    return sorted(chosen.values(), key=event_order)
 
 
 def _retention_rank(ev: EmailEvent) -> tuple:
@@ -476,34 +489,9 @@ def load_corpus(path: str | os.PathLike, team_id: str, period: Period) -> TeamCo
     """Read one archived corpus file (``corpora/<team>.jsonl``) into a :class:`TeamCorpus`.
 
     The file is parsed strictly: a malformed line raises :class:`MalformedRecord`
-    naming the file and line.  The result equals :func:`build_corpus` of the
-    parsed events.  An archive written by ``ingest`` already holds this team's
-    events, duplicate-free and in :func:`event_order` inside ``period``, so
-    they form the corpus as read; any other file goes through
-    :func:`build_corpus`, including its :class:`EmptyCorpusWarning`.
+    naming the file and line.  The events then go through :func:`build_corpus`,
+    as any other parsed events do, including its :class:`EmptyCorpusWarning`.
     """
     with open(path, "rb") as fh:
         events = _parse_jsonl(fh, team_id, os.path.basename(path), strict=True).events
-    if events and _distinct_for_team(events, team_id):
-        try:
-            return TeamCorpus(team_id, tuple(events), period)
-        except ValueError:  # out of event order or outside the period
-            pass
     return build_corpus(events, team_id, period)
-
-
-def _distinct_for_team(events: list[EmailEvent], team_id: str) -> bool:
-    """Whether every event is ``team_id``'s and no two share a :func:`build_corpus` dedup key.
-
-    Keys are compared within runs of equal timestamps only: in a time-sorted
-    list such a run holds every event that could share a key, and
-    :class:`TeamCorpus` refuses a list out of time order.
-    """
-    if any(ev.team_id != team_id for ev in events):
-        return False
-    for _, run in groupby(events, key=attrgetter("timestamp")):
-        run = list(run)
-        if len(run) > 1 and len({(ev.timestamp, ev.sender, frozenset(ev.to), ev.subject)
-                                 for ev in run}) < len(run):
-            return False
-    return True

@@ -6,12 +6,13 @@ import html
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ._text import csv_line, fmt3
 from .errors import CohortTooSmall, UnsupportedFormat
 from .metrics import METRIC_FIELDS, MetricVector
-from .stats import population_sigma
+from .stats import _exact_parts, standard_score
 
 #: Expected correlation direction per metric (the score-card legend).
 DIRECTIONS: dict[str, str] = {
@@ -55,35 +56,43 @@ class ScoreCard:
     survey_eligible: bool | None = None
 
 
-def _cohort_stats(cohort: Sequence[MetricVector]) -> dict[str, tuple[float, float] | None]:
-    """Per field, the cohort (mean, population σ); None where fewer than two are defined."""
+def _cohort_stats(cohort: Sequence[MetricVector]) -> dict[str, tuple[int, ...] | None]:
+    """Per field, (n, den, Σk, n·Σk² − (Σk)²) of the cohort's values k/den; None
+    where fewer than two are defined."""
     if len(cohort) < 2:
         raise CohortTooSmall(f"cohort of {len(cohort)} cannot be standardized")
-    stats: dict[str, tuple[float, float] | None] = {}
+    stats: dict[str, tuple[int, ...] | None] = {}
     for field in METRIC_FIELDS:
         values = [v for v in (m.value(field) for m in cohort) if v is not None]
         if len(values) < 2:
             stats[field] = None
             continue
-        mean = math.fsum(values) / len(values)
-        stats[field] = mean, population_sigma(values)
+        ks, den, spread = _exact_parts(values)
+        stats[field] = len(ks), den, sum(ks), spread
     return stats
 
 
-def _score(team: MetricVector, stats: Mapping[str, tuple[float, float] | None],
+def _score(team: MetricVector, stats: Mapping[str, tuple[int, ...] | None],
            alert_sigma: float, survey_eligible: bool | None) -> ScoreCard:
+    """For a value k/den, n·k − Σk is n·den times its deviation from the mean and the
+    spread n²·den² times the variance: the decisions compare these integers exactly."""
+    limit = Fraction(alert_sigma) if alert_sigma < math.inf else None  # inf or NaN: no alert
     scores: dict[str, MetricScore] = {}
     for field in METRIC_FIELDS:
         value = team.value(field)
-        field_stats = stats[field]
-        if value is None or field_stats is None:
+        if value is None or stats[field] is None:
             scores[field] = MetricScore(value=value, z=None, favorable=None, alert=None)
             continue
-        mean, sigma = field_stats
-        z = 0.0 if sigma == 0 else (value - mean) / sigma
-        direction = DIRECTIONS[field]
-        favorable = z >= 0 if direction == "+" else z <= 0
-        alert = (not favorable) and abs(z) > alert_sigma
+        n, den, total, spread = stats[field]
+        p, q = value.as_integer_ratio()
+        grid = math.lcm(den, q)  # den itself for a cohort member
+        # a constant column standardizes every value to z = 0
+        deviation = n * p * (grid // q) - total * (grid // den) if spread else 0
+        spread *= (grid // den) ** 2
+        z = standard_score(deviation, spread) if spread else 0.0
+        favorable = deviation >= 0 if DIRECTIONS[field] == "+" else deviation <= 0
+        alert = (not favorable and limit is not None
+                 and (deviation * limit.denominator) ** 2 > limit.numerator ** 2 * spread)
         scores[field] = MetricScore(value=value, z=z, favorable=favorable, alert=alert)
     return ScoreCard(team_id=team.team_id, metrics=scores, survey_eligible=survey_eligible)
 

@@ -18,39 +18,39 @@ ALPHA = 0.05
 TARGETS = ("NPS", "KPD")
 
 
-def _exact_parts(values: Sequence[float]) -> tuple[list[int], int, Fraction]:
+def _exact_parts(values: Sequence[float]) -> tuple[list[int], int, int]:
     """Integers ``k`` and one denominator ``d`` with ``values[i] == k[i] / d``, and
-    n·Σx² − (Σx)², n² times the population variance, summed exactly as integers."""
+    the spread n·Σk² − (Σk)², n²·d² times the population variance, as an integer."""
     ratios = [v.as_integer_ratio() for v in values]
     den = math.lcm(*(q for _, q in ratios))
     ks = [p * (den // q) for p, q in ratios]
-    return ks, den, Fraction(len(ks) * sum(map(mul, ks, ks)) - sum(ks) ** 2, den * den)
+    return ks, den, len(ks) * sum(map(mul, ks, ks)) - sum(ks) ** 2
 
 
 def _pearson_parts(x: Sequence[float], y: Sequence[float]) -> tuple[Fraction, Fraction, Fraction]:
     """n·Σxy − Σx·Σy, n·Σx² − (Σx)² and n·Σy² − (Σy)², summed exactly as integers."""
-    xs, dx, varx = _exact_parts(x)
-    ys, dy, vary = _exact_parts(y)
-    return Fraction(len(xs) * sum(map(mul, xs, ys)) - sum(xs) * sum(ys), dx * dy), varx, vary
+    xs, dx, spread_x = _exact_parts(x)
+    ys, dy, spread_y = _exact_parts(y)
+    return (Fraction(len(xs) * sum(map(mul, xs, ys)) - sum(xs) * sum(ys), dx * dy),
+            Fraction(spread_x, dx * dx), Fraction(spread_y, dy * dy))
 
 
-def _times_power_of_two(value: Fraction, exponent: int) -> float:
+def _times_power_of_two(value: Fraction | int, exponent: int) -> float:
     """``value · 2**exponent``, rounded to a float once."""
     num, den = value.numerator, value.denominator
     return (num << exponent) / den if exponent >= 0 else num / (den << -exponent)
 
 
-def _half_scale(var: Fraction) -> int:
+def _half_scale(var: Fraction | int) -> int:
     """An ``a`` that puts ``var · 4**a`` in [1/4, 2), well inside the normal floats."""
     return (var.denominator.bit_length() - var.numerator.bit_length()) // 2
 
 
-def population_sigma(values: Sequence[float]) -> float:
-    """Population σ, √(n·Σx² − (Σx)²) / n from the exact parts; as in :func:`pearson`,
-    the variance is scaled by 4**a into the normal floats and the root by 2**−a."""
-    var = _exact_parts(values)[2] / len(values) ** 2
-    a = _half_scale(var)
-    return math.ldexp(math.sqrt(_times_power_of_two(var, 2 * a)), -a)
+def standard_score(deviation: int, spread: int) -> float:
+    """``deviation / √spread`` for a positive integer ``spread``; as in :func:`pearson`,
+    ``spread`` is scaled by 4**a into the normal floats and ``deviation`` by 2**a."""
+    a = _half_scale(spread)
+    return _times_power_of_two(deviation, a) / math.sqrt(_times_power_of_two(spread, 2 * a))
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:

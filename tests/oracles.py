@@ -10,9 +10,11 @@ Pearson sums take one ``Fraction`` per element instead of integers over a
 common denominator; the survey scores are written straight from their
 defining formulas, KPD as a mean of per-respondent means; archive
 lines come from ``json.dumps`` per event with the timestamp formatted field by
-field; UTC conversion always converts; and mail files are parsed record by
+field; UTC conversion always converts; mail files are parsed record by
 record, each through one call of the ``make_event`` the caller passes in, with
-nothing remembered between records.
+nothing remembered between records; a corpus is deduplicated in one dict over
+every event and sorted by a key of all fields; and the score-card mean and
+variance are sums of one ``Fraction`` per value.
 """
 
 from __future__ import annotations
@@ -358,6 +360,25 @@ def population_variance(values: Sequence[Fraction]) -> Fraction:
     return sum(((v - mean) ** 2 for v in values), start=Fraction(0)) / n
 
 
+def mean_and_variance(values: Sequence[float]) -> tuple[Fraction, Fraction]:
+    """Population mean and variance of floats, one ``Fraction`` per value."""
+    exact = [Fraction(v) for v in values]
+    return sum(exact, start=Fraction(0)) / len(exact), population_variance(exact)
+
+
+def z_score(value: float, values: Sequence[float]) -> float:
+    """(value − mean) / σ of ``values``, from :func:`mean_and_variance` at 50 digits
+    and an unbounded exponent, so a z near the ends of the float range neither
+    underflows nor overflows before its one rounding; 0 for a constant column."""
+    mean, var = mean_and_variance(values)
+    if var == 0:
+        return 0.0
+    deviation = Fraction(value) - mean
+    with mpmath.workdps(50):
+        return float(mpmath.mpf(deviation.numerator) / deviation.denominator
+                     / mpmath.sqrt(mpmath.mpf(var.numerator) / var.denominator))
+
+
 # ---------------------------------------------------------------------------
 # archive oracles
 
@@ -380,6 +401,24 @@ def archive_bytes(events: Iterable) -> bytes:
              "subject": ev.subject, "team_id": ev.team_id},
             ensure_ascii=False, separators=(",", ":")) + "\n")
     return "".join(lines).encode("utf-8")
+
+
+def reference_corpus(events: Iterable, team_id: str, start: datetime, end: datetime) -> tuple:
+    """The corpus of ``team_id`` in ``[start, end)``, over plain event attributes.
+
+    One dict over every event keeps, per ``(timestamp, sender, to-set,
+    subject)``, the event with the most cc addresses, then the larger ``cc``,
+    then the larger ``to``; the survivors are sorted by :func:`_event_key`.
+    """
+    chosen: dict[tuple, object] = {}
+    for ev in events:
+        if ev.team_id != team_id or not start <= ev.timestamp < end:
+            continue
+        key = (ev.timestamp, ev.sender, frozenset(ev.to), ev.subject)
+        rank = (len(ev.cc), ev.cc, ev.to)
+        if key not in chosen or rank > (len(chosen[key].cc), chosen[key].cc, chosen[key].to):
+            chosen[key] = ev
+    return tuple(sorted(chosen.values(), key=_event_key))
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +481,11 @@ def _mbox_records(blob: bytes, make_event, parse_timestamp, team: str):
             stamp = parsedate_to_datetime(str(msg["Date"]))
             if stamp.tzinfo is None:
                 raise ValueError(f"Date {msg['Date']!r} has no UTC offset")
+            try:
+                stamp = utc_second(stamp)
+            except OverflowError:
+                raise ValueError(
+                    f"{stamp.isoformat()} falls outside years 1-9999 in UTC") from None
             sender = getaddresses([str(msg.get("From", ""))])
             if not sender or not sender[0][1]:
                 raise ValueError("missing From header")
@@ -455,9 +499,9 @@ def reference_parse(blob: bytes, format: str, make_event: Callable, parse_timest
     """The events of a well-framed CSV, JSONL or mbox file and its issues as
     ``(source, line, message)``, each record built by its own ``make_event`` call.
 
-    A record's checks run in the order of its format's rules: the timestamp,
-    JSONL's array types, the ``from`` field, then ``make_event``'s team id,
-    addresses and conversion to UTC (which only an mbox Date can fail).
+    A record's checks run in the order of its format's rules: the timestamp
+    and its conversion to UTC, JSONL's array types, the ``from`` field, then
+    ``make_event``'s team id and addresses.
     """
     reader = {"csv": _csv_records, "jsonl": _jsonl_records, "mbox": _mbox_records}[format]
     events, issues = [], []

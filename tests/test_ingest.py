@@ -7,6 +7,7 @@ import io
 import json
 import tempfile
 import warnings
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from commscore import ingest
 from commscore._text import csv_line
-from commscore.cli import main
+from commscore.cli import _build_parser, main
 from commscore.errors import (
     EmptyCorpusWarning,
     FormatError,
@@ -26,6 +27,7 @@ from commscore.errors import (
 )
 from commscore.ingest import (
     EmailEvent,
+    FORMATS,
     Period,
     TeamCorpus,
     build_corpus,
@@ -150,8 +152,15 @@ def test_team_id_must_be_one_path_component(team):
 
 
 def test_unknown_format_rejected():
-    with pytest.raises(UnsupportedFormat):
-        parse_events(io.BytesIO(b""), "tsv")
+    for name in ("tsv", "CSV", "json", ""):
+        with pytest.raises(UnsupportedFormat, match="unknown mail format"):
+            parse_events(io.BytesIO(b""), name)
+
+
+def test_ingest_format_choices_are_the_parsed_formats():
+    (commands,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    (choice,) = [a for a in commands.choices["ingest"]._actions if a.dest == "format"]
+    assert tuple(choice.choices) == FORMATS == ("csv", "jsonl", "mbox")
 
 
 def test_jsonl_round_trip_fields():
@@ -203,6 +212,18 @@ def test_mbox_date_past_year_9999_in_utc_reported():
     result = parse_events(io.BytesIO(doc), "mbox")
     assert result.events == []
     assert "outside years 1-9999" in result.issues[0].message
+
+
+#: An mbox message whose Date lies past year 9999 in UTC and whose To is empty.
+_MBOX_LATE_DATE = (b"From x\nFrom: a@ex.com\nTo: \nCc: \nSubject: s\n"
+                   b"Date: Fri, 31 Dec 9999 23:30:00 -0100\n\nbody\n")
+
+
+def test_mbox_reports_an_out_of_range_date_first_as_csv_does():
+    csv_doc = b"timestamp,from,to,cc,subject\n9999-12-31T23:30:00-01:00,a@ex.com,,,s\n"
+    for blob, format in ((_MBOX_LATE_DATE, "mbox"), (csv_doc, "csv")):
+        (issue,) = parse_events(io.BytesIO(blob), format, default_team="t").issues
+        assert issue.message == "9999-12-31T23:30:00-01:00 falls outside years 1-9999 in UTC"
 
 
 def test_jsonl_nesting_too_deep_to_decode_is_bad_json():
@@ -417,6 +438,7 @@ def _mail_files(draw):
 @given(_mail_files())
 @example((b"timestamp,from,to,cc,subject\n2012-06-04T09:00:00Z,a@ex.com,a@ex.com;,a@ex.com,s\n"
           b"2012-06-04T09:00:00Z,a@ex.com,;,,s\n" * 2, "csv", "t"))
+@example((_MBOX_LATE_DATE, "mbox", "t"))
 @settings(max_examples=300, deadline=None)
 def test_parse_events_equals_make_event_per_record(mail):
     """The memoized parse gives the events, issues and strict-mode error of
@@ -647,6 +669,82 @@ def _outcome(load) -> tuple:
     return ("corpus", corpus, [(w.category, str(w.message)) for w in caught])
 
 
+def _reference_build(events, team_id: str, period: Period) -> TeamCorpus:
+    """``oracles.reference_corpus`` as a corpus, with ``build_corpus``'s warning."""
+    kept = oracles.reference_corpus(events, team_id, period.start, period.end)
+    if not kept:
+        warnings.warn(EmptyCorpusWarning(f"no events for team {team_id!r} within period"))
+    return TeamCorpus(team_id, kept, period)
+
+
+#: Instants at, next to and between the bounds of ``_JUNE``.
+_CORPUS_INSTANTS = (_JUNE.start - timedelta(seconds=1), _JUNE.start,
+                    _JUNE.start + timedelta(seconds=1), ts("2012-06-15 12:00"),
+                    _JUNE.end - timedelta(seconds=1), _JUNE.end)
+_CORPUS_ACTORS = _ACTORS + ("e@ex.com",)
+
+
+@st.composite
+def _corpus_events(draw):
+    sender = draw(st.sampled_from(_CORPUS_ACTORS))
+    others = [a for a in _CORPUS_ACTORS if a != sender]
+    recipients = draw(st.lists(st.sampled_from(others), min_size=1, max_size=3, unique=True))
+    split = draw(st.integers(1, len(recipients)))
+    return make_event(draw(st.sampled_from(_CORPUS_INSTANTS)), sender, recipients[:split],
+                      recipients[split:], draw(st.sampled_from(["s", "t"])),
+                      draw(st.sampled_from(["t", "t", "u"])))
+
+
+@st.composite
+def _corpus_inputs(draw):
+    """Events of two teams around ``_JUNE``'s bounds, with twins that share an
+    event's dedup key but list ``to`` in another order or carry another cc, shuffled."""
+    events = draw(st.lists(_corpus_events(), max_size=12))
+    for original in draw(st.lists(st.sampled_from(events), max_size=4)) if events else ():
+        spare = [a for a in _CORPUS_ACTORS if a != original.sender and a not in original.to]
+        cc = draw(st.lists(st.sampled_from(spare), max_size=2, unique=True)) if spare else []
+        events.append(make_event(original.timestamp, original.sender,
+                                 draw(st.permutations(original.to)), cc, original.subject,
+                                 original.team_id))
+    return draw(st.permutations(events))
+
+
+@given(_corpus_inputs())
+@settings(max_examples=400, deadline=None)
+def test_build_corpus_equals_reference_corpus(events):
+    """The same corpus and warnings as one dedup dict over every event and a sort
+    by an independent key of all fields."""
+    assert (_outcome(lambda: build_corpus(events, "t", _JUNE))
+            == _outcome(lambda: _reference_build(events, "t", _JUNE)))
+
+
+def test_dedup_keys_are_built_only_for_events_that_share_an_instant(monkeypatch):
+    """An operation bound: ``build_corpus`` builds a dedup key (a ``frozenset`` of
+    ``to``) only for an event of the team and period that shares its instant."""
+    with open(FIXTURE / "mail" / "alpha.csv", "rb") as fh:
+        events = parse_events(fh, "csv", default_team="t").events
+    first = events[0]
+    noon = "2012-06-20 12:00"
+    twins = [make_event(first.timestamp, first.sender, first.to, ["z@ex.com"], first.subject, "t"),
+             first, ev(noon, "a", "b", subject="one"), ev(noon, "b", "a", subject="two"),
+             ev(noon, "b", "a"), ev(noon, "a", "b", team="u"), ev(noon, "a", "b", team="u")]
+    events = events[::-1] + twins
+    period = Period(first.timestamp, ts("2012-08-01 00:00"))
+    instants = Counter(e.timestamp for e in events if e.team_id == "t" and e.timestamp in period)
+    shared = sum(n for n in instants.values() if n > 1)
+    built: list[frozenset] = []
+
+    def counting_frozenset(items=()):
+        built.append(frozenset(items))
+        return built[-1]
+
+    monkeypatch.setattr(ingest, "frozenset", counting_frozenset, raising=False)
+    corpus = build_corpus(events, "t", period)
+    assert len(built) == shared == 6
+    assert len(corpus.events) > 4 * shared
+    assert corpus.events == oracles.reference_corpus(events, "t", period.start, period.end)
+
+
 _RECORD = {"timestamp": "2012-06-04T09:00:00Z", "from": "a@ex.com", "to": ["b@ex.com"],
            "cc": [], "subject": "s", "team_id": "t"}
 
@@ -658,9 +756,8 @@ _RECORD = {"timestamp": "2012-06-04T09:00:00Z", "from": "a@ex.com", "to": ["b@ex
                   for edit in ({}, {"subject": "zz"}, {"cc": ["c@ex.com"]})))
 @settings(max_examples=400, deadline=None)
 def test_load_corpus_equals_parse_and_build(archived):
-    """The memo and the corpus shortcut are exact: the same corpus, warnings and
-    errors as reading every record through ``make_event`` and rebuilding with
-    ``build_corpus``."""
+    """The same corpus, warnings and errors as reading every record through
+    ``make_event`` and building the corpus with ``oracles.reference_corpus``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.jsonl"
         path.write_bytes(archived)
@@ -672,7 +769,7 @@ def test_load_corpus_equals_parse_and_build(archived):
             if issues:
                 source, line, message = issues[0]
                 raise MalformedRecord(message, source=source, line=line)
-            return build_corpus(events, "t", _JUNE)
+            return _reference_build(events, "t", _JUNE)
 
         assert _outcome(lambda: load_corpus(path, "t", _JUNE)) == _outcome(parse_and_build)
 

@@ -7,11 +7,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from commscore.errors import CohortTooSmall, UnsupportedFormat
 from commscore.metrics import METRIC_FIELDS, MetricVector
 from commscore.scorecard import (
     DIRECTIONS,
+    MetricScore,
     build_scorecard,
     build_scorecards,
     render,
@@ -77,6 +81,9 @@ def test_alert_threshold_is_configurable():
     lax = build_scorecard(cohort[2], cohort, alert_sigma=2.0)
     assert strict.metrics["art_median"].alert is True
     assert lax.metrics["art_median"].alert is False
+    for never in (math.inf, math.nan):
+        card = build_scorecard(cohort[2], cohort, alert_sigma=never)
+        assert card.metrics["art_median"].alert is False
 
 
 def test_z_scores_sum_to_zero_per_metric():
@@ -114,6 +121,82 @@ def test_tiny_column_is_standardized_without_underflow():
     score = build_scorecards(cohort)[0].metrics["avg_gbc"]
     assert score.z == pytest.approx(-math.sqrt(1.5))
     assert (round(score.z, 3), score.favorable, score.alert) == (-1.225, False, True)
+
+
+def test_decisions_come_from_the_exact_mean():
+    """fsum/n rounds the mean of this column to 1.0, which would give alpha and
+    beta z 0 and no alert; exactly, they lie 1/√2 σ below the mean."""
+    cohort = [vector("alpha", avg_gbc=1.0), vector("beta", avg_gbc=1.0),
+              vector("gamma", avg_gbc=1.0000000000000002)]
+    for alert_sigma, alerts in ((1.0, False), (0.5, True)):
+        alpha, beta, gamma = (c.metrics["avg_gbc"]
+                              for c in build_scorecards(cohort, alert_sigma=alert_sigma))
+        assert alpha == beta
+        assert (round(alpha.z, 3), alpha.favorable, alpha.alert) == (-0.707, False, alerts)
+        assert (round(gamma.z, 3), gamma.favorable, gamma.alert) == (1.414, True, False)
+
+
+@pytest.mark.parametrize("low, high", [(0.1, 0.3), (0.2, 0.9), (1 / 3, 2 / 3)])
+def test_z_equal_to_alert_sigma_does_not_alert(low, high):
+    """Four equal values and one other: the odd one lies exactly 2σ from the
+    mean and the others exactly σ/2, whatever the two values."""
+    cohort = [vector(f"t{i}", art_median=low) for i in range(4)] + [vector("u", art_median=high)]
+    for alert_sigma, team, z in ((2.0, "u", 2.0), (0.5, "t0", -0.5)):
+        for sigma, alerts in ((alert_sigma, False), (alert_sigma * 0.999, z > 0)):
+            score = build_scorecard(next(m for m in cohort if m.team_id == team), cohort,
+                                    alert_sigma=sigma).metrics["art_median"]
+            assert (score.z, score.favorable, score.alert) == (z, z <= 0, alerts)
+
+
+# columns of dyadic values that stay normal floats under a scaling by 2**±900
+_column = st.lists(st.builds(math.ldexp, st.integers(-2**20, 2**20), st.integers(-40, 40)),
+                   min_size=2, max_size=7)
+
+
+def _decisions(column, alert_sigma):
+    cohort = [vector(f"t{i}", avg_gbc=v, art_median=v) for i, v in enumerate(column)]
+    cards = build_scorecards(cohort, alert_sigma=alert_sigma)
+    return [(s.z, s.favorable, s.alert) for card in cards
+            for s in (card.metrics["avg_gbc"], card.metrics["art_median"])]
+
+
+@given(_column, st.integers(-900, 900), st.sampled_from([0.5, 1.0, 1.5]))
+@settings(max_examples=200)
+def test_scaling_a_column_by_a_power_of_two_changes_no_score(column, k, alert_sigma):
+    scaled = [math.ldexp(v, k) for v in column]
+    assert _decisions(scaled, alert_sigma) == _decisions(column, alert_sigma)
+
+
+@given(st.one_of(_column, st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=2, max_size=7)),
+       st.sampled_from([0.5, 1.0, 1.5]))
+@example([1.0, 1.0, 1.0000000000000002], 0.5)
+# the z of 0.0 underflows to -0.0, but the value still lies below the mean
+@example([-1.7976931348623157e308, 0.0, 1.7976931348623157e308, 5e-324], 1.0)
+@settings(max_examples=300)
+def test_scores_equal_the_fraction_mean_and_variance(column, alert_sigma):
+    mean, var = oracles.mean_and_variance(column)
+    decisions = _decisions(column, alert_sigma)
+    for value, (gbc, art) in zip(column, zip(decisions[::2], decisions[1::2])):
+        deviation = Fraction(value) - mean
+        beyond = deviation ** 2 > Fraction(alert_sigma) ** 2 * var
+        # a few roundings: relative, or of subnormal size for a subnormal z
+        assert gbc[0] == pytest.approx(oracles.z_score(value, column), rel=1e-15, abs=1e-322)
+        assert art[0] == gbc[0]
+        assert gbc[1:] == (deviation >= 0 or var == 0, deviation < 0 and beyond)
+        assert art[1:] == (deviation <= 0 or var == 0, deviation > 0 and beyond)
+
+
+def test_team_outside_the_cohort_is_scored_against_it():
+    cohort = [vector("a", avg_gbc=Fraction(1, 4)), vector("b", avg_gbc=Fraction(1, 2)),
+              vector("c", avg_gbc=Fraction(3, 4))]
+    score = build_scorecard(vector("x", avg_gbc=0.1), cohort).metrics["avg_gbc"]
+    assert score.z == pytest.approx((0.1 - 0.5) / math.sqrt(1 / 24))
+    assert (score.favorable, score.alert) == (False, True)
+    # against a constant column every value has z = 0
+    outside = build_scorecard(vector("x", avg_gbc=0.1), [vector("a"), vector("b")])
+    assert outside.metrics["avg_gbc"] == MetricScore(value=0.1, z=0.0, favorable=True,
+                                                     alert=False)
 
 
 def test_cohort_of_one_is_rejected():
