@@ -4,6 +4,11 @@ Stages communicate through files (JSONL corpora, CSV tables, JSON reports) so
 each is independently runnable and testable.  Fixed inputs plus fixed
 configuration produce byte-identical outputs.
 
+Each stage reads its parsed arguments directly.  Every report embeds the
+run's settings with a fingerprint of them (:func:`report_settings`); the
+settings and their defaults are listed once, in :data:`REPORT_SETTINGS`, and
+the parser's defaults read from there.
+
 Exit codes: 0 success, 1 usage, 2 ingest failure, 3 analysis failure,
 4 correlation/report failure.
 """
@@ -16,7 +21,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -33,6 +37,7 @@ from .errors import (
 from .ingest import (
     EmailEvent,
     FORMATS,
+    TEAM_PER_FILE_FORMATS,
     ParseIssue,
     Period,
     build_corpus,
@@ -43,6 +48,8 @@ from .ingest import (
     serialize_events,
 )
 from .metrics import (
+    DEFAULT_REPLY_CAP,
+    METRIC_CHOICES,
     METRIC_FIELDS,
     METRIC_LABELS,
     MetricConfig,
@@ -55,7 +62,7 @@ from .satisfaction import (
     load_survey,
     team_satisfaction,
 )
-from .scorecard import DEFAULT_ALERT_SIGMA, build_scorecards, render
+from .scorecard import DEFAULT_ALERT_SIGMA, SCORECARD_FORMATS, build_scorecards, render
 from .stats import correlate_all, render_correlation_csv
 from .synth import SynthSpec, planted_effects, write_outputs
 from .tempograph import month_periods, window_events
@@ -64,66 +71,35 @@ DEFAULT_GENERATED_AT = "1970-01-01T00:00:00Z"
 
 METRICS_CSV_HEADER = ("team_id",) + tuple(METRIC_LABELS[f] for f in METRIC_FIELDS)
 
+#: The settings every report records, in report order, each with its default.
+#: A stage without an option for a setting records this default.
+REPORT_SETTINGS: dict[str, object] = {
+    "period": None,
+    "format": "csv",
+    "reply_cap": DEFAULT_REPLY_CAP,
+    **{key: choices[0] for key, choices in METRIC_CHOICES.items()},
+    "eligibility_min": DEFAULT_ELIGIBILITY_MIN,
+    "alert_sigma": DEFAULT_ALERT_SIGMA,
+    "strict": False,
+    "lexicon": None,
+}
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective settings for one pipeline invocation."""
 
-    period: Period | None = None
-    format: str = "csv"
-    reply_cap: int = metrics_mod.DEFAULT_REPLY_CAP
-    oscillation_window: str = "weekly"
-    awvci_weighting: str = "edges"
-    emotionality_mode: str = "cumulative"
-    eligibility_min: int = DEFAULT_ELIGIBILITY_MIN
-    alert_sigma: float = DEFAULT_ALERT_SIGMA
-    strict: bool = False
-    lexicon_path: Path | None = None
-    generated_at: str = DEFAULT_GENERATED_AT
+def report_settings(args: argparse.Namespace, **effective: object) -> dict[str, object]:
+    """The settings a report embeds, led by their 12-hex-digit fingerprint.
 
-    def __post_init__(self) -> None:
-        if self.reply_cap <= 0 or self.eligibility_min <= 0 or self.alert_sigma <= 0:
-            raise ValueError("thresholds must be positive")
-
-    def metric_config(self) -> MetricConfig:
-        """Metric settings with the lexicon loaded once, bundled or from a file."""
-        if self.lexicon_path is None:
-            lexicon = metrics_mod.default_lexicon()
-        else:
-            with open(self.lexicon_path, encoding="utf-8") as fh:
-                lexicon = load_lexicon(fh)
-        return MetricConfig(
-            oscillation_window=self.oscillation_window,
-            reply_cap=self.reply_cap,
-            awvci_weighting=self.awvci_weighting,
-            emotionality_mode=self.emotionality_mode,
-            lexicon=lexicon,
-        )
-
-    def as_dict(self) -> dict[str, object]:
-        """Semantic configuration values (paths to inputs/outputs excluded)."""
-        return {
-            "period": None if self.period is None else
-            {"start": iso_utc(self.period.start), "end": iso_utc(self.period.end)},
-            "format": self.format,
-            "reply_cap": self.reply_cap,
-            "oscillation_window": self.oscillation_window,
-            "awvci_weighting": self.awvci_weighting,
-            "emotionality_mode": self.emotionality_mode,
-            "eligibility_min": self.eligibility_min,
-            "alert_sigma": self.alert_sigma,
-            "strict": self.strict,
-            "lexicon": "builtin" if self.lexicon_path is None else self.lexicon_path.name,
-        }
-
-    def fingerprint(self) -> str:
-        blob = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-
-    def config_payload(self) -> dict[str, object]:
-        payload: dict[str, object] = {"fingerprint": self.fingerprint()}
-        payload.update(self.as_dict())
-        return payload
+    Each setting is read from ``args``, or is its default where the stage has
+    no such option; ``effective`` overrides it where the stage decided the
+    value itself, such as the archive period ``analyze`` reads.
+    """
+    settings = {key: getattr(args, key, default) for key, default in REPORT_SETTINGS.items()}
+    settings.update(effective)
+    period, lexicon = settings["period"], settings["lexicon"]
+    if isinstance(period, Period):
+        settings["period"] = {"start": iso_utc(period.start), "end": iso_utc(period.end)}
+    settings["lexicon"] = lexicon.name if isinstance(lexicon, Path) else "builtin"
+    blob = json.dumps(settings, sort_keys=True, separators=(",", ":"))
+    return {"fingerprint": hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12], **settings}
 
 
 def parse_period(raw: str) -> Period:
@@ -141,21 +117,20 @@ def parse_period(raw: str) -> Period:
 
 
 # --------------------------------------------------------------------------
-# stages: each builds its configuration from the parsed arguments and runs;
-# a failure propagates to main(), which maps it to the stage's exit code
+# stages: each runs on the parsed arguments; a failure propagates to main(),
+# which maps it to the stage's exit code
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    config = RunConfig(period=args.period, format=args.format, strict=args.strict)
     out_dir: Path = args.out
     events_by_team: dict[str, list[EmailEvent]] = {}
     issues: list[ParseIssue] = []
     sources: list[dict[str, object]] = []
     for path in args.paths:
-        team = path.stem if config.format in ("csv", "mbox") else ""
+        team = path.stem if args.format in TEAM_PER_FILE_FORMATS else ""
         with open(path, "rb") as fh:
-            result = parse_events(fh, config.format, default_team=team,
-                                  source_name=path.name, strict=config.strict)
+            result = parse_events(fh, args.format, default_team=team,
+                                  source_name=path.name, strict=args.strict)
         for ev in result.events:
             if ev.team_id:
                 events_by_team.setdefault(ev.team_id, []).append(ev)
@@ -168,17 +143,17 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptyCorpusWarning)
         for team in sorted(events_by_team):
-            corpus = build_corpus(events_by_team[team], team, config.period)
+            corpus = build_corpus(events_by_team[team], team, args.period)
             (corpora_dir / f"{team}.jsonl").write_bytes(
                 serialize_events(corpus.events, "jsonl"))
-            gaps = [iso_utc(w.start)[:7] for w in month_periods(config.period)
+            gaps = [iso_utc(w.start)[:7] for w in month_periods(args.period)
                     if not window_events(corpus, w)]
             teams_report[team] = {"events": len(corpus.events), "gap_months": gaps}
+    config = report_settings(args)
     manifest = {
-        "format": config.format,
-        "period": {"start": iso_utc(config.period.start),
-                   "end": iso_utc(config.period.end)},
-        "config": config.config_payload(),
+        "format": args.format,
+        "period": config["period"],
+        "config": config,
         "sources": sources,
         "teams": teams_report,
         "issues": [{"source": i.source, "line": i.line, "message": i.message}
@@ -210,16 +185,17 @@ def _read_archive_period(archive: Path) -> Period:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    config = RunConfig(reply_cap=args.reply_cap,
-                       oscillation_window=args.oscillation_window,
-                       awvci_weighting=args.awvci_weighting,
-                       emotionality_mode=args.emotionality_mode,
-                       lexicon_path=args.lexicon)
     archive: Path = args.archive
     out_dir: Path = args.out
     period = _read_archive_period(archive)
     corpora = sorted((archive / "corpora").glob("*.jsonl"))
-    metric_config = config.metric_config()
+    if args.lexicon is None:
+        lexicon = metrics_mod.default_lexicon()
+    else:
+        with open(args.lexicon, encoding="utf-8") as fh:
+            lexicon = load_lexicon(fh)
+    metric_config = MetricConfig(reply_cap=args.reply_cap, lexicon=lexicon,
+                                 **{key: getattr(args, key) for key in METRIC_CHOICES})
     vectors: list[MetricVector] = []
     analyzable = 0
     with warnings.catch_warnings():
@@ -236,10 +212,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for vec in sorted(vectors, key=lambda v: v.team_id):
         lines.append(csv_line((vec.team_id,) + tuple(
             fmt6(getattr(vec, f)) for f in METRIC_FIELDS)))
-    effective = replace(config, period=period)
     (out_dir / "metrics.csv").write_bytes("".join(lines).encode("utf-8"))
     (out_dir / "analyze_config.json").write_text(
-        json.dumps(effective.config_payload(), indent=2) + "\n", encoding="utf-8")
+        json.dumps(report_settings(args, period=period), indent=2) + "\n", encoding="utf-8")
     print(f"analyzed {len(vectors)} team(s)")
     print(f"wrote {out_dir / 'metrics.csv'}")
     return 0
@@ -295,13 +270,11 @@ def read_metrics_csv(path: Path) -> list[MetricVector]:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    config = RunConfig(eligibility_min=args.eligibility_min,
-                       alert_sigma=args.alert_sigma, generated_at=args.generated_at)
     out_dir: Path = args.out
     vectors = read_metrics_csv(args.metrics_csv)
     with open(args.survey_csv, "rb") as fh:
         responses = load_survey(fh, source_name=args.survey_csv.name)
-    sats = [team_satisfaction(rows, team, config.eligibility_min)
+    sats = [team_satisfaction(rows, team, args.eligibility_min)
             for team, rows in group_by_team(responses).items()]
     metric_teams = {v.team_id for v in vectors}
     eligible = [s for s in sats if s.eligible and s.team_id in metric_teams]
@@ -309,15 +282,14 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         raise CohortTooSmall(f"{len(eligible)} eligible team(s) with metrics; need ≥ 3")
     cells = correlate_all(vectors, sats)
     eligibility = {s.team_id: s.eligible for s in sats}
-    cards = build_scorecards(vectors, alert_sigma=config.alert_sigma,
+    cards = build_scorecards(vectors, alert_sigma=args.alert_sigma,
                              eligibility=eligibility)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "correlation.csv").write_bytes(render_correlation_csv(cells))
-    payload = config.config_payload()
-    (out_dir / "scorecard.json").write_bytes(
-        render(cards, "json", generated_at=config.generated_at, config=payload))
-    (out_dir / "scorecard.html").write_bytes(
-        render(cards, "html", generated_at=config.generated_at, config=payload))
+    config = report_settings(args)
+    for format in ("json", "html"):
+        (out_dir / f"scorecard.{format}").write_bytes(
+            render(cards, format, generated_at=args.generated_at, config=config))
     significant = [c for c in cells if c.significant]
     if significant:
         for cell in significant:
@@ -332,13 +304,12 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def cmd_scorecard(args: argparse.Namespace) -> int:
-    config = RunConfig(alert_sigma=args.alert_sigma, generated_at=args.generated_at)
     vectors = read_metrics_csv(args.metrics_csv)
-    cards = build_scorecards(vectors, alert_sigma=config.alert_sigma)
-    blob = render(cards, args.format, generated_at=config.generated_at,
-                  config=config.config_payload())
+    cards = build_scorecards(vectors, alert_sigma=args.alert_sigma)
+    blob = render(cards, args.render_format, generated_at=args.generated_at,
+                  config=report_settings(args))
     args.out.mkdir(parents=True, exist_ok=True)
-    target = args.out / f"scorecard.{args.format}"
+    target = args.out / f"scorecard.{args.render_format}"
     target.write_bytes(blob)
     print(f"wrote {target}")
     return 0
@@ -394,66 +365,63 @@ def _parse_effects(raw: str) -> dict[str, float]:
     return {str(k): float(v) for k, v in effects.items()}
 
 
+def _setting(parser: argparse.ArgumentParser, flag: str, **kwargs: Any) -> None:
+    """Add the option of a report setting, its default read from :data:`REPORT_SETTINGS`."""
+    parser.add_argument(flag, default=REPORT_SETTINGS[flag[2:].replace("-", "_")], **kwargs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """The subcommands, each with its stage function and its failure exit code."""
     parser = argparse.ArgumentParser(
         prog="commscore",
         description="Communication score cards from team e-mail logs.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ingest = sub.add_parser("ingest", help="parse mail logs into a corpus archive")
-    p_ingest.set_defaults(run=cmd_ingest, failure_code=2)
-    p_ingest.add_argument("paths", nargs="+", type=Path)
-    p_ingest.add_argument("--format", choices=FORMATS, default="csv")
-    p_ingest.add_argument("--period", required=True, type=_argument(parse_period),
-                          help="analysis interval START..END (end exclusive)")
-    p_ingest.add_argument("--out", type=Path, required=True)
-    p_ingest.add_argument("--strict", action="store_true",
-                          help="abort on the first malformed record")
-
-    p_analyze = sub.add_parser("analyze", help="compute per-team metric vectors")
-    p_analyze.set_defaults(run=cmd_analyze, failure_code=3)
-    p_analyze.add_argument("archive", type=Path)
-    p_analyze.add_argument("--out", type=Path, required=True)
-    p_analyze.add_argument("--reply-cap", type=_positive(int),
-                           default=metrics_mod.DEFAULT_REPLY_CAP,
-                           help="max reply latency in seconds (default 7 days)")
-    p_analyze.add_argument("--oscillation-window", choices=("weekly", "monthly"),
-                           default="weekly")
-    p_analyze.add_argument("--awvci-weighting", choices=("edges", "actors"),
-                           default="edges")
-    p_analyze.add_argument("--emotionality-mode", choices=("cumulative", "normalized"),
-                           default="cumulative")
-    p_analyze.add_argument("--lexicon", type=Path, default=None,
-                           help="sentiment lexicon file (default: bundled)")
-
-    p_corr = sub.add_parser("correlate",
-                            help="correlate metrics with survey satisfaction")
-    p_corr.set_defaults(run=cmd_correlate, failure_code=4)
-    p_corr.add_argument("metrics_csv", type=Path)
-    p_corr.add_argument("survey_csv", type=Path)
-    p_corr.add_argument("--out", type=Path, required=True)
-    p_corr.add_argument("--eligibility-min", type=_positive(int),
-                        default=DEFAULT_ELIGIBILITY_MIN,
-                        help="respondents required (strictly more than this)")
-    p_corr.add_argument("--alert-sigma", type=_positive(float),
-                        default=DEFAULT_ALERT_SIGMA)
-    p_corr.add_argument("--generated-at", default=DEFAULT_GENERATED_AT,
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    _setting(report, "--alert-sigma", type=_positive(float))
+    report.add_argument("--generated-at", default=DEFAULT_GENERATED_AT,
                         help="UTC instant stamped into reports (fixed default "
                              "keeps reruns byte-identical)")
 
-    p_card = sub.add_parser("scorecard", help="render score cards from a metrics CSV")
-    p_card.set_defaults(run=cmd_scorecard, failure_code=4)
-    p_card.add_argument("metrics_csv", type=Path)
-    p_card.add_argument("--out", type=Path, required=True)
-    p_card.add_argument("--format", choices=("json", "csv", "html"), default="json")
-    p_card.add_argument("--alert-sigma", type=_positive(float),
-                        default=DEFAULT_ALERT_SIGMA)
-    p_card.add_argument("--generated-at", default=DEFAULT_GENERATED_AT)
+    def stage(name: str, run: Callable[[argparse.Namespace], int], failure_code: int,
+              help: str, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        command = sub.add_parser(name, help=help, parents=[out, *parents])
+        command.set_defaults(run=run, failure_code=failure_code)
+        return command
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic corpus + survey")
-    p_synth.set_defaults(run=cmd_synth, failure_code=1)
-    p_synth.add_argument("--out", type=Path, required=True)
+    p_ingest = stage("ingest", cmd_ingest, 2, "parse mail logs into a corpus archive")
+    p_ingest.add_argument("paths", nargs="+", type=Path)
+    _setting(p_ingest, "--format", choices=FORMATS)
+    p_ingest.add_argument("--period", required=True, type=_argument(parse_period),
+                          help="analysis interval START..END (end exclusive)")
+    _setting(p_ingest, "--strict", action="store_true",
+             help="abort on the first malformed record")
+
+    p_analyze = stage("analyze", cmd_analyze, 3, "compute per-team metric vectors")
+    p_analyze.add_argument("archive", type=Path)
+    _setting(p_analyze, "--reply-cap", type=_positive(int),
+             help="max reply latency in seconds (default 7 days)")
+    for key, choices in METRIC_CHOICES.items():
+        _setting(p_analyze, "--" + key.replace("_", "-"), choices=choices)
+    _setting(p_analyze, "--lexicon", type=Path,
+             help="sentiment lexicon file (default: bundled)")
+
+    p_corr = stage("correlate", cmd_correlate, 4,
+                   "correlate metrics with survey satisfaction", report)
+    p_corr.add_argument("metrics_csv", type=Path)
+    p_corr.add_argument("survey_csv", type=Path)
+    _setting(p_corr, "--eligibility-min", type=_positive(int),
+             help="respondents required (strictly more than this)")
+
+    p_card = stage("scorecard", cmd_scorecard, 4,
+                   "render score cards from a metrics CSV", report)
+    p_card.add_argument("metrics_csv", type=Path)
+    # its own dest: the report's "format" setting is ingest's mail format
+    p_card.add_argument("--format", dest="render_format", choices=SCORECARD_FORMATS,
+                        default=SCORECARD_FORMATS[0])
+
+    p_synth = stage("synth", cmd_synth, 1, "generate a synthetic corpus + survey")
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--teams", type=int, default=13)
     p_synth.add_argument("--months", type=int, default=3)

@@ -33,7 +33,8 @@ from datetime import datetime, timedelta, timezone
 from email import message_from_bytes, policy
 from email.utils import getaddresses, parsedate_to_datetime
 from functools import lru_cache
-from operator import attrgetter
+from itertools import compress, count
+from operator import attrgetter, ge
 from typing import BinaryIO, Callable, Iterable
 
 from ._text import csv_line, read_csv
@@ -379,6 +380,10 @@ _PARSERS = {"csv": _parse_csv, "jsonl": _parse_jsonl, "mbox": _parse_mbox}
 #: The mail formats :func:`parse_events` reads, one name per parser.
 FORMATS = tuple(_PARSERS)
 
+#: The formats whose files hold one team's mail each, named by the file stem;
+#: a JSONL record names its own team.
+TEAM_PER_FILE_FORMATS = ("csv", "mbox")
+
 
 #: One encoder for every archive line: ``json.dumps`` with these arguments
 #: would build a new one per call.
@@ -426,12 +431,17 @@ class Period:
         return self.start <= stamp < self.end
 
 
+_instant = attrgetter("timestamp")
+
+
 @dataclass(frozen=True, slots=True)
 class TeamCorpus:
     """Immutable event stream for one team within a period.
 
     Raises ``ValueError`` unless ``events`` are strictly increasing in
     :func:`event_order` (so sorted and duplicate-free) and lie within ``period``.
+    Where timestamps strictly increase, so does :func:`event_order`; its keys
+    are built only for the pairs whose later timestamp is not later.
     """
 
     team_id: str
@@ -439,10 +449,13 @@ class TeamCorpus:
     period: Period
 
     def __post_init__(self) -> None:
-        keys = [event_order(ev) for ev in self.events]
-        if any(later <= earlier for earlier, later in zip(keys, keys[1:])):
-            raise ValueError("corpus events are not in event order (timestamp order, then fields)")
-        if any(ev.timestamp not in self.period for ev in self.events[:1] + self.events[-1:]):
+        events = self.events
+        stamps = list(map(_instant, events))
+        for i in compress(count(), map(ge, stamps, stamps[1:])):
+            if event_order(events[i + 1]) <= event_order(events[i]):
+                raise ValueError(
+                    "corpus events are not in event order (timestamp order, then fields)")
+        if stamps and not (stamps[0] in self.period and stamps[-1] in self.period):
             raise ValueError("corpus events lie outside the corpus period")
 
 
@@ -456,10 +469,9 @@ def build_corpus(events: Iterable[EmailEvent], team_id: str, period: Period) -> 
     corpus does not depend on input order.  Zero surviving events emit an
     :class:`EmptyCorpusWarning` and still return a corpus.
     """
-    instant = attrgetter("timestamp")
-    ordered = sorted((ev for ev in events if ev.team_id == team_id), key=instant)
-    start = bisect_left(ordered, period.start, key=instant)
-    end = bisect_left(ordered, period.end, start, key=instant)
+    ordered = sorted((ev for ev in events if ev.team_id == team_id), key=_instant)
+    start = bisect_left(ordered, period.start, key=_instant)
+    end = bisect_left(ordered, period.end, start, key=_instant)
     kept: list[EmailEvent] = []
     while start < end:
         stop = start + 1

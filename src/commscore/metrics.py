@@ -44,6 +44,13 @@ METRIC_FIELDS: tuple[str, ...] = tuple(METRIC_LABELS)
 
 DEFAULT_REPLY_CAP = 7 * 86400  # seconds
 
+#: The definitions each configurable metric can take, the default first.
+METRIC_CHOICES: dict[str, tuple[str, ...]] = {
+    "oscillation_window": ("weekly", "monthly"),
+    "awvci_weighting": ("edges", "actors"),
+    "emotionality_mode": ("cumulative", "normalized"),
+}
+
 
 # --------------------------------------------------------------------------
 # centrality / structure
@@ -298,7 +305,8 @@ def contribution_index(sent: int, received: int) -> Fraction:
     return Fraction(sent - received, _traffic(sent, received))
 
 
-def awvci(days: Sequence[DailyActivity], weighting: str = "edges") -> Fraction:
+def awvci(days: Sequence[DailyActivity],
+          weighting: str = METRIC_CHOICES["awvci_weighting"][0]) -> Fraction:
     """Weighted mean of daily contribution-index variances.
 
     Per day: the population variance of the contribution index across that
@@ -311,7 +319,7 @@ def awvci(days: Sequence[DailyActivity], weighting: str = "edges") -> Fraction:
     received)·L/q, and the variance of k indices is (k·Σx² − (Σx)²)/(k²L²).
     The weighted numerators are summed per denominator, and divided once.
     """
-    if weighting not in ("edges", "actors"):
+    if weighting not in METRIC_CHOICES["awvci_weighting"]:
         raise ValueError(f"unknown AWVCI weighting: {weighting!r}")
     parts: dict[int, int] = {}  # {k²L²: Σ weight·(k·Σx² − (Σx)²)}
     total_weight = 0
@@ -400,9 +408,9 @@ def sentiment(subject: str, lexicon: SentimentLexicon) -> str:
 
 
 def emotionality(corpus: TeamCorpus, lexicon: SentimentLexicon,
-                 mode: str = "cumulative") -> int | Fraction:
+                 mode: str = METRIC_CHOICES["emotionality_mode"][0]) -> int | Fraction:
     """Count of positive-classified subjects; ``normalized`` divides by volume."""
-    if mode not in ("cumulative", "normalized"):
+    if mode not in METRIC_CHOICES["emotionality_mode"]:
         raise ValueError(f"unknown emotionality mode: {mode!r}")
     count = sum(1 for ev in corpus.events if sentiment(ev.subject, lexicon) == "positive")
     if mode == "cumulative":
@@ -418,12 +426,13 @@ def emotionality(corpus: TeamCorpus, lexicon: SentimentLexicon,
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """Knobs for the configurable metric definitions (defaults as documented)."""
+    """Knobs for the configurable metric definitions (each default the first of
+    its :data:`METRIC_CHOICES`)."""
 
-    oscillation_window: str = "weekly"
+    oscillation_window: str = METRIC_CHOICES["oscillation_window"][0]
     reply_cap: int = DEFAULT_REPLY_CAP
-    awvci_weighting: str = "edges"
-    emotionality_mode: str = "cumulative"
+    awvci_weighting: str = METRIC_CHOICES["awvci_weighting"][0]
+    emotionality_mode: str = METRIC_CHOICES["emotionality_mode"][0]
     lexicon: SentimentLexicon | None = None
 
     def resolved_lexicon(self) -> SentimentLexicon:

@@ -125,9 +125,13 @@ def _round3(value: float | None) -> float | None:
     return None if value is None else round(value, 3)
 
 
-def render(scorecards: Sequence[ScoreCard], format: str = "json", *,
+#: The formats :func:`render` writes, the default first.
+SCORECARD_FORMATS = ("json", "csv", "html")
+
+
+def render(scorecards: Sequence[ScoreCard], format: str = SCORECARD_FORMATS[0], *,
            generated_at: str, config: Mapping[str, object]) -> bytes:
-    """Deterministic report bytes in json, csv, or html."""
+    """Deterministic report bytes in one of :data:`SCORECARD_FORMATS`."""
     if not scorecards:
         raise CohortTooSmall("no scorecards to render")
     if format == "json":

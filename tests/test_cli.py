@@ -80,6 +80,49 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+FIXTURE = Path(__file__).parent / "data" / "fixture"
+
+#: Every report setting of a run that changes none of them.
+DEFAULT_SETTINGS = {"period": None, "format": "csv", "reply_cap": 604800,
+                    "oscillation_window": "weekly", "awvci_weighting": "edges",
+                    "emotionality_mode": "cumulative", "eligibility_min": 20,
+                    "alert_sigma": 1.0, "strict": False, "lexicon": "builtin"}
+FIXTURE_PERIOD = {"start": "2012-06-01T00:00:00Z", "end": "2012-09-01T00:00:00Z"}
+
+
+def test_reports_embed_their_settings_and_fingerprint(tmp_path):
+    """Each stage's settings payload, key order and fingerprint included, on the fixture."""
+    lexicon = _write(tmp_path / "words.txt", b"[positive]\ngood\n[negative]\nbad\n")
+    corpus, metrics, report, card = (tmp_path / name for name in ("c", "m", "r", "s"))
+    assert run("ingest", *sorted((FIXTURE / "mail").glob("*.csv")), "--period", PERIOD,
+               "--out", corpus, "--strict") == 0
+    assert run("analyze", corpus, "--out", metrics, "--reply-cap", "3600",
+               "--oscillation-window", "monthly", "--awvci-weighting", "actors",
+               "--emotionality-mode", "normalized", "--lexicon", lexicon) == 0
+    assert run("correlate", metrics / "metrics.csv", FIXTURE / "survey.csv", "--out", report,
+               "--alert-sigma", "0.5", "--eligibility-min", "3") == 0
+    assert run("scorecard", metrics / "metrics.csv", "--out", card, "--format", "json") == 0
+
+    def read(path: Path) -> dict:
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    ingest = {"fingerprint": "1569ab0c3645",
+              **DEFAULT_SETTINGS, "period": FIXTURE_PERIOD, "strict": True}
+    analyze = {"fingerprint": "c46731682642", **DEFAULT_SETTINGS, "period": FIXTURE_PERIOD,
+               "reply_cap": 3600, "oscillation_window": "monthly",
+               "awvci_weighting": "actors", "emotionality_mode": "normalized",
+               "lexicon": "words.txt"}
+    correlate = {"fingerprint": "d911f4d41066",
+                 **DEFAULT_SETTINGS, "eligibility_min": 3, "alert_sigma": 0.5}
+    scorecard = {"fingerprint": "4355eeac78fa", **DEFAULT_SETTINGS}
+    # manifest.json and analyze_config.json keep the settings' order;
+    # scorecard.json sorts every key
+    assert list(read(corpus / "manifest.json")["config"].items()) == list(ingest.items())
+    assert list(read(metrics / "analyze_config.json").items()) == list(analyze.items())
+    assert list(read(report / "scorecard.json")["config"].items()) == sorted(correlate.items())
+    assert list(read(card / "scorecard.json")["config"].items()) == sorted(scorecard.items())
+
+
 def test_metrics_header_uses_report_labels(tmp_path):
     data = _synth(tmp_path)
     _, metrics, _ = _pipeline(tmp_path, data)
@@ -303,6 +346,13 @@ EXIT_CODE_CASES = [
     pytest.param(1, lambda d: ["correlate", d / "m.csv", d / "s.csv", "--out", d / "o",
                                "--alert-sigma", "0"],
                  id="alert-sigma-0"),
+    pytest.param(1, lambda d: ["correlate", d / "m.csv", d / "s.csv", "--out", d / "o",
+                               "--eligibility-min", "0"],
+                 id="eligibility-min-0"),
+    *(pytest.param(1, lambda d, sigma=sigma: ["scorecard", d / "m.csv", "--out", d / "o",
+                                              "--alert-sigma", sigma],
+                   id=f"scorecard-alert-sigma-{sigma}")
+      for sigma in ("0", "nan", "inf")),
     pytest.param(1, lambda d: ["synth", "--out", d / "o", "--effects", '{"bogus": 0.5}'],
                  id="unknown-effect-key"),
     pytest.param(1, lambda d: ["synth", "--out", d / "o",

@@ -537,6 +537,29 @@ def test_team_corpus_rejects_unsorted_or_out_of_period_events(summer):
             TeamCorpus("t", events, summer)
 
 
+# few instants, senders and subjects, so runs at one instant and duplicates are common
+_corpus_events = st.builds(
+    ev, st.sampled_from(["2012-06-04 09:00", "2012-06-04 10:00", "2012-06-05 09:00"]),
+    st.sampled_from("ab"), st.sampled_from("cd"), subject=st.sampled_from("xy"))
+
+
+@given(events=st.lists(_corpus_events, max_size=8),
+       arrange=st.sampled_from(["as drawn", "by event order", "by instant"]))
+@settings(max_examples=300)
+def test_team_corpus_accepts_exactly_strictly_increasing_event_order(events, arrange):
+    if arrange == "by event order":
+        events.sort(key=event_order)
+    elif arrange == "by instant":
+        events.sort(key=lambda e: e.timestamp)
+    keys = [event_order(e) for e in events]
+    try:
+        TeamCorpus("t", tuple(events), Period(ts("2012-06-01 00:00"), ts("2012-09-01 00:00")))
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == all(earlier < later for earlier, later in zip(keys, keys[1:]))
+
+
 @given(st.permutations(list(range(9))))
 @settings(max_examples=30)
 def test_corpus_is_order_invariant(order):
