@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -123,6 +124,14 @@ def parse_period(raw: str) -> Period:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     out_dir: Path = args.out
+    for path in args.paths:  # a file name names its source, and maybe its team
+        try:
+            path.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise FormatError(f"file name {os.fsencode(path.name)!r} is not UTF-8") from None
+    # the archive is replaced: without its manifest, analyze refuses it until
+    # this run has written every corpus
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     events_by_team: dict[str, list[EmailEvent]] = {}
     issues: list[ParseIssue] = []
     sources: list[dict[str, object]] = []
@@ -139,6 +148,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                         "skipped": len(result.issues)})
     corpora_dir = out_dir / "corpora"
     corpora_dir.mkdir(parents=True, exist_ok=True)
+    for stale in corpora_dir.glob("*.jsonl"):
+        if stale.stem not in events_by_team:
+            stale.unlink()
     teams_report: dict[str, dict[str, object]] = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptyCorpusWarning)

@@ -19,6 +19,12 @@ parse: a file's repeated ``from``/``to``/``cc`` fields are normalized once.
 Every corpus, built from parsed mail or reloaded from an archive by
 :func:`load_corpus`, comes from :func:`build_corpus`: the team's events sorted
 by instant, deduplicated only where several share one instant.
+
+Each archive line (:func:`serialize_events`) is written from one template,
+every string field escaped by ``json``'s own string escaper: byte for byte
+``json.dumps(..., ensure_ascii=False, separators=(",", ":"))`` of the event.
+A JSONL record whose address, subject or team id decodes to a lone surrogate
+(``"\\ud800"``), which UTF-8 cannot encode, is malformed.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from email import message_from_bytes, policy
 from email.utils import getaddresses, parsedate_to_datetime
 from functools import lru_cache
 from itertools import compress, count
+from json.encoder import encode_basestring as _quote
 from operator import attrgetter, ge
 from typing import BinaryIO, Callable, Iterable
 
@@ -51,7 +58,10 @@ ActorId = str
 
 CSV_HEADER = ("timestamp", "from", "to", "cc", "subject")
 
-_ADDR_RE = re.compile(r"^[^@\s<>,;]+@[^@\s<>,;]+$")
+#: A lone surrogate, as a JSON ``\ud800`` escape decodes to: UTF-8 cannot
+#: encode it, so no address, team id or subject may hold one.
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+_ADDR_RE = re.compile(r"^[^@\s<>,;\ud800-\udfff]+@[^@\s<>,;\ud800-\udfff]+$")
 _ANGLE_RE = re.compile(r"<([^<>]*)>")
 #: A team id names its corpus file, so it must be one path component.
 _UNSAFE_TEAM_RE = re.compile(r"[/\\\x00]|\A\.\.?\Z")
@@ -69,7 +79,8 @@ def normalize_address(raw: str) -> ActorId:
     Raises
     ------
     MalformedAddress
-        If no ``local@domain`` token can be extracted.
+        If no ``local@domain`` token can be extracted, or it holds a lone
+        surrogate.
     """
     candidate = raw.strip()
     angles = _ANGLE_RE.findall(candidate)
@@ -123,7 +134,9 @@ def _utc_second(stamp: datetime) -> datetime:
 
 def iso_utc(stamp: datetime) -> str:
     """``YYYY-MM-DDTHH:MM:SSZ`` in UTC, the year always four digits."""
-    return stamp.astimezone(timezone.utc).isoformat(timespec="seconds")[:-6] + "Z"
+    if stamp.tzinfo is not timezone.utc or stamp.microsecond:
+        stamp = stamp.astimezone(timezone.utc).replace(microsecond=0)
+    return stamp.isoformat()[:-6] + "Z"
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,6 +184,8 @@ def _team_error(team_id: str) -> str | None:
     """Why ``team_id`` cannot name a corpus file, or ``None`` when it can (cached)."""
     if _UNSAFE_TEAM_RE.search(team_id):
         return f"team_id {team_id!r} is not a single path component"
+    if _SURROGATE_RE.search(team_id):
+        return f"team_id {team_id!r} holds a lone surrogate"
     return None
 
 
@@ -195,8 +210,9 @@ def make_event(timestamp: datetime, sender: str, to: Iterable[str],
 
     Recipient lists are normalized and deduplicated while preserving order;
     addresses already present in ``to`` are dropped from ``cc``.  A team id
-    that is not a single path component (``/``, ``\\``, NUL, ``.``, ``..``)
-    raises ``ValueError``, as does a timestamp outside years 1–9999 in UTC.
+    that is not a single path component (``/``, ``\\``, NUL, ``.``, ``..``) or
+    holds a lone surrogate raises ``ValueError``, as does a timestamp outside
+    years 1–9999 in UTC.
     """
     error = _team_error(team_id)
     if error:
@@ -324,7 +340,10 @@ def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -
                 raise ValueError("to/cc must be arrays")
             key = (str(record["from"]), tuple(map(str, to)), tuple(map(str, cc)))
             subject = record.get("subject")
-            records.add(lineno, stamp, key, "" if subject is None else str(subject), team)
+            subject = "" if subject is None else str(subject)
+            if not subject.isascii() and _SURROGATE_RE.search(subject):
+                raise ValueError(f"subject {subject!r} holds a lone surrogate")
+            records.add(lineno, stamp, key, subject, team)
         except KeyError as exc:
             records.issue(lineno, f"missing key {exc}")
         except ValueError as exc:
@@ -385,17 +404,13 @@ FORMATS = tuple(_PARSERS)
 TEAM_PER_FILE_FORMATS = ("csv", "mbox")
 
 
-#: One encoder for every archive line: ``json.dumps`` with these arguments
-#: would build a new one per call.
-_encode_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
-
-
 def serialize_events(events: Iterable[EmailEvent], format: str) -> bytes:
     """Serialize events back to CSV or JSONL wire bytes.
 
     Parsing the output reproduces the events (parse→serialize→parse is a
     fixed point).  Fields containing ``,``, ``;``, quotes, or newlines are
-    double-quoted in CSV.
+    double-quoted in CSV.  A JSONL line fills one template, each string field
+    escaped by ``json``'s escaper, as ``json.dumps`` would write the event.
     """
     if format == "csv":
         out = [csv_line(CSV_HEADER)]
@@ -404,13 +419,12 @@ def serialize_events(events: Iterable[EmailEvent], format: str) -> bytes:
                                  ";".join(ev.to), ";".join(ev.cc), ev.subject)))
         return "".join(out).encode("utf-8")
     if format == "jsonl":
-        lines = []
-        for ev in events:
-            lines.append(_encode_json(
-                {"timestamp": iso_utc(ev.timestamp), "from": ev.sender,
-                 "to": list(ev.to), "cc": list(ev.cc),
-                 "subject": ev.subject, "team_id": ev.team_id}))
-        return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+        # each line is encoded on its own: no archive-sized str beside the bytes
+        return b"".join([
+            f'{{"timestamp":"{iso_utc(ev.timestamp)}","from":{_quote(ev.sender)},'
+            f'"to":[{",".join(map(_quote, ev.to))}],"cc":[{",".join(map(_quote, ev.cc))}],'
+            f'"subject":{_quote(ev.subject)},"team_id":{_quote(ev.team_id)}}}\n'.encode()
+            for ev in events])
     raise UnsupportedFormat(f"cannot serialize format: {format!r}")
 
 

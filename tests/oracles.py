@@ -463,9 +463,14 @@ def _jsonl_records(blob: bytes, make_event, parse_timestamp, default_team: str):
             to, cc = record.get("to") or [], record.get("cc") or []
             if not isinstance(to, list) or not isinstance(cc, list):
                 raise ValueError("to/cc must be arrays")
-            subject = record.get("subject")
-            return make_event(stamp, str(record["from"]), [str(a) for a in to],
-                              [str(a) for a in cc], "" if subject is None else str(subject), team)
+            sender, subject = str(record["from"]), record.get("subject")
+            subject = "" if subject is None else str(subject)
+            try:
+                subject.encode("utf-8")
+            except UnicodeEncodeError:  # a \u escape of a lone surrogate
+                raise ValueError(f"subject {subject!r} holds a lone surrogate") from None
+            return make_event(stamp, sender, [str(a) for a in to], [str(a) for a in cc],
+                              subject, team)
         yield line, build
 
 
@@ -500,8 +505,9 @@ def reference_parse(blob: bytes, format: str, make_event: Callable, parse_timest
     ``(source, line, message)``, each record built by its own ``make_event`` call.
 
     A record's checks run in the order of its format's rules: the timestamp
-    and its conversion to UTC, JSONL's array types, the ``from`` field, then
-    ``make_event``'s team id and addresses.
+    and its conversion to UTC, JSONL's array types, the ``from`` field, a JSONL
+    subject free of lone surrogates, then ``make_event``'s team id and
+    addresses.
     """
     reader = {"csv": _csv_records, "jsonl": _jsonl_records, "mbox": _mbox_records}[format]
     events, issues = [], []

@@ -181,6 +181,60 @@ def test_ingest_strict_mode_exits_2(tmp_path):
                "--out", tmp_path / "c", "--strict") == 2
 
 
+def test_ingest_again_replaces_the_archive(tmp_path, capsys):
+    """A second ingest into one ``--out`` leaves only its own teams' corpora,
+    and ``analyze`` reads exactly the teams of the manifest."""
+    mail = sorted((FIXTURE / "mail").glob("*.csv"))
+    assert run("ingest", *mail, "--period", PERIOD, "--out", tmp_path / "c") == 0
+    assert run("ingest", *mail[:2], "--period", PERIOD, "--out", tmp_path / "c") == 0
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    corpora = sorted(p.stem for p in (tmp_path / "c" / "corpora").iterdir())
+    assert corpora == sorted(manifest["teams"]) == [p.stem for p in mail[:2]]
+    capsys.readouterr()
+    assert run("analyze", tmp_path / "c", "--out", tmp_path / "m") == 0
+    assert "analyzed 2 team(s)" in capsys.readouterr().out
+
+
+def test_a_failed_ingest_leaves_no_archive_to_analyze(tmp_path, capsys):
+    mail = sorted((FIXTURE / "mail").glob("*.csv"))
+    assert run("ingest", *mail, "--period", PERIOD, "--out", tmp_path / "c") == 0
+    blocked = tmp_path / "c" / "corpora" / f"{mail[-1].stem}.jsonl"
+    blocked.unlink()
+    blocked.mkdir()  # the corpus of the last team cannot be written
+    assert run("ingest", *mail, "--period", PERIOD, "--out", tmp_path / "c") == 2
+    assert not (tmp_path / "c" / "manifest.json").exists()
+    capsys.readouterr()
+    assert run("analyze", tmp_path / "c", "--out", tmp_path / "m") == 3
+    assert "is not an ingest archive" in capsys.readouterr().err
+
+
+def test_a_mail_file_name_that_is_not_utf8_fails_before_writing(tmp_path, capsys):
+    name = os.fsdecode(b"\xff.csv")  # as the command line decodes the byte
+    mail = _write(tmp_path / "in" / name, MAIL_HEADER + MAIL_ROW)
+    ok = _write(tmp_path / "in" / "ok.csv", MAIL_HEADER + MAIL_ROW)
+    assert run("ingest", ok, mail, "--period", PERIOD, "--out", tmp_path / "c") == 2
+    assert capsys.readouterr().err == "error: file name b'\\xff.csv' is not UTF-8\n"
+    assert not (tmp_path / "c").exists()
+
+
+def test_lone_surrogate_records_are_malformed(tmp_path, capsys):
+    good = _jsonl("t")
+    mail = _write(tmp_path / "m.jsonl", good.replace(b"a@x.com", b"a\\ud800@x.com") + good
+                  + good.replace(b'"t"', b'"t\\udfff"')
+                  + good.replace(b"}", b', "subject": "\\udc00"}'))
+    args = ("ingest", mail, "--format", "jsonl", "--period", PERIOD)
+    assert run(*args, "--out", tmp_path / "c") == 0
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text(encoding="utf-8"))
+    assert [(i["line"], i["message"]) for i in manifest["issues"]] == [
+        (1, "not a local@domain address: 'a\\ud800@x.com'"),
+        (3, "team_id 't\\udfff' holds a lone surrogate"),
+        (4, "subject '\\udc00' holds a lone surrogate")]
+    assert manifest["teams"]["t"]["events"] == 1
+    assert run(*args, "--out", tmp_path / "s", "--strict") == 2
+    assert capsys.readouterr().err == (
+        "error: m.jsonl:1: not a local@domain address: 'a\\ud800@x.com'\n")
+
+
 def test_analyze_empty_archive_exits_3(tmp_path):
     mail = tmp_path / "team.csv"
     mail.write_text("timestamp,from,to,cc,subject\n")

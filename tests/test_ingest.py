@@ -402,6 +402,9 @@ _STAMPS = ("2012-06-04T09:00:00Z", "2012-06-04T11:00:00+02:00", "2012-06-05T09:0
 _DATES = ("Mon, 04 Jun 2012 09:00:00 +0000", "Mon, 04 Jun 2012 11:00:00 +0200",
           "Mon, 04 Jun 2012 09:00:00 -0000", "Fri, 31 Dec 9999 23:30:00 -0100", "not a date")
 _TEAMS = ("t", "u", "../up", ".")
+#: One good JSONL record, edited by the examples.
+_RECORD = {"timestamp": "2012-06-04T09:00:00Z", "from": "a@ex.com", "to": ["b@ex.com"],
+           "cc": [], "subject": "s", "team_id": "t"}
 _party_triples = st.tuples(st.sampled_from(_RAW_ADDRESSES),
                            st.lists(st.sampled_from(_RAW_ADDRESSES), max_size=3),
                            st.lists(st.sampled_from(_RAW_ADDRESSES), max_size=2))
@@ -424,6 +427,8 @@ def _mail_files(draw):
                       "cc": cc, "subject": subject, "team_id": draw(st.sampled_from(_TEAMS))}
             if draw(st.integers(0, 9)) == 0:
                 record.pop(draw(st.sampled_from(["from", "subject", "team_id"])))
+            if draw(st.integers(0, 9)) == 0:  # json.dumps writes it as the escape \ud800
+                record[draw(st.sampled_from(["from", "subject", "team_id"]))] = "x\ud800"
             lines.append(json.dumps(record) + "\n")
         else:
             headers = [f"From: {sender}", f"To: {', '.join(to)}", f"Cc: {', '.join(cc)}"]
@@ -439,6 +444,11 @@ def _mail_files(draw):
 @example((b"timestamp,from,to,cc,subject\n2012-06-04T09:00:00Z,a@ex.com,a@ex.com;,a@ex.com,s\n"
           b"2012-06-04T09:00:00Z,a@ex.com,;,,s\n" * 2, "csv", "t"))
 @example((_MBOX_LATE_DATE, "mbox", "t"))
+# lone surrogates in an address, a team and a subject; a pair, and an escaped
+# backslash before "ud800"
+@example((b"".join(json.dumps({**_RECORD, **edit}).encode() + b"\n" for edit in (
+    {"to": ["b@ex.com", "c\udc00@ex.com"]}, {"team_id": "t\ud800"}, {"subject": "\udfff"},
+    {"subject": "\ud83d\ude00 \\ud800"})), "jsonl", "t"))
 @settings(max_examples=300, deadline=None)
 def test_parse_events_equals_make_event_per_record(mail):
     """The memoized parse gives the events, issues and strict-mode error of
@@ -473,6 +483,28 @@ def test_ingesting_the_archive_again_writes_it_unchanged(tmp_path):
     manifests = [json.loads((tmp_path / run / "manifest.json").read_text(encoding="utf-8"))
                  for run in ("csv", "jsonl")]
     assert manifests[0]["teams"] == manifests[1]["teams"]
+
+
+def test_ingest_writes_the_reference_archive(tmp_path):
+    """Each corpus ``ingest`` writes, from the fixture mail and from ``synth``
+    mail, equals the oracles' archive of the oracles' corpus of the
+    oracles' parse, none of which calls ``serialize_events``."""
+    assert main(["synth", "--out", str(tmp_path / "synth"), "--seed", "3",
+                 "--teams", "3"]) == 0
+    period = Period(ts("2012-06-01 00:00"), ts("2012-09-01 00:00"))
+    for name, mail in (("fixture", sorted((FIXTURE / "mail").glob("*.csv"))),
+                       ("synth", sorted((tmp_path / "synth" / "mail").glob("*.csv")))):
+        out = tmp_path / name
+        assert main(["ingest", *map(str, mail), "--period", "2012-06-01..2012-09-01",
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "corpora").iterdir()) == [
+            f"{path.stem}.jsonl" for path in mail]
+        for path in mail:
+            events, _ = oracles.reference_parse(path.read_bytes(), "csv", make_event,
+                                                parse_timestamp, default_team=path.stem)
+            expected = oracles.archive_bytes(
+                oracles.reference_corpus(events, path.stem, period.start, period.end))
+            assert (out / "corpora" / f"{path.stem}.jsonl").read_bytes() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -766,10 +798,6 @@ def test_dedup_keys_are_built_only_for_events_that_share_an_instant(monkeypatch)
     assert len(built) == shared == 6
     assert len(corpus.events) > 4 * shared
     assert corpus.events == oracles.reference_corpus(events, "t", period.start, period.end)
-
-
-_RECORD = {"timestamp": "2012-06-04T09:00:00Z", "from": "a@ex.com", "to": ["b@ex.com"],
-           "cc": [], "subject": "s", "team_id": "t"}
 
 
 @given(_archive_lines())
