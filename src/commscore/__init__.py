@@ -7,86 +7,46 @@ satisfaction (:mod:`commscore.satisfaction`), correlate
 (:mod:`commscore.stats`), and report (:mod:`commscore.scorecard`).  The
 ``commscore`` command line wires the stages together; :mod:`commscore.synth`
 generates seeded test corpora with planted effects.
+
+``import commscore`` imports no submodule: each public name below is imported
+from its module on first use (PEP 562), so ``from commscore import load_corpus``
+loads :mod:`commscore.ingest` and what it needs, and nothing else.
 """
 
-from .ingest import (
-    ActorId,
-    EmailEvent,
-    Period,
-    TeamCorpus,
-    build_corpus,
-    load_corpus,
-    normalize_address,
-    parse_events,
-    serialize_events,
-)
-from .metrics import (
-    METRIC_FIELDS,
-    METRIC_LABELS,
-    MetricConfig,
-    MetricVector,
-    compute_metric_vector,
-    contribution_index,
-)
-from .satisfaction import (
-    SurveyResponse,
-    TeamSatisfaction,
-    classify_respondent,
-    kpd,
-    nps,
-    team_satisfaction,
-)
-from .scorecard import DIRECTIONS, ScoreCard, build_scorecard, build_scorecards, render
-from .stats import CorrelationResult, correlate_all, p_value_two_tailed, pearson
-from .synth import SynthSpec, planted_effects
-from .tempograph import (
-    DailyActivity,
-    WindowGraph,
-    build_window_graph,
-    daily_activity,
-    monthly_windows,
-    weekly_windows,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActorId",
-    "CorrelationResult",
-    "DIRECTIONS",
-    "DailyActivity",
-    "EmailEvent",
-    "METRIC_FIELDS",
-    "METRIC_LABELS",
-    "MetricConfig",
-    "MetricVector",
-    "Period",
-    "ScoreCard",
-    "SurveyResponse",
-    "SynthSpec",
-    "TeamCorpus",
-    "TeamSatisfaction",
-    "WindowGraph",
-    "build_corpus",
-    "build_scorecard",
-    "build_scorecards",
-    "build_window_graph",
-    "classify_respondent",
-    "compute_metric_vector",
-    "contribution_index",
-    "correlate_all",
-    "daily_activity",
-    "kpd",
-    "load_corpus",
-    "monthly_windows",
-    "normalize_address",
-    "nps",
-    "p_value_two_tailed",
-    "parse_events",
-    "pearson",
-    "planted_effects",
-    "render",
-    "serialize_events",
-    "team_satisfaction",
-    "weekly_windows",
-]
+#: Each public name and the module that defines it.
+_EXPORTS = {
+    "ActorId": "ingest", "EmailEvent": "ingest", "Period": "ingest", "TeamCorpus": "ingest",
+    "build_corpus": "ingest", "load_corpus": "ingest", "normalize_address": "ingest",
+    "parse_events": "ingest", "serialize_events": "ingest",
+    "METRIC_FIELDS": "metrics", "METRIC_LABELS": "metrics", "MetricConfig": "metrics",
+    "MetricVector": "metrics", "compute_metric_vector": "metrics",
+    "contribution_index": "metrics",
+    "SurveyResponse": "satisfaction", "TeamSatisfaction": "satisfaction",
+    "classify_respondent": "satisfaction", "kpd": "satisfaction", "nps": "satisfaction",
+    "team_satisfaction": "satisfaction",
+    "DIRECTIONS": "scorecard", "ScoreCard": "scorecard", "build_scorecard": "scorecard",
+    "build_scorecards": "scorecard", "render": "scorecard",
+    "CorrelationResult": "stats", "correlate_all": "stats", "p_value_two_tailed": "stats",
+    "pearson": "stats",
+    "SynthSpec": "synth", "planted_effects": "synth",
+    "DailyActivity": "tempograph", "WindowGraph": "tempograph",
+    "build_window_graph": "tempograph", "daily_activity": "tempograph",
+    "monthly_windows": "tempograph", "weekly_windows": "tempograph",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

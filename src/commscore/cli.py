@@ -65,7 +65,6 @@ from .satisfaction import (
 )
 from .scorecard import DEFAULT_ALERT_SIGMA, SCORECARD_FORMATS, build_scorecards, render
 from .stats import correlate_all, render_correlation_csv
-from .synth import SynthSpec, planted_effects, write_outputs
 from .tempograph import month_periods, window_events
 
 DEFAULT_GENERATED_AT = "1970-01-01T00:00:00Z"
@@ -328,6 +327,8 @@ def cmd_scorecard(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import SynthSpec, write_outputs  # only this stage generates data
+
     spec = SynthSpec(teams=args.teams, months=args.months, actors=args.actors,
                      respondents=args.respondents, messages_per_month=args.messages,
                      effects=args.effects, seed=args.seed)
@@ -368,6 +369,8 @@ def _parse_effects(raw: str) -> dict[str, float]:
     if raw == "none":
         return {}
     if raw == "planted":
+        from .synth import planted_effects
+
         return planted_effects()
     if not raw.lstrip().startswith("{"):
         raw = Path(raw).read_text(encoding="utf-8")

@@ -7,7 +7,10 @@ Three wire formats are supported:
 * JSONL with one object per line carrying
   ``timestamp,from,to,cc,subject,team_id`` (``to``/``cc`` arrays),
 * classic ``From ``-delimited mbox, of which only the ``From``/``To``/``Cc``/
-  ``Subject``/``Date`` headers are consumed.
+  ``Subject``/``Date`` headers are consumed.  A message is malformed if a
+  ``From``/``To``/``Cc``/``Subject`` header holds raw bytes that are not
+  UTF-8, or an encoded word whose bytes its charset cannot decode.  The mbox
+  parser imports ``email`` on its first call, so importing this module does not.
 
 Timestamps must carry an explicit UTC offset and are stored in UTC at second
 resolution; written out (:func:`iso_utc`) they read ``YYYY-MM-DDTHH:MM:SSZ``,
@@ -36,8 +39,6 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from email import message_from_bytes, policy
-from email.utils import getaddresses, parsedate_to_datetime
 from functools import lru_cache
 from itertools import compress, count
 from json.encoder import encode_basestring as _quote
@@ -351,7 +352,27 @@ def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -
     return records.result
 
 
+def _header(msg, name: str) -> str:
+    """The text of a message's first ``name`` header, ``""`` if it has none.
+
+    ``ValueError`` if its raw bytes are not UTF-8, or an encoded word's bytes
+    do not decode in its charset: ``email`` would read them as U+FFFD.
+    """
+    header = msg.get(name)
+    if header is None:
+        return ""
+    try:  # the parse tree holds each undecodable byte as a lone surrogate
+        str(header._parse_tree).encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{name} header {str(header)!r} is not UTF-8") from None
+    return str(header)
+
+
 def _parse_mbox(source: BinaryIO, default_team: str, name: str, strict: bool) -> ParseResult:
+    # imported on first use: nothing else needs `email` and the ~30 modules it loads
+    from email import message_from_bytes, policy
+    from email.utils import getaddresses, parsedate_to_datetime
+
     messages: list[tuple[int, bytes]] = []
     current: list[bytes] = []
     start_line = 1
@@ -381,12 +402,12 @@ def _parse_mbox(source: BinaryIO, default_team: str, name: str, strict: bool) ->
             if stamp.tzinfo is None:
                 raise ValueError(f"Date {raw_date!r} has no UTC offset")
             stamp = _utc_second(stamp)
-            froms = getaddresses([str(msg.get("From", ""))])
+            froms = getaddresses([_header(msg, "From")])
             if not froms or not froms[0][1]:
                 raise ValueError("missing From header")
-            to = tuple(addr for _, addr in getaddresses([str(msg.get("To", ""))]) if addr)
-            cc = tuple(addr for _, addr in getaddresses([str(msg.get("Cc", ""))]) if addr)
-            records.add(lineno, stamp, (froms[0][1], to, cc), str(msg.get("Subject", "")),
+            to = tuple(addr for _, addr in getaddresses([_header(msg, "To")]) if addr)
+            cc = tuple(addr for _, addr in getaddresses([_header(msg, "Cc")]) if addr)
+            records.add(lineno, stamp, (froms[0][1], to, cc), _header(msg, "Subject"),
                         default_team)
         # Python 3.10's parsedate_to_datetime raises TypeError on a bad Date
         except (ValueError, TypeError) as exc:

@@ -12,9 +12,11 @@ defining formulas, KPD as a mean of per-respondent means; archive
 lines come from ``json.dumps`` per event with the timestamp formatted field by
 field; UTC conversion always converts; mail files are parsed record by
 record, each through one call of the ``make_event`` the caller passes in, with
-nothing remembered between records; a corpus is deduplicated in one dict over
-every event and sorted by a key of all fields; and the score-card mean and
-variance are sums of one ``Fraction`` per value.
+nothing remembered between records; an mbox header's UTF-8 is checked on its
+raw bytes and on each encoded word instead of on the ``email`` parse tree; a
+corpus is deduplicated in one dict over every event and sorted by a key of all
+fields; and the score-card mean and variance are sums of one ``Fraction`` per
+value.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from collections import deque
 from datetime import date, datetime, timedelta, timezone
 from email import message_from_bytes, policy
+from email.header import decode_header
 from email.utils import getaddresses, parsedate_to_datetime
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -474,6 +478,26 @@ def _jsonl_records(blob: bytes, make_event, parse_timestamp, default_team: str):
         yield line, build
 
 
+_ENCODED_WORD = re.compile(r"=\?[^?]*\?[qQbB]\?[^?]*\?=")
+
+
+def _utf8_header(msg, name: str) -> str:
+    """The text of the first ``name`` header, ``""`` if there is none; a
+    ``ValueError`` unless its raw bytes are UTF-8 and each encoded word in it
+    decodes in its own charset."""
+    raw = next((value for key, value in msg.raw_items() if key.lower() == name.lower()), None)
+    if raw is None:
+        return ""
+    try:
+        raw.encode("utf-8", "surrogateescape").decode("utf-8")
+        for word in _ENCODED_WORD.findall(raw):
+            ((data, charset),) = decode_header(word)
+            data.decode(charset)
+    except (UnicodeError, LookupError):
+        raise ValueError(f"{name} header {str(msg[name])!r} is not UTF-8") from None
+    return str(msg[name])
+
+
 def _mbox_records(blob: bytes, make_event, parse_timestamp, team: str):
     lines = io.BytesIO(blob).readlines()
     starts = [i for i, raw in enumerate(lines) if raw.startswith(b"From ")]
@@ -491,11 +515,11 @@ def _mbox_records(blob: bytes, make_event, parse_timestamp, team: str):
             except OverflowError:
                 raise ValueError(
                     f"{stamp.isoformat()} falls outside years 1-9999 in UTC") from None
-            sender = getaddresses([str(msg.get("From", ""))])
+            sender = getaddresses([_utf8_header(msg, "From")])
             if not sender or not sender[0][1]:
                 raise ValueError("missing From header")
-            to, cc = ([a for _, a in getaddresses([str(msg.get(h, ""))]) if a] for h in ("To", "Cc"))
-            return make_event(stamp, sender[0][1], to, cc, str(msg.get("Subject", "")), team)
+            to, cc = ([a for _, a in getaddresses([_utf8_header(msg, h)]) if a] for h in ("To", "Cc"))
+            return make_event(stamp, sender[0][1], to, cc, _utf8_header(msg, "Subject"), team)
         yield start + 1, build
 
 

@@ -425,6 +425,12 @@ EXIT_CODE_CASES = [
     pytest.param(2, lambda d: ["ingest", _write(d / "t.csv", MAIL_HEADER + b"\xff\n"),
                                "--period", PERIOD, "--out", d / "o"],
                  id="non-utf8-csv"),
+    pytest.param(2, lambda d: ["ingest", _write(d / "t.mbox", b"From x\nFrom: a@x.com\n"
+                                                b"To: b@x.com\nSubject: caf\xff\n"
+                                                b"Date: Mon, 04 Jun 2012 09:00:00 +0000\n\n"),
+                               "--format", "mbox", "--period", PERIOD, "--out", d / "o",
+                               "--strict"],
+                 id="strict-non-utf8-mbox-header"),
     pytest.param(2, lambda d: ["ingest", _write(d / "t.jsonl", _jsonl("../../escaped")),
                                "--format", "jsonl", "--period", PERIOD, "--out", d / "o",
                                "--strict"],
@@ -526,18 +532,38 @@ def test_padded_metric_team_ids_join_the_survey(tmp_path):
                "--out", tmp_path / "o", "--eligibility-min", "1") == 0
 
 
-def test_cli_imports_only_the_standard_library():
-    """A fresh interpreter loads nothing outside the stdlib for ``import commscore.cli``."""
-    probe = ("import sys; before = set(sys.modules); import commscore.cli; "
-             "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+def _loaded_by(statement: str) -> list[str]:
+    """The modules that a fresh interpreter loads to run ``statement``."""
+    probe = (f"import sys; before = set(sys.modules); {statement}; "
+             "print(sorted(set(sys.modules) - before))")
     src = str(Path(commscore.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    loaded = ast.literal_eval(out)
-    assert "commscore" in loaded
-    assert [m for m in loaded if m != "commscore" and m not in sys.stdlib_module_names] == []
+    return ast.literal_eval(out)
+
+
+def test_cli_imports_only_the_standard_library():
+    """A fresh interpreter loads nothing outside the stdlib for ``import commscore.cli``,
+    and neither ``email`` (the mbox parser's) nor ``commscore.synth``."""
+    loaded = _loaded_by("import commscore.cli")
+    packages = {m.partition(".")[0] for m in loaded}
+    assert "commscore" in packages
+    assert [m for m in packages if m != "commscore" and m not in sys.stdlib_module_names] == []
+    assert [m for m in loaded if m.partition(".")[0] == "email" or m == "commscore.synth"] == []
+
+
+def test_the_package_imports_each_public_name_on_first_use():
+    """``import commscore`` loads no submodule; each name of ``__all__`` resolves,
+    and ``from commscore import *`` binds exactly ``__all__``."""
+    assert [m for m in _loaded_by("import commscore") if m.startswith("commscore.")] == []
+    assert all(hasattr(commscore, name) for name in commscore.__all__)
+    assert set(commscore.__all__) <= set(dir(commscore))
+    namespace: dict = {}
+    exec("from commscore import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(commscore.__all__)
+    assert not hasattr(commscore, "no_such_name")
 
 
 def test_ingest_keeps_unsafe_team_ids_inside_out(tmp_path):

@@ -9,6 +9,7 @@ import tempfile
 import warnings
 from collections import Counter
 from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,28 @@ def test_mbox_reports_an_out_of_range_date_first_as_csv_does():
     for blob, format in ((_MBOX_LATE_DATE, "mbox"), (csv_doc, "csv")):
         (issue,) = parse_events(io.BytesIO(blob), format, default_team="t").issues
         assert issue.message == "9999-12-31T23:30:00-01:00 falls outside years 1-9999 in UTC"
+
+
+#: Messages whose header bytes are not UTF-8, raw or in an encoded word, then
+#: one with raw UTF-8 and a Latin-1 encoded word; each message is 8 lines.
+_MBOX_NOT_UTF8 = b"".join(MBOX_DOC.replace(old, new) for old, new in (
+    (b"Subject: Re: invoice", b"Subject: caf\xff"),
+    (b"From: Alice <A@x.com>", b"From: a\xff@x.com"),
+    (b"Subject: Re: invoice", b"Subject: =?utf-8?q?caf=FF?="),
+    (b"Subject: Re: invoice", b"Subject: caf\xc3\xa9 =?latin-1?q?caf=E9?=")))
+
+
+def test_mbox_header_bytes_that_are_not_utf8_make_a_malformed_record():
+    """Such bytes are reported at their message, not read as U+FFFD."""
+    result = parse_events(io.BytesIO(_MBOX_NOT_UTF8), "mbox", default_team="t")
+    assert [ev.subject for ev in result.events] == ["caf\xe9 caf\xe9"]
+    assert [(issue.line, issue.message) for issue in result.issues] == [
+        (1, "Subject header 'caf\ufffd' is not UTF-8"),
+        (9, "From header 'a\ufffd@x.com' is not UTF-8"),
+        (17, "Subject header 'caf\ufffd' is not UTF-8")]
+    with pytest.raises(MalformedRecord, match="^m:1: Subject header"):
+        parse_events(io.BytesIO(_MBOX_NOT_UTF8), "mbox", default_team="t", source_name="m",
+                     strict=True)
 
 
 def test_jsonl_nesting_too_deep_to_decode_is_bad_json():
@@ -444,6 +467,9 @@ def _mail_files(draw):
 @example((b"timestamp,from,to,cc,subject\n2012-06-04T09:00:00Z,a@ex.com,a@ex.com;,a@ex.com,s\n"
           b"2012-06-04T09:00:00Z,a@ex.com,;,,s\n" * 2, "csv", "t"))
 @example((_MBOX_LATE_DATE, "mbox", "t"))
+# header bytes that are not UTF-8: raw and in a Q-encoded word, then in a B-encoded one
+@example((_MBOX_NOT_UTF8, "mbox", "t"))
+@example((MBOX_DOC.replace(b"Re: invoice", b"=?utf-8?b?Y2Fm/w==?="), "mbox", "t"))
 # lone surrogates in an address, a team and a subject; a pair, and an escaped
 # backslash before "ud800"
 @example((b"".join(json.dumps({**_RECORD, **edit}).encode() + b"\n" for edit in (
@@ -483,6 +509,38 @@ def test_ingesting_the_archive_again_writes_it_unchanged(tmp_path):
     manifests = [json.loads((tmp_path / run / "manifest.json").read_text(encoding="utf-8"))
                  for run in ("csv", "jsonl")]
     assert manifests[0]["teams"] == manifests[1]["teams"]
+
+
+def test_the_same_mail_as_csv_jsonl_and_mbox_ingests_to_one_archive(tmp_path):
+    """Format relation through ``main()``: ``synth``'s CSV mail, rewritten as
+    one JSONL file naming each record's team and as one mbox file per team
+    (RFC 2822 ``Date`` at ``+0000``), ingests to byte-identical corpora."""
+    assert main(["synth", "--out", str(tmp_path / "synth"), "--seed", "3", "--teams", "3",
+                 "--months", "1"]) == 0
+    mail = sorted((tmp_path / "synth" / "mail").glob("*.csv"))
+    jsonl, mbox = tmp_path / "all.jsonl", tmp_path / "mbox"
+    mbox.mkdir()
+    with jsonl.open("w", encoding="utf-8") as out:
+        for path in mail:
+            messages = []
+            with path.open(newline="", encoding="utf-8") as rows:
+                for row in csv.DictReader(rows):
+                    to, cc = ([a for a in row[k].split(";") if a] for k in ("to", "cc"))
+                    out.write(json.dumps({**row, "to": to, "cc": cc, "team_id": path.stem}) + "\n")
+                    stamp = datetime.fromisoformat(row["timestamp"].replace("Z", "+00:00"))
+                    messages.append(f"From x\nFrom: {row['from']}\nTo: {', '.join(to)}\n"
+                                    f"Cc: {', '.join(cc)}\nSubject: {row['subject']}\n"
+                                    f"Date: {format_datetime(stamp)}\n\nbody\n")
+            (mbox / f"{path.stem}.mbox").write_text("".join(messages), encoding="utf-8")
+    period = "2012-06-01..2012-07-01"
+    for name, files, format in (("csv", mail, "csv"), ("jsonl", [jsonl], "jsonl"),
+                                ("mbox", sorted(mbox.iterdir()), "mbox")):
+        assert main(["ingest", *map(str, files), "--format", format, "--period", period,
+                     "--out", str(tmp_path / name), "--strict"]) == 0
+    archives = [{p.name: p.read_bytes() for p in (tmp_path / name / "corpora").iterdir()}
+                for name in ("csv", "jsonl", "mbox")]
+    assert sorted(archives[0]) == [f"{p.stem}.jsonl" for p in mail]
+    assert archives[0] == archives[1] == archives[2]
 
 
 def test_ingest_writes_the_reference_archive(tmp_path):
