@@ -278,8 +278,11 @@ class _Records:
         self.result.issues.append(ParseIssue(source=self.name, line=line, message=message))
 
     def add(self, line: int, stamp: datetime, key: tuple, subject: str, team: str) -> None:
-        """The event of a record with this stamp and raw party key, or its issue;
-        ``ValueError`` for a stamp outside years 1–9999 in UTC."""
+        """The event of a record with this stamp and raw party key, or its issue.
+
+        ``stamp`` is already in UTC at whole seconds, as every parser passes it
+        (:func:`parse_timestamp` or :func:`_utc_second`), so it is kept as given.
+        """
         parties = self._memo.get(key)
         if parties is None:
             try:
@@ -291,7 +294,7 @@ class _Records:
         if isinstance(error, str):
             self.issue(line, error)
         else:
-            self.result.events.append(EmailEvent(_utc_second(stamp), *parties, subject, team))
+            self.result.events.append(EmailEvent(stamp, *parties, subject, team))
 
 
 def _csv_parties(sender: str, to: str, cc: str) -> tuple:
@@ -315,6 +318,11 @@ def _parse_csv(source: BinaryIO, default_team: str, name: str, strict: bool) -> 
     return records.result
 
 
+#: One JSON value at an index of a text, and the index after it; ``json.loads``
+#: also strips whitespace and refuses a BOM and trailing data.
+_scan_json = json.JSONDecoder().scan_once
+
+
 def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -> ParseResult:
     records = _Records(name, strict, _parties)
     for lineno, raw in enumerate(source, start=1):
@@ -322,7 +330,13 @@ def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -
         if not stripped:
             continue
         try:
-            record = json.loads(stripped.decode("utf-8"))
+            text = stripped.decode("utf-8")
+            try:
+                record, end = _scan_json(text, 0)
+            except (StopIteration, json.JSONDecodeError, RecursionError):
+                end = -1
+            if end != len(text):  # not one JSON value: json.loads says why
+                record = json.loads(text)
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             records.issue(lineno, f"bad JSON: {exc}")
             continue

@@ -13,9 +13,11 @@ from __future__ import annotations
 import re
 import statistics
 from dataclasses import dataclass
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from importlib import resources
 from math import lcm
+from operator import attrgetter
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import FormatError, InsufficientWindows, NoActivity, OutOfRange
@@ -235,6 +237,11 @@ def normalize_subject(subject: str) -> str:
     return " ".join(text.split()).lower()
 
 
+_SECOND = timedelta(seconds=1)
+_EARLIEST = datetime.min.replace(tzinfo=timezone.utc)
+_ALL_TIME_SECONDS = (datetime.max - datetime.min) // _SECOND
+
+
 @dataclass(frozen=True)
 class ReplyPair:
     original: EmailEvent
@@ -242,35 +249,48 @@ class ReplyPair:
     latency: int  # seconds
 
 
-def match_replies(corpus: TeamCorpus, reply_cap: int = DEFAULT_REPLY_CAP) -> list[ReplyPair]:
+def match_replies(corpus: TeamCorpus, reply_cap: int = DEFAULT_REPLY_CAP,
+                  subjects: SubjectTable | None = None) -> list[ReplyPair]:
     """Pair each reply with the latest eligible earlier original.
 
     B replies to A iff B's sender was addressed by A (to or cc), A's sender is
     in B's ``to``, B is strictly later, the normalized subjects match, and the
     latency does not exceed ``reply_cap`` seconds.  A subject that normalizes
     to ``""`` (empty, or only ``Re:``/``Fwd:`` prefixes) is a thread like any
-    other.
+    other.  ``subjects`` is the corpus's :func:`subject_table`, built here
+    when not given; only its thread keys are read.
 
     One pass over the corpus, which is in ``event_order``: each event walks
-    back over the earlier events of its subject, skipping those sent at the
-    same instant and stopping past ``reply_cap``.  The first eligible one is
-    the latest in ``event_order``, and pairs come in the order of their
-    replies, so the matching does not depend on the order of the input events.
+    back over the earlier events of its thread, skipping those sent at the
+    same instant and stopping at the first sent before the reply's instant
+    minus ``reply_cap``.  The walk compares instants only; corpus instants are
+    at whole seconds, so the latency of the one pair kept is an exact integer.
+    The first eligible original is the latest in ``event_order``, and pairs
+    come in the order of their replies, so the matching does not depend on the
+    order of the input events.
     """
+    if subjects is None:
+        subjects = subject_table(corpus.events, _NO_WORDS)
+    # a cap past the whole datetime range reaches as far back as that range
+    span = timedelta(seconds=min(reply_cap, _ALL_TIME_SECONDS))
     threads: dict[str, list[EmailEvent]] = {}
     pairs: list[ReplyPair] = []
     for reply in corpus.events:
-        thread = threads.setdefault(normalize_subject(reply.subject), [])
-        for original in reversed(thread):
-            latency = int((reply.timestamp - original.timestamp).total_seconds())
-            if latency == 0:
-                continue
-            if latency > reply_cap:
-                break
-            if ((reply.sender in original.to or reply.sender in original.cc)
-                    and original.sender in reply.to):
-                pairs.append(ReplyPair(original=original, reply=reply, latency=latency))
-                break
+        thread = threads.setdefault(subjects[reply.subject][0], [])
+        if thread:
+            stamp, sender, to = reply.timestamp, reply.sender, reply.to
+            try:
+                oldest = stamp - span
+            except OverflowError:  # the cap reaches back before year 1
+                oldest = _EARLIEST
+            for original in reversed(thread):
+                sent = original.timestamp
+                if sent < oldest:
+                    break
+                if (original.sender in to and sent != stamp
+                        and (sender in original.to or sender in original.cc)):
+                    pairs.append(ReplyPair(original, reply, (stamp - sent) // _SECOND))
+                    break
         thread.append(reply)
     return pairs
 
@@ -398,8 +418,8 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 def sentiment(subject: str, lexicon: SentimentLexicon) -> str:
     """Classify a subject line as positive/negative/neutral by lexicon hits."""
     tokens = _TOKEN_RE.findall(subject.lower())
-    pos = sum(1 for t in tokens if t in lexicon.positive)
-    neg = sum(1 for t in tokens if t in lexicon.negative)
+    pos = sum(map(lexicon.positive.__contains__, tokens))
+    neg = sum(map(lexicon.negative.__contains__, tokens))
     if pos > neg:
         return "positive"
     if neg > pos:
@@ -408,16 +428,47 @@ def sentiment(subject: str, lexicon: SentimentLexicon) -> str:
 
 
 def emotionality(corpus: TeamCorpus, lexicon: SentimentLexicon,
-                 mode: str = METRIC_CHOICES["emotionality_mode"][0]) -> int | Fraction:
-    """Count of positive-classified subjects; ``normalized`` divides by volume."""
+                 mode: str = METRIC_CHOICES["emotionality_mode"][0],
+                 subjects: SubjectTable | None = None) -> int | Fraction:
+    """Count of positive-classified subjects; ``normalized`` divides by volume.
+
+    ``subjects`` is the corpus's :func:`subject_table` under ``lexicon``, built
+    here when not given.
+    """
     if mode not in METRIC_CHOICES["emotionality_mode"]:
         raise ValueError(f"unknown emotionality mode: {mode!r}")
-    count = sum(1 for ev in corpus.events if sentiment(ev.subject, lexicon) == "positive")
+    if subjects is None:
+        subjects = subject_table(corpus.events, lexicon)
+    count = sum([subjects[ev.subject][1] for ev in corpus.events])
     if mode == "cumulative":
         return count
     if not corpus.events:
         return 0
     return Fraction(count, len(corpus.events))
+
+
+# --------------------------------------------------------------------------
+# the subject table
+
+#: Each distinct raw subject of a corpus → (its thread key, whether it reads positive).
+SubjectTable = Mapping[str, tuple[str, bool]]
+
+#: A lexicon without words, under which no subject reads positive.
+_NO_WORDS = SentimentLexicon(frozenset(), frozenset())
+_subject = attrgetter("subject")
+
+
+def subject_table(events: Iterable[EmailEvent], lexicon: SentimentLexicon) -> SubjectTable:
+    """Each distinct raw subject of ``events`` → ``(normalize_subject(subject),
+    sentiment(subject, lexicon) == "positive")``.
+
+    Reply matching and emotionality both read it, so each distinct subject is
+    normalized and classified once per corpus, however often it recurs.
+    """
+    return {subject: (normalize_subject(subject),
+                      # without positive words nothing reads positive: no tokens needed
+                      bool(lexicon.positive) and sentiment(subject, lexicon) == "positive")
+            for subject in dict.fromkeys(map(_subject, events))}
 
 
 # --------------------------------------------------------------------------
@@ -491,12 +542,14 @@ def compute_metric_vector(corpus: TeamCorpus, config: MetricConfig = MetricConfi
         oscillation = leadership_oscillation(series).total
     except InsufficientWindows:
         oscillation = None
-    art = response_times(match_replies(corpus, config.reply_cap)).art_median
+    lexicon = config.resolved_lexicon()
+    subjects = subject_table(corpus.events, lexicon)
+    art = response_times(match_replies(corpus, config.reply_cap, subjects)).art_median
     try:
         variance = awvci(daily_activity(corpus), config.awvci_weighting)
     except NoActivity:
         variance = None
-    emo = emotionality(corpus, config.resolved_lexicon(), config.emotionality_mode)
+    emo = emotionality(corpus, lexicon, config.emotionality_mode, subjects)
     return MetricVector(
         team_id=corpus.team_id,
         avg_gbc=gbc,

@@ -258,6 +258,31 @@ def test_jsonl_nesting_too_deep_to_decode_is_bad_json():
         parse_events(io.BytesIO(doc), "jsonl", strict=True)
 
 
+_LINE = ('{"timestamp":"2012-07-01T09:00:00Z","from":"a@x.com","to":["b@y.com"],'
+         '"subject":"hi","team_id":"t"}')
+
+
+@pytest.mark.parametrize("text", [
+    "\ufeff" + _LINE,                   # a BOM, which json.loads refuses
+    '{"a":1} {"b":2}',                   # two values on one line
+    _LINE + "\u00a0",                   # trailing whitespace json does not skip
+    "[" * 100_000 + "]" * 100_000,       # nesting too deep to decode
+    "NaN",                               # a value json accepts, but no object
+    '{"a": "b',                          # an unterminated string
+], ids=["bom", "two-values", "trailing-nbsp", "deep", "nan", "unterminated"])
+def test_jsonl_line_that_is_not_one_object_reports_what_json_loads_says(text):
+    try:
+        json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        expected = f"f.jsonl:1: bad JSON: {exc}"
+    else:
+        expected = "f.jsonl:1: record is not an object"
+    with pytest.raises(MalformedRecord) as raised:
+        parse_events(io.BytesIO(text.encode() + b"\n"), "jsonl", source_name="f.jsonl",
+                     strict=True)
+    assert str(raised.value) == expected
+
+
 def test_mbox_leading_garbage_is_a_format_error():
     with pytest.raises(FormatError):
         parse_events(io.BytesIO(b"garbage\nFrom a@x.com\n"), "mbox")

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+import statistics
 import warnings
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from random import Random
 from types import MappingProxyType
@@ -20,8 +21,9 @@ from commscore.errors import (
     NoActivity,
     OutOfRange,
 )
-from commscore.ingest import Period, make_event
+from commscore.ingest import Period, build_corpus, make_event
 from commscore.metrics import (
+    METRIC_CHOICES,
     CentralityMap,
     MetricConfig,
     awvci,
@@ -438,6 +440,42 @@ def test_reply_matching_equals_all_pairs_oracle(case):
         corpus.events, cap)
 
 
+def test_long_thread_of_mostly_ineligible_originals_equals_all_pairs_oracle():
+    """One subject, 300 events among 12 actors: most replies walk back past many
+    originals they may not answer, and runs of events share an instant."""
+    rng = Random(16)
+    actors = [addr(f"p{i}") for i in range(12)]
+    when = ts("2012-06-04 00:00")
+    events = []
+    for _ in range(300):
+        when += timedelta(seconds=rng.choice((0, 0, 1, 59, 60, 61, 600, 3599, 3600)))
+        sender, *others = rng.sample(actors, 3)
+        events.append(make_event(when, sender, others[:1], others[1:rng.randrange(1, 3)],
+                                 rng.choice(("status", "Re: status", "RE: re: Status")), "t"))
+    corpus = corpus_of(events)
+    assert len(corpus.events) == 300
+    assert len({e.timestamp for e in corpus.events}) < 250
+    for cap in (60, 3600, 7 * 86400):
+        expected = oracles.reply_pairs(corpus.events, cap)
+        assert expected
+        pairs = match_replies(corpus, reply_cap=cap)
+        assert [(p.original, p.reply, p.latency) for p in pairs] == expected
+
+
+def test_reply_cap_may_reach_past_the_datetime_range():
+    a = ev("2012-06-04 09:00", "a", "b", subject="invoice")
+    b = ev("2012-08-30 09:00", "b", "a", subject="Re: invoice")
+    for cap in (10**12, 10**20):
+        assert [p.latency for p in match_replies(corpus_of([a, b]), cap)] == [87 * 86400]
+    start = datetime(1, 1, 1, tzinfo=timezone.utc)
+    first = make_event(start, addr("a"), [addr("b")], subject="x", team_id="t")
+    reply = make_event(start + timedelta(hours=1), addr("b"), [addr("a")], subject="Re: x",
+                       team_id="t")
+    corpus = build_corpus([first, reply], "t", Period(start, start + timedelta(days=31)))
+    for cap in (7 * 86400, 10**20):
+        assert [p.latency for p in match_replies(corpus, cap)] == [3600]
+
+
 def test_response_time_medians():
     def fake_pairs(latencies):
         a = ev("2012-06-04 09:00", "a", "b", subject="s")
@@ -613,6 +651,48 @@ def test_emotionality_counts_and_normalizes():
     assert emotionality(corpus, lx, "normalized") == Fraction(4, 10)
     with pytest.raises(ValueError):
         emotionality(corpus, lx, "percent")
+
+
+@st.composite
+def recurring_subject_corpora(draw):
+    """(reply cap, events) whose raw subjects repeat, or differ only by a
+    ``Re:``/``FW:`` prefix, case or whitespace."""
+    cap = draw(st.sampled_from((60, 3600, 7 * 86400)))
+    actors = [addr(f"p{i}") for i in range(draw(st.integers(2, 5)))]
+    topics = draw(st.lists(st.sampled_from(("great job", "delay problem", "thanks", "")),
+                           min_size=1, max_size=3, unique=True))
+    start = ts("2012-06-04 00:00")
+    events = []
+    for _ in range(draw(st.integers(0, 40))):
+        topic = draw(st.sampled_from(topics)).replace(" ", draw(st.sampled_from((" ", "  \t"))))
+        subject = (draw(st.sampled_from(("", "Re: ", "FW: ", "re:Fw: ")))
+                   + draw(st.sampled_from((str, str.upper, str.title)))(topic)
+                   + draw(st.sampled_from(("", " "))))
+        events.append(make_event(
+            start + timedelta(seconds=draw(st.integers(0, 3)) * cap // 2),
+            draw(st.sampled_from(actors)),
+            draw(st.lists(st.sampled_from(actors), min_size=1, max_size=3, unique=True)),
+            draw(st.lists(st.sampled_from(actors), max_size=2, unique=True)), subject, "t"))
+    return cap, events
+
+
+@given(recurring_subject_corpora(), st.sampled_from(METRIC_CHOICES["emotionality_mode"]))
+@settings(max_examples=150, deadline=None)
+def test_vector_subject_metrics_equal_those_built_without_a_shared_table(case, mode):
+    cap, events = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyCorpusWarning)
+        corpus = corpus_of(events)
+    lx = _lexicon()
+    vec = compute_metric_vector(corpus, MetricConfig(reply_cap=cap, emotionality_mode=mode,
+                                                     lexicon=lx))
+    assert vec.art_median == response_times(match_replies(corpus, cap)).art_median
+    assert vec.emotionality == emotionality(corpus, lx, mode)
+    latencies = [latency for _, _, latency in oracles.reply_pairs(corpus.events, cap)]
+    assert vec.art_median == (statistics.median(latencies) if latencies else None)
+    positive = sum(sentiment(e.subject, lx) == "positive" for e in corpus.events)
+    assert vec.emotionality == (positive if mode == "cumulative" or not corpus.events
+                                else Fraction(positive, len(corpus.events)))
 
 
 def test_lexicon_rejects_overlap_and_uppercase():
