@@ -33,8 +33,7 @@ _EXPORTS = {
     "CorrelationResult": "stats", "correlate_all": "stats", "p_value_two_tailed": "stats",
     "pearson": "stats",
     "SynthSpec": "synth", "planted_effects": "synth",
-    "DailyActivity": "tempograph", "WindowGraph": "tempograph",
-    "build_window_graph": "tempograph", "daily_activity": "tempograph",
+    "WindowGraph": "tempograph", "daily_activity": "tempograph",
     "monthly_windows": "tempograph", "weekly_windows": "tempograph",
 }
 

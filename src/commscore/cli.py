@@ -65,7 +65,7 @@ from .satisfaction import (
 )
 from .scorecard import DEFAULT_ALERT_SIGMA, SCORECARD_FORMATS, build_scorecards, render
 from .stats import correlate_all, render_correlation_csv
-from .tempograph import month_periods, window_events
+from .tempograph import month_periods
 
 DEFAULT_GENERATED_AT = "1970-01-01T00:00:00Z"
 
@@ -157,8 +157,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             corpus = build_corpus(events_by_team[team], team, args.period)
             (corpora_dir / f"{team}.jsonl").write_bytes(
                 serialize_events(corpus.events, "jsonl"))
+            busy = {(ev.timestamp.year, ev.timestamp.month) for ev in corpus.events}  # UTC
             gaps = [iso_utc(w.start)[:7] for w in month_periods(args.period)
-                    if not window_events(corpus, w)]
+                    if (w.start.year, w.start.month) not in busy]
             teams_report[team] = {"events": len(corpus.events), "gap_months": gaps}
     config = report_settings(args)
     manifest = {

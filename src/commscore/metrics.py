@@ -23,11 +23,11 @@ from typing import IO, Iterable, Mapping, Sequence
 from .errors import FormatError, InsufficientWindows, NoActivity, OutOfRange
 from .ingest import ActorId, EmailEvent, TeamCorpus
 from .tempograph import (
-    DailyActivity,
     WindowGraph,
     daily_activity,
-    monthly_windows,
-    weekly_windows,
+    month_periods,
+    week_periods,
+    window_graphs,
 )
 
 #: Canonical metric field order and their fixed report column labels.
@@ -325,14 +325,15 @@ def contribution_index(sent: int, received: int) -> Fraction:
     return Fraction(sent - received, _traffic(sent, received))
 
 
-def awvci(days: Sequence[DailyActivity],
+def awvci(days: Sequence[WindowGraph],
           weighting: str = METRIC_CHOICES["awvci_weighting"][0]) -> Fraction:
     """Weighted mean of daily contribution-index variances.
 
-    Per day: the population variance of the contribution index across that
-    day's active actors.  Day weights are the day's total edge count
-    (``weighting="edges"``, the default) or its active-actor count
-    (``weighting="actors"``).
+    Per day graph (:func:`~commscore.tempograph.daily_activity`): the
+    population variance of the contribution index across its nodes, whose
+    sends and receipts are their out- and in-edge counts.  Day weights are
+    the day's total edge count (``weighting="edges"``, the default) or its
+    node count (``weighting="actors"``).
 
     The sums are exact integers.  With q = sent + received per actor and L
     the lcm of a day's q, each index times L is the integer x = (sent −
@@ -344,16 +345,18 @@ def awvci(days: Sequence[DailyActivity],
     parts: dict[int, int] = {}  # {k²L²: Σ weight·(k·Σx² − (Σx)²)}
     total_weight = 0
     for day in days:
-        counts = []
-        for a in sorted(day.actors):
-            sent, received = day.sent.get(a, 0), day.received.get(a, 0)
-            counts.append((sent - received, _traffic(sent, received)))
+        sent, received = dict.fromkeys(day.nodes, 0), dict.fromkeys(day.nodes, 0)
+        for (sender, recipient), count in day.edges.items():
+            sent[sender] += count
+            received[recipient] += count
+        counts = [(sent[a] - received[a], _traffic(sent[a], received[a]))
+                  for a in sorted(day.nodes)]
         if not counts:
             continue
         common = lcm(*[q for _, q in counts])
         xs = [d * (common // q) for d, q in counts]
         k = len(xs)
-        weight = day.total_edges if weighting == "edges" else k
+        weight = sum(day.edges.values()) if weighting == "edges" else k
         den = k * k * common * common
         parts[den] = parts.get(den, 0) + weight * (k * sum([x * x for x in xs]) - sum(xs) ** 2)
         total_weight += weight
@@ -518,9 +521,11 @@ def compute_metric_vector(corpus: TeamCorpus, config: MetricConfig = MetricConfi
 
     Monthly means (GBC, GDC, density) skip months without e-mail; a metric
     whose preconditions cannot be met is reported as undefined rather than
-    aborting the vector.  Each window graph's betweenness is computed once.
+    aborting the vector.  Month and week graphs are sums of the day graphs,
+    and each window graph's betweenness is computed once.
     """
-    months = monthly_windows(corpus)
+    days = daily_activity(corpus)
+    months = window_graphs(days, month_periods(corpus.period))
     month_betweenness = [betweenness_centrality(g) for g in months]
     active = [(g, c) for g, c in zip(months, month_betweenness) if g.nodes]
     gbc = gdc = dens = None
@@ -533,7 +538,8 @@ def compute_metric_vector(corpus: TeamCorpus, config: MetricConfig = MetricConfi
     except InsufficientWindows:
         new_actors = None
     if config.oscillation_window == "weekly":
-        series = [betweenness_centrality(g) for g in weekly_windows(corpus)]
+        series = [betweenness_centrality(g)
+                  for g in window_graphs(days, week_periods(corpus.period))]
     elif config.oscillation_window == "monthly":
         series = month_betweenness
     else:
@@ -546,7 +552,7 @@ def compute_metric_vector(corpus: TeamCorpus, config: MetricConfig = MetricConfi
     subjects = subject_table(corpus.events, lexicon)
     art = response_times(match_replies(corpus, config.reply_cap, subjects)).art_median
     try:
-        variance = awvci(daily_activity(corpus), config.awvci_weighting)
+        variance = awvci(days, config.awvci_weighting)
     except NoActivity:
         variance = None
     emo = emotionality(corpus, lexicon, config.emotionality_mode, subjects)

@@ -41,3 +41,14 @@ def corpus_of(events, team: str = "t",
 def summer() -> Period:
     """The three-month window most tests run over."""
     return Period(ts("2012-06-01 00:00"), ts("2012-09-01 00:00"))
+
+
+def day_tallies(day) -> tuple:
+    """A day graph as ``oracles.daily_tallies`` states a day: (UTC date, sends
+    per actor, receipts per actor, total edges), from its out- and in-edges."""
+    sent: dict[str, int] = {}
+    received: dict[str, int] = {}
+    for (sender, recipient), count in day.edges.items():
+        sent[sender] = sent.get(sender, 0) + count
+        received[recipient] = received.get(recipient, 0) + count
+    return (day.window.start.astimezone(UTC).date(), sent, received, sum(day.edges.values()))

@@ -177,12 +177,15 @@ def window_edges(events: Iterable, start: datetime, end: datetime) -> dict[tuple
 
 
 def month_key(stamp: datetime) -> tuple[int, int]:
-    return (stamp.year, stamp.month)
+    """The stamp's UTC calendar month."""
+    utc = stamp.astimezone(timezone.utc)
+    return (utc.year, utc.month)
 
 
 def week_key(stamp: datetime) -> date:
-    """The Monday that starts the stamp's calendar week."""
-    return stamp.date() - timedelta(days=stamp.weekday())
+    """The Monday that starts the stamp's UTC calendar week."""
+    day = stamp.astimezone(timezone.utc).date()
+    return day - timedelta(days=day.weekday())
 
 
 def calendar_keys(start: datetime, end: datetime,

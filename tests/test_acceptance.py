@@ -44,7 +44,7 @@ from commscore.synth import SynthSpec, generate_survey_rows, generate_team_event
 from commscore.tempograph import daily_activity
 
 import oracles
-from conftest import corpus_of, ev, ts
+from conftest import corpus_of, day_tallies, ev, ts
 
 TESTS = Path(__file__).resolve().parent
 FIXTURE = TESTS / "data" / "fixture"
@@ -238,9 +238,10 @@ def test_criterion_5_invariant_sampler(capfd):
             ev("2012-06-04 10:00", "b", ["a"]),
             ev("2012-06-05 11:00", "c", ["a", "b"]),
         ]
-        for day in daily_activity(corpus_of(events)):
-            assert sum(day.sent.values()) == sum(day.received.values()) \
-                == day.total_edges
+        tallies = [day_tallies(day) for day in daily_activity(corpus_of(events))]
+        assert tallies == oracles.daily_tallies(events)
+        for _, sent, received, total in tallies:
+            assert sum(sent.values()) == sum(received.values()) == total
 
         corpus = corpus_of(events)
         first = compute_metric_vector(corpus, MetricConfig())

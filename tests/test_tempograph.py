@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tempfile
 import warnings
 from datetime import datetime, time, timedelta, timezone
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,6 @@ from commscore.cli import main
 from commscore.errors import EmptyCorpusWarning
 from commscore.ingest import Period, build_corpus, iso_utc, make_event, serialize_events
 from commscore.tempograph import (
-    build_window_graph,
     daily_activity,
     month_periods,
     monthly_windows,
@@ -23,36 +24,43 @@ from commscore.tempograph import (
     weekly_windows,
 )
 
-from conftest import corpus_of, ev, ts
+from conftest import corpus_of, day_tallies, ev, ts
 import oracles
 from oracles import merge_edges
 
 
-def test_one_message_to_two_recipients_makes_two_edges(summer):
+def test_one_message_to_two_recipients_makes_two_edges():
     corpus = corpus_of([ev("2012-06-04 09:00", "a", ["b", "c"])])
-    g = build_window_graph(corpus, summer)
-    assert dict(g.edges) == {("a@ex.com", "b@ex.com"): 1, ("a@ex.com", "c@ex.com"): 1}
-    assert g.nodes == {"a@ex.com", "b@ex.com", "c@ex.com"}
+    (day,) = daily_activity(corpus)
+    june = monthly_windows(corpus)[0]
+    for g in (day, june):
+        assert dict(g.edges) == {("a@ex.com", "b@ex.com"): 1, ("a@ex.com", "c@ex.com"): 1}
+        assert g.nodes == {"a@ex.com", "b@ex.com", "c@ex.com"}
 
 
-def test_repeated_messages_accumulate_counts(summer):
+def test_repeated_messages_accumulate_counts():
     corpus = corpus_of([
         ev("2012-06-04 09:00", "a", "b"),
         ev("2012-06-04 10:00", "a", "b"),
+        ev("2012-06-05 10:00", "a", "b"),
     ])
-    assert dict(build_window_graph(corpus, summer).edges) == {("a@ex.com", "b@ex.com"): 2}
+    assert [dict(d.edges) for d in daily_activity(corpus)] == \
+        [{("a@ex.com", "b@ex.com"): 2}, {("a@ex.com", "b@ex.com"): 1}]
+    assert dict(monthly_windows(corpus)[0].edges) == {("a@ex.com", "b@ex.com"): 3}
 
 
-def test_self_only_message_yields_empty_graph(summer):
+def test_self_only_message_yields_empty_graph():
     corpus = corpus_of([ev("2012-06-04 09:00", "a", "a")])
-    g = build_window_graph(corpus, summer)
-    assert not g.nodes and not g.edges
+    assert daily_activity(corpus) == []
+    june = monthly_windows(corpus)[0]
+    assert not june.nodes and not june.edges
 
 
-def test_cc_recipients_weigh_like_to_recipients(summer):
+def test_cc_recipients_weigh_like_to_recipients():
     direct = corpus_of([ev("2012-06-04 09:00", "a", "b", cc="c")])
-    g = build_window_graph(direct, summer)
-    assert dict(g.edges) == {("a@ex.com", "b@ex.com"): 1, ("a@ex.com", "c@ex.com"): 1}
+    (day,) = daily_activity(direct)
+    assert dict(day.edges) == dict(monthly_windows(direct)[0].edges) == \
+        {("a@ex.com", "b@ex.com"): 1, ("a@ex.com", "c@ex.com"): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +117,11 @@ def test_month_with_no_events_yields_empty_graph_in_position():
 def test_multi_recipient_day_counts_per_recipient():
     corpus = corpus_of([ev("2012-06-04 09:00", "a", ["b", "c"])])
     (day,) = daily_activity(corpus)
-    assert day.sent == {"a@ex.com": 2}
-    assert day.received == {"b@ex.com": 1, "c@ex.com": 1}
-    assert day.total_edges == 2
+    assert day.window == Period(ts("2012-06-04 00:00"), ts("2012-06-05 00:00"))
+    _, sent, received, total = day_tallies(day)
+    assert sent == {"a@ex.com": 2}
+    assert received == {"b@ex.com": 1, "c@ex.com": 1}
+    assert total == 2
 
 
 def test_reciprocated_pair_is_symmetric():
@@ -120,15 +130,16 @@ def test_reciprocated_pair_is_symmetric():
         ev("2012-06-04 10:00", "b", "a"),
     ])
     (day,) = daily_activity(corpus)
-    assert day.sent == {"a@ex.com": 1, "b@ex.com": 1}
-    assert day.received == {"a@ex.com": 1, "b@ex.com": 1}
-    assert day.total_edges == 2
+    assert dict(day.edges) == {("a@ex.com", "b@ex.com"): 1, ("b@ex.com", "a@ex.com"): 1}
+    _, sent, received, total = day_tallies(day)
+    assert sent == received == {"a@ex.com": 1, "b@ex.com": 1}
+    assert total == 2
 
 
 def test_quiet_days_are_absent():
-    corpus = corpus_of([ev("2012-06-04 09:00", "a", "b")])
+    corpus = corpus_of([ev("2012-06-04 09:00", "a", "b"), ev("2012-06-06 09:00", "a", "a")])
     days = daily_activity(corpus)
-    assert [d.day.isoformat() for d in days] == ["2012-06-04"]
+    assert [d.window.start.date().isoformat() for d in days] == ["2012-06-04"]
 
 
 _corpora = st.lists(
@@ -158,10 +169,12 @@ def _build(raw):
 @given(_corpora)
 @settings(max_examples=60)
 def test_daily_conservation_law(raw):
-    """Σ sent = Σ received = total_edges, every day, any corpus."""
-    for day in daily_activity(_build(raw)):
-        assert sum(day.sent.values()) == day.total_edges
-        assert sum(day.received.values()) == day.total_edges
+    """Σ sent = Σ received = total edges, every day, any corpus."""
+    corpus = _build(raw)
+    tallies = [day_tallies(day) for day in daily_activity(corpus)]
+    assert tallies == oracles.daily_tallies(corpus.events)
+    for _, sent, received, total in tallies:
+        assert sum(sent.values()) == sum(received.values()) == total
 
 
 @given(_corpora)
@@ -169,9 +182,10 @@ def test_daily_conservation_law(raw):
 def test_monthly_union_equals_full_period_graph(raw):
     corpus = _build(raw)
     merged = merge_edges(g.edges for g in monthly_windows(corpus))
-    full = build_window_graph(corpus, corpus.period)
-    assert merged == dict(full.edges)
-    assert {actor for pair in merged for actor in pair} == full.nodes
+    full = oracles.window_edges(corpus.events, corpus.period.start, corpus.period.end)
+    assert merged == full == merge_edges(d.edges for d in daily_activity(corpus))
+    assert set().union(*(g.nodes for g in monthly_windows(corpus))) == \
+        {actor for pair in full for actor in pair}
 
 
 @given(_corpora)
@@ -179,8 +193,7 @@ def test_monthly_union_equals_full_period_graph(raw):
 def test_weekly_union_equals_full_period_graph(raw):
     corpus = _build(raw)
     merged = merge_edges(g.edges for g in weekly_windows(corpus))
-    full = build_window_graph(corpus, corpus.period)
-    assert merged == dict(full.edges)
+    assert merged == oracles.window_edges(corpus.events, corpus.period.start, corpus.period.end)
 
 
 @given(_corpora)
@@ -209,7 +222,10 @@ def test_monthly_graph_counts_each_direction():
 @st.composite
 def _edge_corpora(draw):
     """A corpus whose events sit on month starts, Monday 00:00, midnights and
-    the last second of the period, with self-only mail and shared timestamps."""
+    the last second of the period, with self-only mail and shared timestamps.
+    Some events, and maybe the period bounds, keep their instant but carry a
+    UTC offset of up to ±23 h, as an :class:`EmailEvent` or :class:`Period`
+    built directly may."""
     start = datetime(2011, 12, 20, tzinfo=timezone.utc) + timedelta(
         hours=draw(st.integers(0, 24 * 50)))
     end = start + timedelta(hours=draw(st.integers(1, 24 * 100)))
@@ -232,12 +248,18 @@ def _edge_corpora(draw):
         for _ in range(copies):
             events.append(make_event(stamp, actors[sender], [actors[r] for r in recipients],
                                      [], f"s{len(events)}", "t"))
-    return build_corpus(events, "t", Period(start, end))
+    zones = st.none() | st.integers(-23 * 60, 23 * 60).map(
+        lambda minutes: timezone(timedelta(minutes=minutes)))
+    events = [e if zone is None else dataclasses.replace(e, timestamp=e.timestamp.astimezone(zone))
+              for e, zone in zip(events, draw(st.lists(zones, min_size=len(events),
+                                                       max_size=len(events))))]
+    zone = draw(zones) or timezone.utc
+    return build_corpus(events, "t", Period(start.astimezone(zone), end.astimezone(zone)))
 
 
-@given(_edge_corpora(), st.data())
+@given(_edge_corpora())
 @settings(max_examples=80)
-def test_windows_and_daily_tallies_equal_the_full_scan_oracles(corpus, data):
+def test_windows_and_daily_tallies_equal_the_full_scan_oracles(corpus):
     events, start, end = corpus.events, corpus.period.start, corpus.period.end
     for windows, key in ((monthly_windows(corpus), oracles.month_key),
                          (weekly_windows(corpus), oracles.week_key)):
@@ -246,13 +268,12 @@ def test_windows_and_daily_tallies_equal_the_full_scan_oracles(corpus, data):
         assert windows[0].window.start == start and windows[-1].window.end == end
         for g in windows:
             assert g.nodes == {a for pair in g.edges for a in pair}
-    a, b = sorted(data.draw(st.lists(st.sampled_from(
-        [start - timedelta(days=1), end + timedelta(days=1)] + [ev.timestamp for ev in events]),
-        min_size=2, max_size=2, unique=True)))
-    assert dict(build_window_graph(corpus, Period(a, b)).edges) == \
-        oracles.window_edges(events, a, b)
-    assert [(d.day, dict(d.sent), dict(d.received), d.total_edges)
-            for d in daily_activity(corpus)] == oracles.daily_tallies(events)
+    days = daily_activity(corpus)
+    assert [day_tallies(d) for d in days] == oracles.daily_tallies(events)
+    for d in days:  # each window is its UTC day, clipped to the period
+        midnight = datetime.combine(day_tallies(d)[0], time(), timezone.utc)
+        assert d.window == Period(max(midnight, start), min(midnight + timedelta(days=1), end))
+        assert d.nodes == {a for pair in d.edges for a in pair}
 
 
 @given(_edge_corpora())
@@ -269,3 +290,26 @@ def test_ingest_gap_months_equal_the_oracle(corpus):
     assert manifest["teams"]["t"] == {
         "events": len(corpus.events),
         "gap_months": oracles.gap_months(corpus.events, start, end)}
+
+
+@pytest.mark.parametrize("period", ["9999-11-01..9999-12-31",
+                                    "9999-10-01..9999-12-31T23:59:59Z"])
+def test_a_period_that_reaches_december_9999_ingests_and_analyzes(tmp_path, capsys, period):
+    """The month, week and day after December 9999 are past the datetime
+    range; the windows end with the period instead."""
+    mail = tmp_path / "t.csv"
+    mail.write_text("timestamp,from,to,cc,subject\n"
+                    "9999-10-04T09:00:00Z,a@x.com,b@x.com,,hi\n"
+                    "9999-12-06T09:00:00Z,a@x.com,b@x.com;c@x.com,,plan\n"
+                    "9999-12-30T10:00:00Z,b@x.com,a@x.com,,Re: plan\n"
+                    "9999-12-31T23:59:58Z,c@x.com,a@x.com,,done\n", encoding="utf-8")
+    archive = tmp_path / "archive"
+    assert main(["ingest", str(mail), "--period", period, "--out", str(archive)]) == 0
+    assert "t: " in capsys.readouterr().out
+    manifest = json.loads((archive / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["teams"]["t"]["gap_months"] == ["9999-11"]
+    for window in ("weekly", "monthly"):
+        assert main(["analyze", str(archive), "--oscillation-window", window,
+                     "--out", str(tmp_path / window)]) == 0
+        assert (tmp_path / window / "metrics.csv").read_text(encoding="utf-8").startswith(
+            "team_id,")
