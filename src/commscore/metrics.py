@@ -87,7 +87,7 @@ def betweenness_centrality(g: WindowGraph) -> CentralityMap:
         return CentralityMap("betweenness", {v: Fraction(0) for v in nodes})
     index = {v: i for i, v in enumerate(nodes)}
     adj: list[list[int]] = [[] for _ in nodes]
-    for src, dst in sorted(g.edges):
+    for src, dst in g.edges:
         adj[index[src]].append(index[dst])
     parts: list[dict[int, int]] = [{} for _ in nodes]  # per node: {L: Σ D·σ}
     for source in range(n):
@@ -184,12 +184,6 @@ def avg_new_actors(windows: Sequence[WindowGraph]) -> Fraction:
 # leadership oscillation
 
 
-@dataclass(frozen=True)
-class OscillationResult:
-    per_actor: Mapping[ActorId, int]
-    total: int
-
-
 def direction_changes(series: Sequence[Fraction | int | float]) -> int:
     """Count strict direction changes of a series; plateaus are not extrema."""
     last_sign = 0
@@ -204,37 +198,30 @@ def direction_changes(series: Sequence[Fraction | int | float]) -> int:
     return changes
 
 
-def leadership_oscillation(series: Sequence[CentralityMap]) -> OscillationResult:
-    """Direction changes of each actor's betweenness across consecutive windows.
+def leadership_oscillation(series: Sequence[CentralityMap]) -> int:
+    """The "Sum of Oscillation": each actor's direction changes of betweenness
+    across consecutive windows, summed over actors.
 
     ``series`` holds the betweenness of each window graph in time order.  An
-    actor absent from a window has betweenness 0 there.  ``total`` sums the
-    per-actor counts ("Sum of Oscillation").
+    actor absent from a window has betweenness 0 there.
     """
     if len(series) < 3:
         raise InsufficientWindows(f"oscillation needs ≥ 3 windows, got {len(series)}")
     maps = [c.values for c in series]
-    per_actor: dict[ActorId, int] = {}
-    for actor in sorted(set().union(*maps)):
-        per_actor[actor] = direction_changes([m.get(actor, Fraction(0)) for m in maps])
-    return OscillationResult(per_actor=per_actor, total=sum(per_actor.values()))
+    return sum(direction_changes([m.get(actor, 0) for m in maps])
+               for actor in set().union(*maps))
 
 
 # --------------------------------------------------------------------------
 # responsiveness
 
-_PREFIX_RE = re.compile(r"^\s*(re|fw|fwd)\s*:\s*", re.IGNORECASE)
+#: The whole leading run of reply/forward prefixes, matched in one call.
+_PREFIXES_RE = re.compile(r"^(?:\s*(?:re|fw|fwd)\s*:\s*)+", re.IGNORECASE)
 
 
 def normalize_subject(subject: str) -> str:
-    """Strip reply/forward prefixes repeatedly, collapse whitespace, lowercase."""
-    text = subject
-    while True:
-        stripped = _PREFIX_RE.sub("", text, count=1)
-        if stripped == text:
-            break
-        text = stripped
-    return " ".join(text.split()).lower()
+    """Strip the leading reply/forward prefixes, collapse whitespace, lowercase."""
+    return " ".join(_PREFIXES_RE.sub("", subject, count=1).split()).lower()
 
 
 _SECOND = timedelta(seconds=1)
@@ -350,7 +337,7 @@ def awvci(days: Sequence[WindowGraph],
             sent[sender] += count
             received[recipient] += count
         counts = [(sent[a] - received[a], _traffic(sent[a], received[a]))
-                  for a in sorted(day.nodes)]
+                  for a in day.nodes]
         if not counts:
             continue
         common = lcm(*[q for _, q in counts])
@@ -545,7 +532,7 @@ def compute_metric_vector(corpus: TeamCorpus, config: MetricConfig = MetricConfi
     else:
         raise ValueError(f"unknown oscillation granularity: {config.oscillation_window!r}")
     try:
-        oscillation = leadership_oscillation(series).total
+        oscillation = leadership_oscillation(series)
     except InsufficientWindows:
         oscillation = None
     lexicon = config.resolved_lexicon()

@@ -77,12 +77,6 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def is_exact(x: Sequence[float], y: Sequence[float]) -> bool:
-    """True when |r| = 1 holds in exact rational arithmetic."""
-    cov, varx, vary = _pearson_parts(x, y)
-    return varx != 0 and vary != 0 and cov * cov == varx * vary
-
-
 def p_value_two_tailed(r: float, n: int) -> float:
     """p = 2·P(T_{n-2} ≥ |t|), t = r·√((n-2)/(1-r²)).
 
@@ -119,13 +113,13 @@ class CorrelationResult:
     p: float | None
     n: int
     significant: bool
-    exact: bool = False
 
 
-def correlate_all(vectors: Sequence[MetricVector], sats: Sequence[TeamSatisfaction],
-                  *, alpha: float = ALPHA) -> list[CorrelationResult]:
+def correlate_all(vectors: Sequence[MetricVector],
+                  sats: Sequence[TeamSatisfaction]) -> list[CorrelationResult]:
     """The 8 metrics × {NPS, KPD} grid over eligible teams.
 
+    A cell is significant when its two-tailed p is below :data:`ALPHA`.
     Missing values are handled by pairwise deletion; cells with fewer than 3
     pairs or a constant series stay undefined instead of being dropped.
     """
@@ -146,42 +140,39 @@ def correlate_all(vectors: Sequence[MetricVector], sats: Sequence[TeamSatisfacti
                 ys.append(float(sat.nps if target == "NPS" else sat.kpd))
             try:
                 r = pearson(xs, ys)
-            except (DegenerateSeries, LengthMismatch):
+            except DegenerateSeries:
                 cells.append(CorrelationResult(field, target, None, None,
                                                len(xs), False))
                 continue
             p = p_value_two_tailed(r, len(xs))
-            exact = abs(r) == 1 and is_exact(xs, ys)
-            cells.append(CorrelationResult(field, target, r, p, len(xs),
-                                           p < alpha, exact))
+            cells.append(CorrelationResult(field, target, r, p, len(xs), p < ALPHA))
     return cells
 
 
 def render_correlation_csv(cells: Sequence[CorrelationResult]) -> bytes:
     """CSV mirroring the report table: metric columns, per-target row groups.
 
-    Each target contributes a group-header row followed by
-    Pearson / Sig. (2-tailed) / N sub-rows; significant Pearson cells carry a
-    trailing ``*``.  Undefined cells are empty.
+    ``cells`` is the full grid that :func:`correlate_all` returns.  Each target
+    contributes a group-header row followed by Pearson / Sig. (2-tailed) / N
+    sub-rows; significant Pearson cells carry a trailing ``*``.  Undefined r
+    and p are empty.
     """
     by_cell = {(c.metric_name, c.target): c for c in cells}
     lines = [csv_line(("target",) + tuple(METRIC_LABELS[f] for f in METRIC_FIELDS))]
     for target in TARGETS:
-        row_cells = [by_cell.get((f, target)) for f in METRIC_FIELDS]
+        row_cells = [by_cell[f, target] for f in METRIC_FIELDS]
         lines.append(csv_line((target,) + ("",) * len(METRIC_FIELDS)))
         pearson_row = []
         sig_row = []
-        n_row = []
+        n_row = [str(cell.n) for cell in row_cells]
         for cell in row_cells:
-            if cell is None or cell.r is None:
+            if cell.r is None:
                 pearson_row.append("")
                 sig_row.append("")
-                n_row.append(str(cell.n) if cell else "")
                 continue
             star = "*" if cell.significant else ""
             pearson_row.append(f"{cell.r:.3f}{star}")
             sig_row.append(f"{cell.p:.3f}")
-            n_row.append(str(cell.n))
         lines.append(csv_line(("Pearson",) + tuple(pearson_row)))
         lines.append(csv_line(("Sig. (2-tailed)",) + tuple(sig_row)))
         lines.append(csv_line(("N",) + tuple(n_row)))

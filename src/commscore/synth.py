@@ -49,6 +49,9 @@ _NEGATIVE_WORDS = ("problem", "delay", "issue")
 
 PLANTED_EFFECT = 0.9
 
+#: The first day of every generated period; each of its months starts on day 1.
+START = date(2012, 6, 1)
+
 
 def planted_effects() -> dict[str, float]:
     """Strong effects on every metric, toward the expected directions."""
@@ -64,7 +67,6 @@ class SynthSpec:
     actors: int = 10
     respondents: int = 25
     messages_per_month: int = 70
-    start: date = date(2012, 6, 1)
     effects: Mapping[str, float] = field(default_factory=dict)
     seed: int = 0
 
@@ -81,12 +83,9 @@ class SynthSpec:
                 raise ValueError(f"effect size for {key!r} outside [0, 1]")
 
     def period(self) -> Period:
-        start = datetime(self.start.year, self.start.month, self.start.day,
-                         tzinfo=timezone.utc)
-        end_month = _add_months(self.start, self.months)
-        end = datetime(end_month.year, end_month.month, end_month.day,
-                       tzinfo=timezone.utc)
-        return Period(start, end)
+        end = _add_months(START, self.months)
+        return Period(datetime(START.year, START.month, START.day, tzinfo=timezone.utc),
+                      datetime(end.year, end.month, end.day, tzinfo=timezone.utc))
 
     def effect(self, metric: str) -> float:
         sizes = [float(v) for k, v in self.effects.items()
@@ -176,8 +175,8 @@ class _Roles:
         return tuple(p for i, p in enumerate(self.periphery) if i % 2 == side)
 
 
-def _month_index(spec: SynthSpec, day: date) -> int:
-    return (day.year - spec.start.year) * 12 + day.month - spec.start.month
+def _month_index(day: date) -> int:
+    return (day.year - START.year) * 12 + day.month - START.month
 
 
 def _monday_of(day: date) -> date:
@@ -247,7 +246,7 @@ def generate_team_events(spec: SynthSpec, index: int) -> list[EmailEvent]:
         while datetime(monday.year, monday.month, monday.day,
                        tzinfo=timezone.utc) < period.end:
             sync_day = max(monday, period.start.date())
-            month = min(_month_index(spec, sync_day), spec.months - 1)
+            month = min(_month_index(sync_day), spec.months - 1)
             roles = monthly_roles[month]
             hub, (lt1, lt2) = roles.hub, roles.lieutenants
             for offset, (a, b) in enumerate([(hub, lt1), (lt1, hub), (hub, lt2),
@@ -260,8 +259,8 @@ def generate_team_events(spec: SynthSpec, index: int) -> list[EmailEvent]:
             monday += timedelta(days=7)
 
     for month in range(spec.months):
-        month_start = _add_months(spec.start, month)
-        month_end = _add_months(spec.start, month + 1)
+        month_start = _add_months(START, month)
+        month_end = _add_months(START, month + 1)
         n_days = (month_end - month_start).days
         pool = sorted(pools[month])
         roles = monthly_roles[month]

@@ -566,6 +566,41 @@ def test_the_package_imports_each_public_name_on_first_use():
     assert not hasattr(commscore, "no_such_name")
 
 
+def _names_used(node: ast.AST) -> set[str]:
+    """Every name that ``node`` reads, imports or looks up as an attribute."""
+    used: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name)
+    return used
+
+
+def test_every_top_level_definition_is_reached():
+    """Each top-level function and class of the package is referenced outside
+    its own definition somewhere in the package, or is a public name of
+    ``commscore``: nothing in ``src/`` is left that neither the command line
+    nor the documented Python API can reach."""
+    definitions: list[tuple[str, str]] = []
+    scopes: list[tuple[tuple[str, str] | None, set[str]]] = []  # (definition, names used)
+    for path in sorted(Path(commscore.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owner = (path.name, node.name)
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    definitions.append(owner)
+            scopes.append((owner, _names_used(node)))
+    unreached = [f"{module}:{name}" for module, name in definitions
+                 if name not in commscore._EXPORTS
+                 and not any(name in names for owner, names in scopes
+                             if owner != (module, name))]
+    assert unreached == []
+
+
 def test_ingest_keeps_unsafe_team_ids_inside_out(tmp_path):
     mail = _write(tmp_path / "in" / "m.jsonl", _jsonl("../../escaped") + _jsonl("ok"))
     out = tmp_path / "d" / "e" / "c2"

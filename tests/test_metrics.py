@@ -271,8 +271,15 @@ def test_direction_change_counting(series, expected):
     assert direction_changes(series) == expected
 
 
-def weekly_oscillation(corpus):
-    return leadership_oscillation([betweenness_centrality(g) for g in weekly_windows(corpus)])
+def weekly_betweenness(corpus):
+    return [betweenness_centrality(g) for g in weekly_windows(corpus)]
+
+
+def changes_per_actor(series):
+    """Each actor's direction changes across a betweenness series, 0 where absent."""
+    maps = [c.values for c in series]
+    return {actor: direction_changes([m.get(actor, Fraction(0)) for m in maps])
+            for actor in set().union(*maps)}
 
 
 @given(st.lists(st.integers(0, 5), min_size=3, max_size=20))
@@ -292,12 +299,10 @@ def test_oscillation_counts_weekly_reversals():
             events.append(ev(monday.strftime("%Y-%m-%d %H:%M"), "b", "a", subject=f"s{week}"))
             events.append(ev(monday.strftime("%Y-%m-%d %H:%M"), "a", "c", subject=f"t{week}"))
     corpus = corpus_of(events, period=("2012-06-04 00:00", "2012-07-16 00:00"))
-    result = weekly_oscillation(corpus)
+    series = weekly_betweenness(corpus)
     # b: ½,0,½,0,½,0 → 4 changes; a: 0,½,0,½,0,½ → 4; c flat
-    assert result.per_actor["b@ex.com"] == 4
-    assert result.per_actor["a@ex.com"] == 4
-    assert result.per_actor["c@ex.com"] == 0
-    assert result.total == 8
+    assert changes_per_actor(series) == {"b@ex.com": 4, "a@ex.com": 4, "c@ex.com": 0}
+    assert leadership_oscillation(series) == 8
 
 
 def test_oscillation_bounds_hold_per_actor():
@@ -310,17 +315,18 @@ def test_oscillation_bounds_hold_per_actor():
         events.append(ev(stamp.strftime("%Y-%m-%d %H:%M"), sender, receiver,
                          subject=f"d{day}"))
     corpus = corpus_of(events)
-    result = weekly_oscillation(corpus)
-    t = len(weekly_windows(corpus))
-    for count in result.per_actor.values():
-        assert 0 <= count <= t - 2
+    series = weekly_betweenness(corpus)
+    per_actor = changes_per_actor(series)
+    for count in per_actor.values():
+        assert 0 <= count <= len(series) - 2
+    assert leadership_oscillation(series) == sum(per_actor.values())
 
 
 def test_oscillation_needs_three_windows():
     corpus = corpus_of([ev("2012-06-04 09:00", "a", "b")],
                        period=("2012-06-04 00:00", "2012-06-11 00:00"))
     with pytest.raises(InsufficientWindows):
-        weekly_oscillation(corpus)
+        leadership_oscillation(weekly_betweenness(corpus))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +337,20 @@ def test_subject_normalization_strips_prefixes():
     assert normalize_subject("Re: RE: Fwd: Budget  plan ") == "budget plan"
     assert normalize_subject("FW: x") == "x"
     assert normalize_subject("rebate") == "rebate"  # not a prefix
+
+
+#: Prefix-heavy subjects: prefix words in mixed case, colons, ASCII and Unicode
+#: whitespace, and near-misses such as ``rebate`` or ``f w``.
+_PREFIX_PIECES = ("re", "RE", "Re", "rE", "fw", "FW", "Fw", "fwd", "FWD", "fWd", ":",
+                  " ", "\t", "\n", "\x1c", "\xa0", "\u2003", "\u3000", "f", "w", "d",
+                  "r", "e", "rebate", "x", "Ré", "ｒｅ")
+
+
+@given(st.one_of(st.lists(st.sampled_from(_PREFIX_PIECES), max_size=14).map("".join),
+                 st.text(max_size=20)))
+@settings(max_examples=500)
+def test_subject_normalization_equals_oracle(subject):
+    assert normalize_subject(subject) == oracles.thread_subject(subject)
 
 
 def test_reply_pairs_by_subject_and_participants():
@@ -743,7 +763,7 @@ def test_monthly_oscillation_reuses_monthly_betweenness(monkeypatch):
               for sender, receiver in (("ab", "bc", "ca")[month % 3], "db")]
     corpus = corpus_of(events, period=("2012-06-01 00:00", "2012-12-01 00:00"))
     real = commscore.metrics.betweenness_centrality
-    expected = leadership_oscillation([real(g) for g in monthly_windows(corpus)]).total
+    expected = leadership_oscillation([real(g) for g in monthly_windows(corpus)])
     calls = []
     monkeypatch.setattr(commscore.metrics, "betweenness_centrality",
                         lambda g: calls.append(g.window) or real(g))

