@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -30,7 +29,6 @@ from ._text import csv_line, fmt6, read_csv
 from .errors import (
     CohortTooSmall,
     CommscoreError,
-    EmptyCorpusWarning,
     FormatError,
     MalformedRecord,
     NoActivity,
@@ -151,16 +149,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if stale.stem not in events_by_team:
             stale.unlink()
     teams_report: dict[str, dict[str, object]] = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyCorpusWarning)
-        for team in sorted(events_by_team):
-            corpus = build_corpus(events_by_team[team], team, args.period)
-            (corpora_dir / f"{team}.jsonl").write_bytes(
-                serialize_events(corpus.events, "jsonl"))
-            busy = {(ev.timestamp.year, ev.timestamp.month) for ev in corpus.events}  # UTC
-            gaps = [iso_utc(w.start)[:7] for w in month_periods(args.period)
-                    if (w.start.year, w.start.month) not in busy]
-            teams_report[team] = {"events": len(corpus.events), "gap_months": gaps}
+    for team in sorted(events_by_team):
+        corpus = build_corpus(events_by_team[team], team, args.period)
+        (corpora_dir / f"{team}.jsonl").write_bytes(serialize_events(corpus.events, "jsonl"))
+        busy = {(ev.timestamp.year, ev.timestamp.month) for ev in corpus.events}
+        gaps = [iso_utc(w.start)[:7] for w in month_periods(args.period)
+                if (w.start.year, w.start.month) not in busy]
+        teams_report[team] = {"events": len(corpus.events), "gap_months": gaps}
     config = report_settings(args)
     manifest = {
         "format": args.format,
@@ -210,13 +205,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                                  **{key: getattr(args, key) for key in METRIC_CHOICES})
     vectors: list[MetricVector] = []
     analyzable = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyCorpusWarning)
-        for path in corpora:
-            corpus = load_corpus(path, path.stem, period)
-            if corpus.events:
-                analyzable += 1
-            vectors.append(metrics_mod.compute_metric_vector(corpus, metric_config))
+    for path in corpora:
+        corpus = load_corpus(path, path.stem, period)
+        if corpus.events:
+            analyzable += 1
+        vectors.append(metrics_mod.compute_metric_vector(corpus, metric_config))
     if analyzable == 0:
         raise NoActivity("zero analyzable teams in archive")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 from __future__ import annotations
 
@@ -27,10 +27,6 @@ class MalformedRecord(CommscoreError):
 
 class UnsupportedFormat(CommscoreError):
     """An unknown format name was requested."""
-
-
-class EmptyCorpusWarning(UserWarning):
-    """Zero events survived corpus filtering; the corpus is still returned."""
 
 
 class InsufficientWindows(CommscoreError):

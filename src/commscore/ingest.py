@@ -12,8 +12,10 @@ Three wire formats are supported:
   UTF-8, or an encoded word whose bytes its charset cannot decode.  The mbox
   parser imports ``email`` on its first call, so importing this module does not.
 
-Timestamps must carry an explicit UTC offset and are stored in UTC at second
-resolution; written out (:func:`iso_utc`) they read ``YYYY-MM-DDTHH:MM:SSZ``,
+Timestamps must carry an explicit UTC offset.  An instant is a UTC second:
+:class:`EmailEvent` and :class:`Period` convert every aware instant they are
+given to UTC and truncate it to the whole second, so no other module converts
+one.  Written out (:func:`iso_utc`) an instant reads ``YYYY-MM-DDTHH:MM:SSZ``,
 the year always four digits (``0999-01-02T03:04:05Z``).  Addresses are
 lowercased with display names stripped.
 
@@ -35,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -46,13 +47,7 @@ from operator import attrgetter, ge
 from typing import BinaryIO, Callable, Iterable
 
 from ._text import csv_line, read_csv
-from .errors import (
-    EmptyCorpusWarning,
-    FormatError,
-    MalformedAddress,
-    MalformedRecord,
-    UnsupportedFormat,
-)
+from .errors import FormatError, MalformedAddress, MalformedRecord, UnsupportedFormat
 
 #: Actor identity: a normalized lowercase e-mail address string.
 ActorId = str
@@ -124,9 +119,12 @@ def parse_timestamp(raw: str) -> datetime:
 
 
 def _utc_second(stamp: datetime) -> datetime:
-    """``stamp`` in UTC at second resolution; ``ValueError`` outside years 1–9999."""
+    """``stamp`` in UTC at second resolution; ``ValueError`` for a naive stamp
+    and outside years 1–9999."""
     if stamp.tzinfo is timezone.utc and not stamp.microsecond:
         return stamp
+    if stamp.tzinfo is None:
+        raise ValueError(f"{stamp.isoformat()} must be timezone-aware")
     try:
         return stamp.astimezone(timezone.utc).replace(microsecond=0)
     except OverflowError:
@@ -134,9 +132,8 @@ def _utc_second(stamp: datetime) -> datetime:
 
 
 def iso_utc(stamp: datetime) -> str:
-    """``YYYY-MM-DDTHH:MM:SSZ`` in UTC, the year always four digits."""
-    if stamp.tzinfo is not timezone.utc or stamp.microsecond:
-        stamp = stamp.astimezone(timezone.utc).replace(microsecond=0)
+    """``YYYY-MM-DDTHH:MM:SSZ`` of an instant as :class:`EmailEvent` and
+    :class:`Period` hold it (UTC, whole seconds), the year always four digits."""
     return stamp.isoformat()[:-6] + "Z"
 
 
@@ -146,6 +143,8 @@ class EmailEvent:
 
     ``to`` and ``cc`` are ordered and, taken together, duplicate-free.
     Events are ordered by timestamp, then by their fields (:func:`event_order`).
+    The timestamp is held in UTC at whole seconds: an aware instant in any
+    zone is converted and truncated; a naive one raises ``ValueError``.
     """
 
     timestamp: datetime
@@ -163,8 +162,9 @@ class EmailEvent:
         combined = self.to + self.cc
         if len(set(combined)) != len(combined):
             raise ValueError("to ∪ cc contains duplicates")
-        if self.timestamp.tzinfo is None:
-            raise ValueError("timestamp must be timezone-aware")
+        stamp = self.timestamp
+        if stamp.tzinfo is not timezone.utc or stamp.microsecond:
+            object.__setattr__(self, "timestamp", _utc_second(stamp))
 
     @property
     def recipients(self) -> tuple[ActorId, ...]:
@@ -219,7 +219,7 @@ def make_event(timestamp: datetime, sender: str, to: Iterable[str],
     if error:
         raise ValueError(error)
     sender, to, cc = _parties(sender, to, cc)
-    return EmailEvent(_utc_second(timestamp), sender, to, cc, subject, team_id)
+    return EmailEvent(timestamp, sender, to, cc, subject, team_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,11 +278,7 @@ class _Records:
         self.result.issues.append(ParseIssue(source=self.name, line=line, message=message))
 
     def add(self, line: int, stamp: datetime, key: tuple, subject: str, team: str) -> None:
-        """The event of a record with this stamp and raw party key, or its issue.
-
-        ``stamp`` is already in UTC at whole seconds, as every parser passes it
-        (:func:`parse_timestamp` or :func:`_utc_second`), so it is kept as given.
-        """
+        """The event of a record with this stamp and raw party key, or its issue."""
         parties = self._memo.get(key)
         if parties is None:
             try:
@@ -465,14 +461,22 @@ def serialize_events(events: Iterable[EmailEvent], format: str) -> bytes:
 
 @dataclass(frozen=True, slots=True)
 class Period:
-    """Half-open UTC interval ``[start, end)``."""
+    """Half-open UTC interval ``[start, end)``.
+
+    Each bound is held as :class:`EmailEvent` holds its timestamp: in UTC at
+    whole seconds.  A naive bound, or a start not before the end once both are
+    truncated, raises ``ValueError``.
+    """
 
     start: datetime
     end: datetime
 
     def __post_init__(self) -> None:
-        if self.start.tzinfo is None or self.end.tzinfo is None:
-            raise ValueError("period bounds must be timezone-aware")
+        start, end = self.start, self.end
+        if not (start.tzinfo is end.tzinfo is timezone.utc
+                and not (start.microsecond or end.microsecond)):
+            object.__setattr__(self, "start", _utc_second(start))
+            object.__setattr__(self, "end", _utc_second(end))
         if not self.start < self.end:
             raise ValueError("period start must precede end")
 
@@ -515,8 +519,8 @@ def build_corpus(events: Iterable[EmailEvent], team_id: str, period: Period) -> 
     bisection.  Duplicates share ``(timestamp, sender, to-set, subject)``, so
     only a run of events at one instant is deduplicated, keeping the record
     with the most cc information, and sorted by :func:`event_order`.  The
-    corpus does not depend on input order.  Zero surviving events emit an
-    :class:`EmptyCorpusWarning` and still return a corpus.
+    corpus does not depend on input order.  Zero surviving events make an
+    empty corpus.
     """
     ordered = sorted((ev for ev in events if ev.team_id == team_id), key=_instant)
     start = bisect_left(ordered, period.start, key=_instant)
@@ -528,9 +532,6 @@ def build_corpus(events: Iterable[EmailEvent], team_id: str, period: Period) -> 
             stop += 1
         kept.extend(ordered[start:stop] if stop == start + 1 else _distinct(ordered[start:stop]))
         start = stop
-    if not kept:
-        warnings.warn(EmptyCorpusWarning(f"no events for team {team_id!r} within period"),
-                      stacklevel=2)
     return TeamCorpus(team_id=team_id, events=tuple(kept), period=period)
 
 
@@ -551,7 +552,7 @@ def load_corpus(path: str | os.PathLike, team_id: str, period: Period) -> TeamCo
 
     The file is parsed strictly: a malformed line raises :class:`MalformedRecord`
     naming the file and line.  The events then go through :func:`build_corpus`,
-    as any other parsed events do, including its :class:`EmptyCorpusWarning`.
+    as any other parsed events do.
     """
     with open(path, "rb") as fh:
         events = _parse_jsonl(fh, team_id, os.path.basename(path), strict=True).events

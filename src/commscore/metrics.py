@@ -250,8 +250,9 @@ def match_replies(corpus: TeamCorpus, reply_cap: int = DEFAULT_REPLY_CAP,
     One pass over the corpus, which is in ``event_order``: each event walks
     back over the earlier events of its thread, skipping those sent at the
     same instant and stopping at the first sent before the reply's instant
-    minus ``reply_cap``.  The walk compares instants only; corpus instants are
-    at whole seconds, so the latency of the one pair kept is an exact integer.
+    minus ``reply_cap``.  The walk compares instants only; an
+    :class:`~commscore.ingest.EmailEvent` holds its instant at a whole UTC
+    second, so the latency of the one pair kept is an exact integer.
     The first eligible original is the latest in ``event_order``, and pairs
     come in the order of their replies, so the matching does not depend on the
     order of the input events.

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from random import Random
 from typing import Mapping, Sequence
@@ -38,6 +39,7 @@ from ._text import csv_line
 from .ingest import EmailEvent, Period, event_order, iso_utc, make_event, serialize_events
 from .metrics import METRIC_FIELDS
 from .satisfaction import SURVEY_HEADER
+from .tempograph import month_periods, week_periods
 
 #: Neutral subject vocabulary (kept out of the bundled sentiment lexicon).
 _TOPICS = (
@@ -49,8 +51,8 @@ _NEGATIVE_WORDS = ("problem", "delay", "issue")
 
 PLANTED_EFFECT = 0.9
 
-#: The first day of every generated period; each of its months starts on day 1.
-START = date(2012, 6, 1)
+#: The first instant of every generated period; each of its months starts on day 1.
+START = datetime(2012, 6, 1, tzinfo=timezone.utc)
 
 
 def planted_effects() -> dict[str, float]:
@@ -83,9 +85,9 @@ class SynthSpec:
                 raise ValueError(f"effect size for {key!r} outside [0, 1]")
 
     def period(self) -> Period:
-        end = _add_months(START, self.months)
-        return Period(datetime(START.year, START.month, START.day, tzinfo=timezone.utc),
-                      datetime(end.year, end.month, end.day, tzinfo=timezone.utc))
+        """``months`` whole UTC calendar months from :data:`START`."""
+        index = START.month - 1 + self.months
+        return Period(START, START.replace(year=START.year + index // 12, month=index % 12 + 1))
 
     def effect(self, metric: str) -> float:
         sizes = [float(v) for k, v in self.effects.items()
@@ -97,11 +99,6 @@ class SynthSpec:
 
     def team_ids(self) -> list[str]:
         return [f"team{i + 1:02d}" for i in range(self.teams)]
-
-
-def _add_months(day: date, months: int) -> date:
-    month_index = day.month - 1 + months
-    return date(day.year + month_index // 12, month_index % 12 + 1, 1)
 
 
 @dataclass(frozen=True)
@@ -175,14 +172,6 @@ class _Roles:
         return tuple(p for i, p in enumerate(self.periphery) if i % 2 == side)
 
 
-def _month_index(day: date) -> int:
-    return (day.year - START.year) * 12 + day.month - START.month
-
-
-def _monday_of(day: date) -> date:
-    return day - timedelta(days=day.weekday())
-
-
 def _monthly_roles(spec: SynthSpec, team: str,
                    pools: Sequence[Sequence[str]]) -> list[_Roles]:
     """Stable hub/lieutenant roles, repaired only when churn removes a holder."""
@@ -205,7 +194,11 @@ def _monthly_roles(spec: SynthSpec, team: str,
 
 
 def generate_team_events(spec: SynthSpec, index: int) -> list[EmailEvent]:
-    """All mail events for one team, time-sorted."""
+    """All mail events for one team, time-sorted.
+
+    Mail is laid out over the :func:`~commscore.tempograph.month_periods` and
+    :func:`~commscore.tempograph.week_periods` of :meth:`SynthSpec.period`.
+    """
     team = spec.team_ids()[index]
     latent = index / (spec.teams - 1)
     knobs = _team_knobs(spec, index, latent)
@@ -213,7 +206,8 @@ def generate_team_events(spec: SynthSpec, index: int) -> list[EmailEvent]:
     monthly_roles = _monthly_roles(spec, team, pools)
     rng = Random(f"{spec.seed}|{team}|mail")
     period = spec.period()
-    first_monday = _monday_of(period.start.date())
+    months, weeks = month_periods(period), week_periods(period)
+    week_starts = [week.start for week in weeks]
     events: list[EmailEvent] = []
     sequence = 0
 
@@ -242,33 +236,22 @@ def generate_team_events(spec: SynthSpec, index: int) -> list[EmailEvent]:
 
     # weekly core sync keeps hierarchical teams' core mutually connected
     if knobs.hierarchy >= 0.35:
-        monday = first_monday
-        while datetime(monday.year, monday.month, monday.day,
-                       tzinfo=timezone.utc) < period.end:
-            sync_day = max(monday, period.start.date())
-            month = min(_month_index(sync_day), spec.months - 1)
-            roles = monthly_roles[month]
+        for week in weeks:
+            roles = next(r for m, r in zip(months, monthly_roles) if week.start in m)
             hub, (lt1, lt2) = roles.hub, roles.lieutenants
             for offset, (a, b) in enumerate([(hub, lt1), (lt1, hub), (hub, lt2),
                                              (lt2, hub), (lt1, lt2), (lt2, lt1)]):
-                stamp = datetime(sync_day.year, sync_day.month, sync_day.day,
-                                 tzinfo=timezone.utc) + timedelta(
+                stamp = week.start + timedelta(
                     seconds=8 * 3600 + 1800 + offset * 300 + rng.randrange(240))
                 if stamp in period:
                     post(stamp, a, [b], fresh_subject(), reply_p=0.0)
-            monday += timedelta(days=7)
 
-    for month in range(spec.months):
-        month_start = _add_months(START, month)
-        month_end = _add_months(START, month + 1)
-        n_days = (month_end - month_start).days
-        pool = sorted(pools[month])
-        roles = monthly_roles[month]
-        send_day_bias: dict[tuple[date, str], bool] = {}
+    for month, pool_members, roles in zip(months, pools, monthly_roles):
+        pool = sorted(pool_members)
+        send_day_bias: dict[tuple[datetime, str], bool] = {}
         for _ in range(round(spec.messages_per_month * knobs.volume)):
-            day = month_start + timedelta(days=rng.randrange(n_days))
-            stamp = datetime(day.year, day.month, day.day, tzinfo=timezone.utc) \
-                + timedelta(seconds=rng.randrange(8 * 3600, 18 * 3600))
+            day = month.start + timedelta(days=rng.randrange((month.end - month.start).days))
+            stamp = day + timedelta(seconds=rng.randrange(8 * 3600, 18 * 3600))
             if rng.random() < knobs.hierarchy:
                 side = rng.randrange(2)
                 cluster = [a for a in roles.cluster(side) if a in pool]
@@ -310,8 +293,8 @@ def generate_team_events(spec: SynthSpec, index: int) -> list[EmailEvent]:
                 # spikes while the monthly union still spans the whole ring
                 size = len(pool)
                 width = max(4, round(size - (size - 4) * knobs.osc_focus))
-                week = (day - first_monday).days // 7
-                i = (week * 7 + rng.randrange(width)) % size
+                week_no = bisect_right(week_starts, day) - 1
+                i = (week_no * 7 + rng.randrange(width)) % size
                 a, b = pool[i], pool[(i + 1) % size]
                 forward = rng.random() < knobs.osc_focus
                 if not forward and rng.random() < 0.5:
@@ -320,12 +303,12 @@ def generate_team_events(spec: SynthSpec, index: int) -> list[EmailEvent]:
                 if forward:
                     # relay down the arc, forming a through-path this week
                     relay = stamp + timedelta(seconds=rng.randrange(60, 900))
-                    if relay in period and relay.date() == day:
+                    if relay in period and relay.date() == day.date():
                         post(relay, b, [pool[(i + 2) % size]], fresh_subject(),
                              reply_p=0.15)
                 if rng.random() < knobs.reciprocate_p:
                     counter = stamp + timedelta(seconds=rng.randrange(300, 3600))
-                    if counter in period and counter.date() == day:
+                    if counter in period and counter.date() == day.date():
                         post(counter, b, [a], fresh_subject(), reply_p=0.15)
     events.sort(key=event_order)
     return events

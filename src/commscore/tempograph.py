@@ -2,9 +2,12 @@
 
 This module is the one place that maps events to windows, and the UTC day is
 its one bucket: :func:`daily_activity` tallies each message into the graph of
-its day, and every month or week graph is a sum of day graphs.  Calendar
-arithmetic is done in UTC throughout.  A message to ``k`` distinct recipients
-contributes ``k`` directed edges; self-addressed copies are dropped.
+its day, and every month or week graph is a sum of day graphs.  It is also
+the one calendar: :func:`month_periods` and :func:`week_periods` give the UTC
+months and Monday-started weeks of a period, and :mod:`commscore.synth`
+generates its mail over them.  Event and period instants are UTC whole seconds
+by type, so an instant's date is its UTC day.  A message to ``k`` distinct
+recipients contributes ``k`` directed edges; self-addressed copies are dropped.
 """
 
 from __future__ import annotations
@@ -50,20 +53,16 @@ def _clipped_walk(period: Period, cursor: datetime,
         cursor = following
 
 
-def _utc_midnight(stamp: datetime) -> datetime:
-    return datetime.combine(stamp.astimezone(timezone.utc).date(), time.min, timezone.utc)
-
-
 def month_periods(period: Period) -> list[Period]:
     """UTC calendar months intersecting the period, clipped to it, in order."""
-    first = _utc_midnight(period.start).replace(day=1)
+    first = period.start.replace(day=1, hour=0, minute=0, second=0)
     return list(_clipped_walk(period, first, lambda c: c.replace(
         year=c.year + c.month // 12, month=c.month % 12 + 1)))
 
 
 def week_periods(period: Period) -> list[Period]:
     """Monday-started UTC calendar weeks intersecting the period, clipped to it."""
-    day0 = _utc_midnight(period.start)
+    day0 = period.start.replace(hour=0, minute=0, second=0)
     return list(_clipped_walk(period, day0 - timedelta(days=day0.weekday()),
                               lambda c: c + timedelta(days=7)))
 
@@ -76,8 +75,7 @@ def daily_activity(corpus: TeamCorpus) -> list[WindowGraph]:
     """
     period = corpus.period
     days: list[WindowGraph] = []
-    for day, events in groupby(corpus.events,
-                               key=lambda ev: ev.timestamp.astimezone(timezone.utc).date()):
+    for day, events in groupby(corpus.events, key=lambda ev: ev.timestamp.date()):
         edges: dict[tuple[ActorId, ActorId], int] = {}
         for ev in events:
             for recipient in ev.recipients:

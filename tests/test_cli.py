@@ -601,6 +601,17 @@ def test_every_top_level_definition_is_reached():
     assert unreached == []
 
 
+def test_only_ingest_converts_instants_to_utc():
+    """``EmailEvent`` and ``Period`` hold UTC whole seconds by type, so no
+    module of the package but ``ingest`` calls ``.astimezone()``."""
+    callers = [path.name for path in sorted(Path(commscore.__file__).parent.glob("*.py"))
+               if path.name != "ingest.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "astimezone"]
+    assert callers == []
+
+
 def test_ingest_keeps_unsafe_team_ids_inside_out(tmp_path):
     mail = _write(tmp_path / "in" / "m.jsonl", _jsonl("../../escaped") + _jsonl("ok"))
     out = tmp_path / "d" / "e" / "c2"

@@ -19,13 +19,7 @@ from hypothesis import strategies as st
 from commscore import ingest
 from commscore._text import csv_line
 from commscore.cli import _build_parser, main
-from commscore.errors import (
-    EmptyCorpusWarning,
-    FormatError,
-    MalformedAddress,
-    MalformedRecord,
-    UnsupportedFormat,
-)
+from commscore.errors import FormatError, MalformedAddress, MalformedRecord, UnsupportedFormat
 from commscore.ingest import (
     EmailEvent,
     FORMATS,
@@ -40,6 +34,7 @@ from commscore.ingest import (
     parse_timestamp,
     serialize_events,
 )
+from commscore.metrics import compute_metric_vector
 
 import oracles
 from conftest import corpus_of, ev, ts
@@ -367,6 +362,59 @@ def test_parse_timestamp_converts_to_utc_as_the_oracle(stamp, utc_suffix):
     assert (parsed, parsed.isoformat()) == (expected, expected.isoformat())
 
 
+@given(_zoned_stamp, _zoned_stamp)
+@example(datetime(2000, 1, 1, 0, 0, 0, 999999, tzinfo=timezone(timedelta(microseconds=-1))),
+         datetime(2000, 1, 1, 0, 0, 1, tzinfo=timezone(timedelta(hours=23, minutes=59))))
+@settings(max_examples=300)
+def test_events_and_periods_hold_their_instants_as_utc_seconds(stamp, other):
+    """An ``EmailEvent`` built directly holds its instant as ``make_event``
+    does, in UTC at whole seconds; so do a ``Period``'s bounds."""
+    event = EmailEvent(stamp, "a@ex.com", ("b@ex.com",), (), "s", "t")
+    expected = oracles.utc_second(stamp)
+    assert event == make_event(stamp, "a@ex.com", ["b@ex.com"], [], "s", "t")
+    assert event.timestamp.tzinfo is timezone.utc
+    assert (event.timestamp, event.timestamp.isoformat()) == (expected, expected.isoformat())
+    start, end = sorted((stamp, other))
+    if oracles.utc_second(start) < oracles.utc_second(end):
+        period = Period(start, end)
+        assert (period.start, period.end) == (oracles.utc_second(start), oracles.utc_second(end))
+        assert period.start.tzinfo is period.end.tzinfo is timezone.utc
+    else:
+        with pytest.raises(ValueError):
+            Period(start, end)
+
+
+def test_naive_instants_and_periods_within_one_second_raise():
+    with pytest.raises(ValueError, match="timezone-aware"):
+        EmailEvent(datetime(2012, 6, 4, 9), "a@ex.com", ("b@ex.com",), (), "s", "t")
+    with pytest.raises(ValueError, match="timezone-aware"):
+        make_event(datetime(2012, 6, 4, 9), "a@ex.com", ["b@ex.com"])
+    start = datetime(2012, 6, 4, 9, 0, 0, 100000, tzinfo=timezone.utc)
+    with pytest.raises(ValueError, match="precede"):
+        Period(start, start.replace(microsecond=900000))
+
+
+def test_sub_second_events_analyze_as_their_archive_does():
+    """Events built directly with sub-second stamps in another zone give the
+    metrics of their archive, which reads back to the same corpus: the reply
+    9.95 s after its original is 10 s after it at whole seconds."""
+    zone = timezone(timedelta(hours=2))
+    sent = datetime(2012, 6, 4, 9, 0, 0, 100000, tzinfo=zone)
+    events = [EmailEvent(sent, "a@ex.com", ("b@ex.com",), (), "s", "t"),
+              EmailEvent(sent + timedelta(seconds=9.95), "b@ex.com", ("a@ex.com",), (),
+                         "Re: s", "t")]
+    period = Period(datetime(2012, 6, 1, tzinfo=zone), datetime(2012, 7, 1, tzinfo=zone))
+    corpus = build_corpus(events, "t", period)
+    archive = serialize_events(corpus.events, "jsonl")
+    again = build_corpus(parse_events(io.BytesIO(archive), "jsonl", strict=True).events,
+                         "t", period)
+    assert again == corpus
+    assert serialize_events(again.events, "jsonl") == archive
+    vector = compute_metric_vector(corpus)
+    assert vector.art_median == 10
+    assert compute_metric_vector(again) == vector
+
+
 def test_each_distinct_address_is_normalized_once(tmp_path, summer):
     """An operation bound: ingest and reload call the address normalizer's
     body at most once per distinct address string."""
@@ -628,8 +676,9 @@ def test_dedup_retains_the_most_cc_information(summer):
         assert corpus.events == (with_cc,)
 
 
-def test_empty_corpus_warns_but_returns(summer):
-    with pytest.warns(EmptyCorpusWarning):
+def test_empty_corpus_returns_without_a_warning(summer):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         corpus = build_corpus([], "t", summer)
     assert corpus.events == ()
     assert corpus.team_id == "t"
@@ -797,22 +846,19 @@ def _archive_lines(draw):
 
 
 def _outcome(load) -> tuple:
-    """The corpus ``load()`` returns and the warnings it gives, or its ``MalformedRecord``."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    """The corpus ``load()`` returns, or its ``MalformedRecord``; a warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
-            corpus = load()
+            return ("corpus", load())
         except MalformedRecord as exc:
             return ("malformed", str(exc), exc.source, exc.line)
-    return ("corpus", corpus, [(w.category, str(w.message)) for w in caught])
 
 
 def _reference_build(events, team_id: str, period: Period) -> TeamCorpus:
-    """``oracles.reference_corpus`` as a corpus, with ``build_corpus``'s warning."""
-    kept = oracles.reference_corpus(events, team_id, period.start, period.end)
-    if not kept:
-        warnings.warn(EmptyCorpusWarning(f"no events for team {team_id!r} within period"))
-    return TeamCorpus(team_id, kept, period)
+    """``oracles.reference_corpus`` as a corpus."""
+    return TeamCorpus(team_id, oracles.reference_corpus(events, team_id, period.start,
+                                                        period.end), period)
 
 
 #: Instants at, next to and between the bounds of ``_JUNE``.
@@ -850,8 +896,8 @@ def _corpus_inputs(draw):
 @given(_corpus_inputs())
 @settings(max_examples=400, deadline=None)
 def test_build_corpus_equals_reference_corpus(events):
-    """The same corpus and warnings as one dedup dict over every event and a sort
-    by an independent key of all fields."""
+    """The same corpus as one dedup dict over every event and a sort by an
+    independent key of all fields."""
     assert (_outcome(lambda: build_corpus(events, "t", _JUNE))
             == _outcome(lambda: _reference_build(events, "t", _JUNE)))
 
@@ -890,8 +936,8 @@ def test_dedup_keys_are_built_only_for_events_that_share_an_instant(monkeypatch)
                   for edit in ({}, {"subject": "zz"}, {"cc": ["c@ex.com"]})))
 @settings(max_examples=400, deadline=None)
 def test_load_corpus_equals_parse_and_build(archived):
-    """The same corpus, warnings and errors as reading every record through
-    ``make_event`` and building the corpus with ``oracles.reference_corpus``."""
+    """The same corpus and errors as reading every record through ``make_event``
+    and building the corpus with ``oracles.reference_corpus``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.jsonl"
         path.write_bytes(archived)
@@ -928,7 +974,7 @@ def test_load_corpus_names_the_file_and_line_of_a_malformed_record(tmp_path, lin
 def test_every_corpus_event_is_inside_the_period(events):
     period = Period(ts("2012-07-01 00:00"), ts("2012-08-01 00:00"))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyCorpusWarning)
+        warnings.simplefilter("error")
         corpus = build_corpus(events, "team", period)
     for event in corpus.events:
         assert event.timestamp in period

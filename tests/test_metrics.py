@@ -15,12 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import commscore.metrics
-from commscore.errors import (
-    EmptyCorpusWarning,
-    InsufficientWindows,
-    NoActivity,
-    OutOfRange,
-)
+from commscore.errors import InsufficientWindows, NoActivity, OutOfRange
 from commscore.ingest import EmailEvent, Period, build_corpus, make_event
 from commscore.metrics import (
     METRIC_CHOICES,
@@ -451,7 +446,7 @@ def reply_corpora(draw):
 def test_reply_matching_equals_all_pairs_oracle(case):
     cap, events = case
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyCorpusWarning)
+        warnings.simplefilter("error")
         corpus = corpus_of(events)
     pairs = match_replies(corpus, reply_cap=cap)
     assert [(p.original, p.reply, p.latency) for p in pairs] == oracles.reply_pairs(
@@ -695,7 +690,7 @@ def recurring_subject_corpora(draw):
 def test_vector_subject_metrics_equal_those_built_without_a_shared_table(case, mode):
     cap, events = case
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyCorpusWarning)
+        warnings.simplefilter("error")
         corpus = corpus_of(events)
     lx = _lexicon()
     vec = compute_metric_vector(corpus, MetricConfig(reply_cap=cap, emotionality_mode=mode,
@@ -735,7 +730,7 @@ def test_identical_months_average_to_single_month():
 
 def test_empty_corpus_yields_undefined_metrics(summer):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyCorpusWarning)
+        warnings.simplefilter("error")
         from commscore.ingest import build_corpus
         corpus = build_corpus([], "t", summer)
     vec = compute_metric_vector(corpus)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -82,6 +83,26 @@ def test_scoped_effect_keys_are_accepted():
     assert spec.effect("oscillation_sum") == 0.8
     assert spec.effect("avg_gbc") == 0.0
     assert spec.any_effect()
+
+
+#: SHA-256 of each file ``write_outputs`` writes for a 15-month spec whose
+#: hierarchical teams run the weekly core sync across the end of 2012.
+_YEAR_BOUNDARY_DIGESTS = {
+    "mail/team01.csv": "30dd9fb364d64c89c042140acd0c3871959288cee2724b31e772ce7212233700",
+    "mail/team02.csv": "8eacd532a1d8149a86980bf875374220c7dfc6e070b5fd554ff882b2b785425e",
+    "mail/team03.csv": "faec6a6baac0eb970f4880ba1efec2c809c0abd20c6e05d7c9d1533c04d0a54f",
+    "survey.csv": "19096bffa1e01cc5b7f07ebb55ff6a3366e747cf2031e34036e98e6ee8b56d0f",
+    "synth_manifest.json": "8c362f750c0cdf2fbd512c4bc909975b57724b9d3c6bfceb2be0e1c6a5e5617d",
+}
+
+
+def test_a_spec_across_a_year_boundary_writes_its_pinned_bytes(tmp_path):
+    """Any slip in the months and weeks the generator lays mail over changes
+    these bytes."""
+    write_outputs(SynthSpec(teams=3, months=15, seed=3, effects=planted_effects()), tmp_path)
+    written = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.rglob("*")) if path.is_file()}
+    assert written == _YEAR_BOUNDARY_DIGESTS
 
 
 def test_manifest_records_the_generator_inputs(tmp_path):

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commscore.cli import main
-from commscore.errors import EmptyCorpusWarning
 from commscore.ingest import Period, build_corpus, iso_utc, make_event, serialize_events
 from commscore.tempograph import (
     daily_activity,
@@ -161,7 +160,7 @@ def _build(raw):
         to = [actors[r] for r in recipients]
         events.append(make_event(stamp, actors[sender], to, [], "s", "t"))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyCorpusWarning)
+        warnings.simplefilter("error")
         return build_corpus(events, "t", Period(ts("2012-06-01 00:00"),
                                                 ts("2012-09-01 00:00")))
 
