@@ -194,12 +194,16 @@ def _parties(sender: str, to: Iterable[str],
              cc: Iterable[str]) -> tuple[ActorId, tuple[ActorId, ...], tuple[ActorId, ...]]:
     """The normalized ``(sender, to, cc)`` of :func:`make_event`.
 
-    Raises :class:`MalformedAddress` for an address without ``local@domain``
-    and for a ``to`` left empty.
+    Raises :class:`MalformedAddress` for an address that is not a string or
+    has no ``local@domain``, and for a ``to`` left empty.
     """
-    sender_n = normalize_address(sender)
-    to_n = dict.fromkeys(map(normalize_address, to))
-    cc_n = tuple(addr for addr in dict.fromkeys(map(normalize_address, cc)) if addr not in to_n)
+    try:
+        sender_n = normalize_address(sender)
+        to_n = dict.fromkeys(map(normalize_address, to))
+        cc_n = tuple(addr for addr in dict.fromkeys(map(normalize_address, cc))
+                     if addr not in to_n)
+    except (TypeError, AttributeError):  # unhashable, or without str's methods
+        raise MalformedAddress("from, to and cc addresses must be strings") from None
     if not to_n:
         raise MalformedAddress("empty to list after normalization")
     return sender_n, tuple(to_n), cc_n
@@ -277,15 +281,20 @@ class _Records:
             raise MalformedRecord(message, source=self.name, line=line)
         self.result.issues.append(ParseIssue(source=self.name, line=line, message=message))
 
+    def _normalized(self, key: tuple) -> tuple | str:
+        try:
+            return self._parties(*key)
+        except MalformedAddress as exc:
+            return str(exc)
+
     def add(self, line: int, stamp: datetime, key: tuple, subject: str, team: str) -> None:
         """The event of a record with this stamp and raw party key, or its issue."""
-        parties = self._memo.get(key)
-        if parties is None:
-            try:
-                parties = self._parties(*key)
-            except MalformedAddress as exc:
-                parties = str(exc)
-            self._memo[key] = parties
+        try:
+            parties = self._memo[key]
+        except KeyError:
+            parties = self._memo[key] = self._normalized(key)
+        except TypeError:  # a JSON array or object among the parties: no memo key
+            parties = self._normalized(key)
         error = _team_error(team) or parties
         if isinstance(error, str):
             self.issue(line, error)
@@ -339,19 +348,30 @@ def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -
         if not isinstance(record, dict):
             records.issue(lineno, "record is not an object")
             continue
-        team = str(record.get("team_id") or default_team)
+        team = record.get("team_id", default_team)
+        if not isinstance(team, str):
+            records.issue(lineno, "team_id must be a string")
+            continue
+        team = team or default_team
         if not team:
             records.issue(lineno, "missing team_id")
             continue
         try:
-            stamp = parse_timestamp(str(record["timestamp"]))
+            stamp = record["timestamp"]
+            if not isinstance(stamp, str):
+                raise ValueError("timestamp must be a string")
+            stamp = parse_timestamp(stamp)
             to = record.get("to") or []
             cc = record.get("cc") or []
             if not isinstance(to, list) or not isinstance(cc, list):
                 raise ValueError("to/cc must be arrays")
-            key = (str(record["from"]), tuple(map(str, to)), tuple(map(str, cc)))
+            # the addresses' types are checked by _parties, once per distinct key
+            key = (record["from"], tuple(to), tuple(cc))
             subject = record.get("subject")
-            subject = "" if subject is None else str(subject)
+            if subject is None:
+                subject = ""
+            elif not isinstance(subject, str):
+                raise ValueError("subject must be a string or null")
             if not subject.isascii() and _SURROGATE_RE.search(subject):
                 raise ValueError(f"subject {subject!r} holds a lone surrogate")
             records.add(lineno, stamp, key, subject, team)

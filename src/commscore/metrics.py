@@ -2,10 +2,12 @@
 
 Graph-structural metrics (centralities, centralization, density) are exact
 rationals (:class:`fractions.Fraction`) on the directed unweighted structure of
-each window graph; edge multiplicities never affect them.  The two hot kernels,
-betweenness and AWVCI, carry their sums as integers over a common denominator
-and build one ``Fraction`` per result instead of one per term.  Reply
-latencies are in seconds.
+each window graph; edge multiplicities never affect them.  Sums are carried as
+integers over a common denominator, and one ``Fraction`` is built per metric
+value, not one per term or per actor: a :class:`CentralityMap` holds integer
+numerators over one denominator per graph, centralization reads them as
+integers, and oscillation compares them as integers.  AWVCI sums its daily
+variances the same way.  Reply latencies are in seconds.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 from importlib import resources
 from math import lcm
 from operator import attrgetter
+from types import MappingProxyType
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import FormatError, InsufficientWindows, NoActivity, OutOfRange
@@ -60,10 +63,23 @@ METRIC_CHOICES: dict[str, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class CentralityMap:
-    """Normalized per-actor centralities in [0, 1] for one graph."""
+    """Normalized per-actor centralities in [0, 1] for one graph.
+
+    Each actor's centrality is its integer numerator over the one
+    ``denominator`` that the whole graph shares, not necessarily in lowest
+    terms; ``values`` reads them as exact rationals.  Two maps of equal values
+    may hold them over different denominators.
+    """
 
     kind: str  # "betweenness" | "degree"
-    values: Mapping[ActorId, Fraction]
+    numerators: Mapping[ActorId, int]
+    denominator: int
+
+    @property
+    def values(self) -> Mapping[ActorId, Fraction]:
+        """Each actor's centrality as an exact ``Fraction``, read-only."""
+        den = self.denominator
+        return MappingProxyType({v: Fraction(num, den) for v, num in self.numerators.items()})
 
 
 def betweenness_centrality(g: WindowGraph) -> CentralityMap:
@@ -71,25 +87,27 @@ def betweenness_centrality(g: WindowGraph) -> CentralityMap:
 
     For each node, the fraction of ordered-pair shortest paths passing through
     it, normalized by ``(N-1)(N-2)``.  Fewer than three nodes yields all
-    zeros.  Values are exact rationals.
+    zeros.
 
     Per BFS source s (Brandes 2001, 2008), the dependency δ(v) of s on v obeys
     δ(v) = Σ σ(v)/σ(w)·(1 + δ(w)) over the successors w of v on shortest
-    paths, σ being the shortest-path counts from s.  With L the lcm of the
-    σ reached from s, the integer D(v) = L·δ(v)/σ(v) obeys
-    D(v) = Σ (L/σ(w) + D(w)), so δ(v) = D(v)·σ(v)/L needs no division
-    until the end.  Each node collects its numerators in a map keyed by L
-    and becomes one ``Fraction``.
+    paths, σ being the shortest-path counts from s.  The BFS runs from every
+    source first.  With L the lcm of every σ from every source, the integer
+    D(v) = L·δ(v)/σ(v) obeys D(v) = Σ (L/σ(w) + D(w)), so L·δ(v) = D(v)·σ(v)
+    is an integer too.  Each node sums these over the sources, and its
+    betweenness is that sum over ``L·(N-1)(N-2)``, the graph's one
+    denominator.
     """
     nodes = sorted(g.nodes)
     n = len(nodes)
     if n < 3:
-        return CentralityMap("betweenness", {v: Fraction(0) for v in nodes})
+        return CentralityMap("betweenness", dict.fromkeys(nodes, 0), 1)
     index = {v: i for i, v in enumerate(nodes)}
     adj: list[list[int]] = [[] for _ in nodes]
     for src, dst in g.edges:
         adj[index[src]].append(index[dst])
-    parts: list[dict[int, int]] = [{} for _ in nodes]  # per node: {L: Σ D·σ}
+    searches = []  # per source: (dist, sigma, BFS order)
+    path_counts: set[int] = set()
     for source in range(n):
         if not adj[source]:
             continue
@@ -106,26 +124,25 @@ def betweenness_centrality(g: WindowGraph) -> CentralityMap:
                     order.append(w)
                 elif dist[w] == next_dist:
                     sigma[w] += paths
+        searches.append((dist, sigma, order))
+        path_counts.update(sigma)
+    path_counts.discard(0)  # σ of a node the source does not reach
+    common = lcm(*path_counts)
+    totals = [0] * n  # per node: Σ over sources of L·δ(v)
+    for dist, sigma, order in searches:
         # dependency accumulation, back to front: share[w] = L/σ(w) + D(w)
-        common = lcm(*[sigma[v] for v in order])
         share = [0] * n
-        for v in reversed(order):
+        for v in reversed(order[1:]):  # the source depends on itself for nothing
             next_dist = dist[v] + 1
             dependency = 0
             for w in adj[v]:
                 if dist[w] == next_dist:
                     dependency += share[w]
             share[v] = common // sigma[v] + dependency
-            if dependency and v != source:
-                part = parts[v]
-                part[common] = part.get(common, 0) + dependency * sigma[v]
-    denom = (n - 1) * (n - 2)
-    values: dict[ActorId, Fraction] = {}
-    for v, part in zip(nodes, parts):
-        common = lcm(*part)
-        values[v] = Fraction(sum(num * (common // den) for den, num in part.items()),
-                             common * denom)
-    return CentralityMap("betweenness", values)
+            if dependency:
+                totals[v] += dependency * sigma[v]
+    return CentralityMap("betweenness", dict(zip(nodes, totals)),
+                         common * (n - 1) * (n - 2))
 
 
 def degree_centrality(g: WindowGraph) -> CentralityMap:
@@ -136,25 +153,24 @@ def degree_centrality(g: WindowGraph) -> CentralityMap:
         neighbors[dst].add(src)
     n = len(neighbors)
     if n <= 1:
-        return CentralityMap("degree", {v: Fraction(0) for v in neighbors})
-    return CentralityMap(
-        "degree", {v: Fraction(len(nb), n - 1) for v, nb in neighbors.items()}
-    )
+        return CentralityMap("degree", dict.fromkeys(neighbors, 0), 1)
+    return CentralityMap("degree", {v: len(nb) for v, nb in neighbors.items()}, n - 1)
 
 
 def group_centralization(c: CentralityMap) -> Fraction:
     """Freeman centralization: Σ(c_max − c_v) over its star-graph maximum.
 
     The maximum sum is ``N-1`` for normalized betweenness and ``N-2`` for
-    normalized degree.  Two or fewer nodes centralize to 0.
+    normalized degree.  Two or fewer nodes centralize to 0.  Over the map's
+    one denominator d the spread is (N·max − Σ)/d in numerators, so the
+    result is one ``Fraction``.
     """
-    n = len(c.values)
+    numerators = c.numerators.values()
+    n = len(numerators)
     if n <= 2:
         return Fraction(0)
-    c_max = max(c.values.values())
-    spread = sum((c_max - v for v in c.values.values()), start=Fraction(0))
-    denom = n - 1 if c.kind == "betweenness" else n - 2
-    return spread / denom
+    normalizer = n - 1 if c.kind == "betweenness" else n - 2
+    return Fraction(n * max(numerators) - sum(numerators), c.denominator * normalizer)
 
 
 def density(g: WindowGraph) -> Fraction:
@@ -203,11 +219,17 @@ def leadership_oscillation(series: Sequence[CentralityMap]) -> int:
     across consecutive windows, summed over actors.
 
     ``series`` holds the betweenness of each window graph in time order.  An
-    actor absent from a window has betweenness 0 there.
+    actor absent from a window has betweenness 0 there.  The windows'
+    numerators are scaled to the lcm of their denominators, so they compare
+    as integers, and an equal value over two denominators is a plateau.
     """
     if len(series) < 3:
         raise InsufficientWindows(f"oscillation needs ≥ 3 windows, got {len(series)}")
-    maps = [c.values for c in series]
+    common = lcm(*[c.denominator for c in series])
+    maps = []
+    for c in series:
+        scale = common // c.denominator
+        maps.append({v: num * scale for v, num in c.numerators.items()})
     return sum(direction_changes([m.get(actor, 0) for m in maps])
                for actor in set().union(*maps))
 

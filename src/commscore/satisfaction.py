@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,14 +102,16 @@ def team_satisfaction(responses: Sequence[SurveyResponse], team_id: str,
 def load_survey(source: BinaryIO, *, source_name: str = "<stream>") -> list[SurveyResponse]:
     """Parse the survey CSV; malformed or incomplete rows are rejected outright.
 
-    Missing answers are treated as malformed, never imputed.  KPD answers
-    must lie in 1..5, and each ``(team_id, respondent_id)`` pair may appear
-    only once.
+    Missing answers are treated as malformed, never imputed.  An NPS answer
+    is an integer 0..10 written in ASCII digits, a KPD answer an ASCII
+    decimal text (``4``, ``3.5``) in 1..5, and each ``(team_id,
+    respondent_id)`` pair may appear only once.
     """
     out: list[SurveyResponse] = []
     seen: set[tuple[str, str]] = set()
     # each distinct answer text is checked and converted once; texts that
     # fail are never stored, so every row holding one is rejected
+    nps_of: dict[str, int] = {}
     answer_of: dict[str, Fraction] = {}
     for line, row in read_csv(source, source_name, SURVEY_HEADER):
         if not row:
@@ -127,7 +130,9 @@ def load_survey(source: BinaryIO, *, source_name: str = "<stream>") -> list[Surv
                                   source=source_name, line=line)
         seen.add((team, respondent))
         try:
-            answer = int(raw_nps)
+            if raw_nps not in nps_of:
+                nps_of[raw_nps] = _nps_answer(raw_nps)
+            answer = nps_of[raw_nps]
             for v in raw_kpd:
                 if v not in answer_of:
                     answer_of[v] = _kpd_answer(v)
@@ -140,13 +145,26 @@ def load_survey(source: BinaryIO, *, source_name: str = "<stream>") -> list[Surv
     return out
 
 
-def _kpd_answer(raw: str) -> Fraction:
-    """One KPD answer in 1..5.
+#: The answer texts read: ASCII digits, and for KPD maybe a decimal point.
+_INTEGER_RE = re.compile(r"[0-9]+")
+_DECIMAL_RE = re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+")
 
-    The range is checked on a float first, so that an answer such as
-    ``1e1000000`` is rejected before it builds a huge exact ``Fraction``.
+
+def _nps_answer(raw: str) -> int:
+    """One NPS answer as written: ASCII digits only (its range is checked by
+    :class:`SurveyResponse`)."""
+    if not _INTEGER_RE.fullmatch(raw):
+        raise ValueError(f"nps answer {raw!r} is not an integer 0..10")
+    return int(raw)
+
+
+def _kpd_answer(raw: str) -> Fraction:
+    """One KPD answer in 1..5, written as an ASCII decimal text.
+
+    The range is checked on a float first, so that an answer of many digits
+    is rejected before it builds a huge exact ``Fraction``.
     """
-    if 1 <= float(raw) <= 5:
+    if _DECIMAL_RE.fullmatch(raw) and 1 <= float(raw) <= 5:
         answer = Fraction(raw)
         # the exact check, on integers: comparing Fractions costs far more
         if answer.denominator <= answer.numerator <= 5 * answer.denominator:

@@ -239,6 +239,14 @@ def freeman_centralization(values: Mapping[str, Fraction], kind: str) -> Fractio
     return spread / (n - 1 if kind == "betweenness" else n - 2)
 
 
+def turning_points(series: Sequence[Fraction]) -> int:
+    """Strict direction changes of a series: with each run of equal values
+    merged into one, the interior values that are a strict maximum or minimum."""
+    merged = [v for i, v in enumerate(series) if i == 0 or v != series[i - 1]]
+    return sum(1 for before, v, after in zip(merged, merged[1:], merged[2:])
+               if (v - before) * (after - v) < 0)
+
+
 def degree_map(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> dict[str, Fraction]:
     node_list = sorted(set(nodes))
     neighbors: dict[str, set[str]] = {v: set() for v in node_list}
@@ -460,24 +468,34 @@ def _jsonl_records(blob: bytes, make_event, parse_timestamp, default_team: str):
         if not isinstance(record, dict):
             yield line, ValueError("record is not an object")
             continue
-        team = str(record.get("team_id") or default_team)
+        team = record.get("team_id", default_team)
+        if not isinstance(team, str):
+            yield line, ValueError("team_id must be a string")
+            continue
+        team = team or default_team
         if not team:
             yield line, ValueError("missing team_id")
             continue
 
         def build(record=record, team=team):
-            stamp = parse_timestamp(str(record["timestamp"]))
+            stamp = record["timestamp"]
+            if not isinstance(stamp, str):
+                raise ValueError("timestamp must be a string")
+            stamp = parse_timestamp(stamp)
             to, cc = record.get("to") or [], record.get("cc") or []
             if not isinstance(to, list) or not isinstance(cc, list):
                 raise ValueError("to/cc must be arrays")
-            sender, subject = str(record["from"]), record.get("subject")
-            subject = "" if subject is None else str(subject)
+            sender, subject = record["from"], record.get("subject")
+            if subject is None:
+                subject = ""
+            elif not isinstance(subject, str):
+                raise ValueError("subject must be a string or null")
             try:
                 subject.encode("utf-8")
             except UnicodeEncodeError:  # a \u escape of a lone surrogate
                 raise ValueError(f"subject {subject!r} holds a lone surrogate") from None
-            return make_event(stamp, sender, [str(a) for a in to], [str(a) for a in cc],
-                              subject, team)
+            # make_event refuses an address that is not a string
+            return make_event(stamp, sender, to, cc, subject, team)
         yield line, build
 
 

@@ -235,6 +235,18 @@ def test_lone_surrogate_records_are_malformed(tmp_path, capsys):
         "error: m.jsonl:1: not a local@domain address: 'a\\ud800@x.com'\n")
 
 
+def test_a_team_id_that_is_not_a_string_names_no_corpus(tmp_path, capsys):
+    mail = _write(tmp_path / "m.jsonl", _jsonl("t") + _jsonl("t").replace(b'"t"', b'["t"]'))
+    args = ("ingest", mail, "--format", "jsonl", "--period", PERIOD)
+    assert run(*args, "--out", tmp_path / "c") == 0
+    assert sorted(p.name for p in (tmp_path / "c" / "corpora").iterdir()) == ["t.jsonl"]
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text(encoding="utf-8"))
+    assert [(i["line"], i["message"]) for i in manifest["issues"]] == [
+        (2, "team_id must be a string")]
+    assert run(*args, "--out", tmp_path / "s", "--strict") == 2
+    assert capsys.readouterr().err == "error: m.jsonl:2: team_id must be a string\n"
+
+
 def test_analyze_empty_archive_exits_3(tmp_path):
     mail = tmp_path / "team.csv"
     mail.write_text("timestamp,from,to,cc,subject\n")
@@ -435,6 +447,11 @@ EXIT_CODE_CASES = [
                                "--format", "jsonl", "--period", PERIOD, "--out", d / "o",
                                "--strict"],
                  id="strict-unsafe-team-id"),
+    pytest.param(2, lambda d: ["ingest", _write(d / "t.jsonl", _jsonl("t").replace(
+                                   b'"a@x.com"', b'["a@x.com"]')),
+                               "--format", "jsonl", "--period", PERIOD, "--out", d / "o",
+                               "--strict"],
+                 id="strict-non-string-sender"),
     pytest.param(3, lambda d: ["analyze", _empty_archive(d), "--out", d / "o"],
                  id="empty-archive"),
     pytest.param(3, lambda d: ["analyze", _archive(d, start=BEFORE_YEAR_1), "--out", d / "o"],

@@ -443,6 +443,24 @@ def test_each_distinct_address_is_normalized_once(tmp_path, summer):
     assert 0 < normalize_address.cache_info().misses <= len(archived)
 
 
+@pytest.mark.parametrize("edit", [
+    {"from": ["a@x.com"]}, {"to": ["b@x.com", ["c@x.com"]]}, {"to": [True]}, {"cc": [5]},
+    {"cc": [{"c@x.com": 1}]}, {"timestamp": 1338800400}, {"team_id": ["t"]},
+    {"team_id": None}, {"team_id": 0}, {"subject": ["s"]}, {"subject": 5}])
+def test_jsonl_fields_that_are_not_strings_are_malformed(edit):
+    """A JSON value is never turned into text: a non-string address, timestamp,
+    team id or subject (other than a null subject) makes the record malformed."""
+    good = {"timestamp": "2012-06-04T09:00:00Z", "from": "a@x.com", "to": ["b@x.com"],
+            "team_id": "t"}
+    doc = "".join(json.dumps(record) + "\n" for record in ({**good, **edit}, good)).encode()
+    result = parse_events(io.BytesIO(doc), "jsonl", source_name="m.jsonl")
+    assert [(e.sender, e.to, e.team_id) for e in result.events] == [("a@x.com", ("b@x.com",), "t")]
+    assert [i.line for i in result.issues] == [1]
+    assert "must be" in result.issues[0].message
+    with pytest.raises(MalformedRecord, match=r"^m\.jsonl:1: "):
+        parse_events(io.BytesIO(doc), "jsonl", source_name="m.jsonl", strict=True)
+
+
 @pytest.mark.parametrize("subject", [{}, {"subject": None}])
 def test_jsonl_absent_or_null_subject_is_empty(subject):
     record = {"timestamp": "2012-06-04T09:00:00Z", "from": "a@x.com", "to": ["b@x.com"],
@@ -779,8 +797,10 @@ _UNNORMAL = (str.upper, "Ann Example <{}>".format, '"{}"'.format, "  {}\t".forma
 #: Edits that keep each field's type, and fields set to a wrong type.
 _EDITS = ("address", "repeat", "no-subject", "null-subject", "no-team", "other-team",
           "unsafe-team", "shuffle", "duplicate", "twin", "outside", "stamp")
-_WRONG_TYPES = (("from", 5), ("to", []), ("to", [7]), ("to", "b@ex.com"),
-                ("to", {"b@ex.com": 1}), ("cc", None), ("cc", [["c@ex.com"]]))
+_WRONG_TYPES = (("from", 5), ("from", ["a@ex.com"]), ("to", []), ("to", [7]), ("to", [1.0]),
+                ("to", "b@ex.com"), ("to", {"b@ex.com": 1}), ("cc", None), ("cc", [True]),
+                ("cc", [["c@ex.com"]]), ("timestamp", 1338800400), ("subject", ["s"]),
+                ("team_id", ["t"]), ("team_id", None))
 
 
 @st.composite

@@ -11,7 +11,7 @@ from random import Random
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import commscore.metrics
@@ -169,15 +169,12 @@ def test_isolated_dyad_both_score_one():
 
 
 def test_centralization_of_equal_map_is_zero():
-    c = CentralityMap("degree", {"a": Fraction(1, 2), "b": Fraction(1, 2),
-                                 "c": Fraction(1, 2)})
+    c = CentralityMap("degree", {"a": 1, "b": 1, "c": 1}, 2)  # each 1/2
     assert group_centralization(c) == 0
 
 
 def test_star_degree_map_centralizes_to_one():
-    c = CentralityMap("degree", {
-        "hub": Fraction(1), "w": Fraction(1, 4), "x": Fraction(1, 4),
-        "y": Fraction(1, 4), "z": Fraction(1, 4)})
+    c = CentralityMap("degree", {"hub": 4, "w": 1, "x": 1, "y": 1, "z": 1}, 4)  # 1 and 1/4
     assert group_centralization(c) == 1
 
 
@@ -322,6 +319,100 @@ def test_oscillation_needs_three_windows():
                        period=("2012-06-04 00:00", "2012-06-11 00:00"))
     with pytest.raises(InsufficientWindows):
         leadership_oscillation(weekly_betweenness(corpus))
+
+
+#: Week graphs for the network-metric property test.  The first three have 0,
+#: 2 and 2 nodes.  Node ``b`` has betweenness 1/2 both on the 3-node path (1
+#: of 2 ordered pairs) and on the 4-node graph after it (3 of 6), so weeks in
+#: a row can hold one value over two denominators: a plateau.
+_WEEK_MOTIFS = (
+    (),
+    (("a", "b"),),
+    (("a", "b"), ("b", "a")),
+    (("a", "b"), ("b", "c")),
+    (("a", "b"), ("b", "c"), ("b", "d"), ("d", "a")),
+)
+_week_graphs = st.one_of(
+    st.sampled_from(_WEEK_MOTIFS),
+    st.lists(st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdef"))
+             .filter(lambda edge: edge[0] != edge[1]), max_size=10))
+
+
+def _network_metrics_by_fractions(events, start, end) -> tuple:
+    """(Avg GBC, Avg GDC, Sum of Oscillation) from the oracles' calendar
+    windows, with one ``Fraction`` per actor and term."""
+    def nodes(edges):
+        return {v for pair in edges for v in pair}
+
+    months = [e for _, e in oracles.calendar_edges(events, start, end, oracles.month_key)]
+    weeks = [e for _, e in oracles.calendar_edges(events, start, end, oracles.week_key)]
+    active = [e for e in months if e]
+    gbc = gdc = oscillation = None
+    if active:
+        gbc = sum(oracles.freeman_centralization(
+            oracles.accumulation_betweenness(nodes(e), e), "betweenness")
+            for e in active) / len(active)
+        gdc = sum(oracles.freeman_centralization(
+            oracles.degree_map(nodes(e), e), "degree") for e in active) / len(active)
+    if len(weeks) >= 3:
+        series = [oracles.accumulation_betweenness(nodes(e), e) for e in weeks]
+        oscillation = sum(oracles.turning_points([m.get(actor, Fraction(0)) for m in series])
+                          for actor in sorted(set().union(*series)))
+    return gbc, gdc, oscillation
+
+
+@given(st.lists(_week_graphs, min_size=1, max_size=10))
+# b: 1/2 over 2, 1/2 over 6, then 0 is a plateau and a fall, not a turn
+@example([_WEEK_MOTIFS[3], _WEEK_MOTIFS[4], _WEEK_MOTIFS[0]])
+@example([_WEEK_MOTIFS[4], _WEEK_MOTIFS[3], _WEEK_MOTIFS[4], _WEEK_MOTIFS[1]])
+@settings(max_examples=200, deadline=None)
+def test_network_metrics_equal_a_fraction_recomputation(weeks):
+    """Avg GBC, Avg GDC and the Sum of Oscillation, computed over integer
+    numerators, equal a recomputation with a ``Fraction`` per actor."""
+    monday = ts("2012-06-04 00:00")
+    events = [make_event(monday + timedelta(weeks=week, minutes=j), addr(sender),
+                         [addr(recipient)], subject=f"s{week}", team_id="t")
+              for week, edges in enumerate(weeks) for j, (sender, recipient) in enumerate(edges)]
+    period = Period(monday, monday + timedelta(weeks=len(weeks)))
+    vec = compute_metric_vector(build_corpus(events, "t", period))
+    assert (vec.avg_gbc, vec.avg_gdc, vec.oscillation_sum) == _network_metrics_by_fractions(
+        events, period.start, period.end)
+
+
+@pytest.mark.parametrize("actors", [6, 40])
+def test_metric_vector_builds_a_few_fractions_per_window(monkeypatch, actors):
+    """An operation bound: however many actors a window holds, the vector
+    builds at most a few ``Fraction``s per window graph (the centralities
+    are integers over one denominator per graph)."""
+    rng = Random(actors)
+    names = [f"p{i}" for i in range(actors)]
+    events = [ev(f"2012-{month:02}-{day:02} {hour:02}:00", sender,
+                 rng.sample([n for n in names if n != sender], rng.randint(1, 3)),
+                 subject=f"s{month}-{day}")
+              for month in (6, 7, 8) for day in range(1, 29) for hour in (9, 11, 15)
+              for sender in [rng.choice(names)]]
+    corpus = corpus_of(events)
+    expected = compute_metric_vector(corpus)
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(commscore.metrics, "Fraction", counting_fraction)
+    assert compute_metric_vector(corpus) == expected
+    windows = len(monthly_windows(corpus)) + len(weekly_windows(corpus))
+    assert len({v for g in monthly_windows(corpus) for v in g.nodes}) == actors
+    assert 0 < len(built) <= 3 * windows
+
+
+def test_graphs_under_three_nodes_centralize_to_zero():
+    lone = WindowGraph(window=graph().window, nodes=frozenset({"a"}),
+                       edges=MappingProxyType({}))
+    for g in (graph(), lone, graph(("a", "b"))):
+        assert set(betweenness_centrality(g).values.values()) <= {0}
+        assert group_centralization(betweenness_centrality(g)) == 0
+        assert group_centralization(degree_centrality(g)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -222,13 +222,40 @@ def test_survey_rejects_bad_values():
 
 
 @pytest.mark.parametrize("answer", ["99", "-3", "0.5", "5.0000000000000000001",
-                                    "nan", "inf", "1e1000000", "-1e1000000"])
+                                    "nan", "inf", "1e1000000", "-1e1000000",
+                                    # not ASCII decimal text, though float reads each
+                                    "4_0e-1", "3e0", "\u0663", "+3", "0x3", "7/2"])
 def test_survey_rejects_kpd_answers_outside_1_to_5(answer):
     doc = SURVEY + f"bravo,r2,8,3,3,3,3,3,3,3,{answer}\n".encode()
     with pytest.raises(MalformedRecord, match=r":5: kpd answer .* outside 1\.\.5"):
         load_survey(io.BytesIO(doc))
-    bounds = SURVEY + b"bravo,r2,8,1,5,1.0,5.0,3,3,3,3\n"
-    assert len(load_survey(io.BytesIO(bounds))) == 4
+    bounds = SURVEY + b"bravo,r2,8,1,5,1.0,5.0,3.,4.50,05,3\n"
+    assert load_survey(io.BytesIO(bounds))[-1].kpd_answers == (1, 5, 1, 5, 3, Fraction(9, 2), 5, 3)
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "\uff17", "+5", "-0", " 7e0", "10.0"])
+def test_survey_nps_answers_are_ascii_digits(text):
+    """``int`` would read ``1_0`` as 10 and the Arabic-Indic ``٣`` or the
+    full-width ``７`` as 3 or 7; an NPS answer is written in ASCII digits."""
+    doc = SURVEY + f"bravo,r2,{text},3,3,3,3,3,3,3,3\n".encode()
+    with pytest.raises(MalformedRecord, match=r":5: nps answer .* is not an integer 0\.\.10"):
+        load_survey(io.BytesIO(doc))
+    leading_zero = SURVEY + b"bravo,r2,08,3,3,3,3,3,3,3,3\n"
+    assert load_survey(io.BytesIO(leading_zero))[-1].nps_answer == 8
+
+
+def test_each_distinct_nps_text_is_converted_once(monkeypatch):
+    path = Path(__file__).parent / "data" / "fixture" / "survey.csv"
+    with open(path, encoding="utf-8", newline="") as fh:
+        texts = [row[2].strip() for row in list(csv.reader(fh))[1:]]
+    converted: list[str] = []
+    real = satisfaction._nps_answer
+    monkeypatch.setattr(satisfaction, "_nps_answer",
+                        lambda text: converted.append(text) or real(text))
+    with open(path, "rb") as fh:
+        rows = load_survey(fh)
+    assert sorted(converted) == sorted(set(texts)) and len(texts) > len(set(texts))
+    assert [r.nps_answer for r in rows] == [int(t) for t in texts]
 
 
 def test_survey_rejects_duplicate_respondents():
