@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -88,14 +89,15 @@ def report_settings(args: argparse.Namespace, **effective: object) -> dict[str, 
 
     Each setting is read from ``args``, or is its default where the stage has
     no such option; ``effective`` overrides it where the stage decided the
-    value itself, such as the archive period ``analyze`` reads.
+    value itself, such as the archive period and the digest of the lexicon
+    bytes that ``analyze`` reads.  The bundled lexicon is ``"builtin"``.
     """
     settings = {key: getattr(args, key, default) for key, default in REPORT_SETTINGS.items()}
     settings.update(effective)
-    period, lexicon = settings["period"], settings["lexicon"]
+    period = settings["period"]
     if isinstance(period, Period):
         settings["period"] = {"start": iso_utc(period.start), "end": iso_utc(period.end)}
-    settings["lexicon"] = lexicon.name if isinstance(lexicon, Path) else "builtin"
+    settings["lexicon"] = settings["lexicon"] or "builtin"
     blob = json.dumps(settings, sort_keys=True, separators=(",", ":"))
     return {"fingerprint": hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12], **settings}
 
@@ -197,10 +199,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     period = _read_archive_period(archive)
     corpora = sorted((archive / "corpora").glob("*.jsonl"))
     if args.lexicon is None:
-        lexicon = metrics_mod.default_lexicon()
+        lexicon, lexicon_digest = metrics_mod.default_lexicon(), None
     else:
-        with open(args.lexicon, encoding="utf-8") as fh:
-            lexicon = load_lexicon(fh)
+        data = args.lexicon.read_bytes()
+        lexicon = load_lexicon(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        lexicon_digest = "sha256:" + hashlib.sha256(data).hexdigest()
     metric_config = MetricConfig(reply_cap=args.reply_cap, lexicon=lexicon,
                                  **{key: getattr(args, key) for key in METRIC_CHOICES})
     vectors: list[MetricVector] = []
@@ -219,7 +222,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             fmt6(getattr(vec, f)) for f in METRIC_FIELDS)))
     (out_dir / "metrics.csv").write_bytes("".join(lines).encode("utf-8"))
     (out_dir / "analyze_config.json").write_text(
-        json.dumps(report_settings(args, period=period), indent=2) + "\n", encoding="utf-8")
+        json.dumps(report_settings(args, period=period, lexicon=lexicon_digest),
+                   indent=2) + "\n", encoding="utf-8")
     print(f"analyzed {len(vectors)} team(s)")
     print(f"wrote {out_dir / 'metrics.csv'}")
     return 0

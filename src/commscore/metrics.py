@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from importlib import resources
+from itertools import chain
 from math import lcm
 from operator import attrgetter
 from types import MappingProxyType
@@ -26,6 +27,7 @@ from typing import IO, Iterable, Mapping, Sequence
 from .errors import FormatError, InsufficientWindows, NoActivity, OutOfRange
 from .ingest import ActorId, EmailEvent, TeamCorpus
 from .tempograph import (
+    DayTally,
     WindowGraph,
     daily_activity,
     month_periods,
@@ -335,15 +337,16 @@ def contribution_index(sent: int, received: int) -> Fraction:
     return Fraction(sent - received, _traffic(sent, received))
 
 
-def awvci(days: Sequence[WindowGraph],
+def awvci(days: Iterable[DayTally],
           weighting: str = METRIC_CHOICES["awvci_weighting"][0]) -> Fraction:
     """Weighted mean of daily contribution-index variances.
 
-    Per day graph (:func:`~commscore.tempograph.daily_activity`): the
-    population variance of the contribution index across its nodes, whose
-    sends and receipts are their out- and in-edge counts.  Day weights are
-    the day's total edge count (``weighting="edges"``, the default) or its
-    node count (``weighting="actors"``).
+    ``days`` are UTC-day tallies ``(date, {(sender, recipient): count})``, as
+    :func:`~commscore.tempograph.daily_activity` returns them.  Per day: the
+    population variance of the contribution index across the actors of its
+    edges, whose sends and receipts are their out- and in-edge counts.  Day
+    weights are the day's total edge count (``weighting="edges"``, the
+    default) or its actor count (``weighting="actors"``).
 
     The sums are exact integers.  With q = sent + received per actor and L
     the lcm of a day's q, each index times L is the integer x = (sent −
@@ -354,19 +357,19 @@ def awvci(days: Sequence[WindowGraph],
         raise ValueError(f"unknown AWVCI weighting: {weighting!r}")
     parts: dict[int, int] = {}  # {k²L²: Σ weight·(k·Σx² − (Σx)²)}
     total_weight = 0
-    for day in days:
-        sent, received = dict.fromkeys(day.nodes, 0), dict.fromkeys(day.nodes, 0)
-        for (sender, recipient), count in day.edges.items():
+    for _, edges in days:
+        sent = dict.fromkeys(chain.from_iterable(edges), 0)
+        received = sent.copy()
+        for (sender, recipient), count in edges.items():
             sent[sender] += count
             received[recipient] += count
-        counts = [(sent[a] - received[a], _traffic(sent[a], received[a]))
-                  for a in day.nodes]
+        counts = [(s - received[a], _traffic(s, received[a])) for a, s in sent.items()]
         if not counts:
             continue
         common = lcm(*[q for _, q in counts])
         xs = [d * (common // q) for d, q in counts]
         k = len(xs)
-        weight = sum(day.edges.values()) if weighting == "edges" else k
+        weight = sum(edges.values()) if weighting == "edges" else k
         den = k * k * common * common
         parts[den] = parts.get(den, 0) + weight * (k * sum([x * x for x in xs]) - sum(xs) ** 2)
         total_weight += weight
@@ -531,7 +534,7 @@ def compute_metric_vector(corpus: TeamCorpus, config: MetricConfig = MetricConfi
 
     Monthly means (GBC, GDC, density) skip months without e-mail; a metric
     whose preconditions cannot be met is reported as undefined rather than
-    aborting the vector.  Month and week graphs are sums of the day graphs,
+    aborting the vector.  Month and week graphs are sums of the day tallies,
     and each window graph's betweenness is computed once.
     """
     days = daily_activity(corpus)

@@ -1,11 +1,11 @@
 """Aggregate a corpus into directed weighted graphs over calendar windows.
 
 This module is the one place that maps events to windows, and the UTC day is
-its one bucket: :func:`daily_activity` tallies each message into the graph of
-its day, and every month or week graph is a sum of day graphs.  It is also
-the one calendar: :func:`month_periods` and :func:`week_periods` give the UTC
-months and Monday-started weeks of a period, and :mod:`commscore.synth`
-generates its mail over them.  Event and period instants are UTC whole seconds
+its one bucket: :func:`daily_activity` tallies each message into its day, and
+every month or week graph is a sum of day tallies.  It is also the one
+calendar: :func:`month_periods` and :func:`week_periods` give the UTC months
+and Monday-started weeks of a period, and :mod:`commscore.synth` generates its
+mail over them.  Event and period instants are UTC whole seconds
 by type, so an instant's date is its UTC day.  A message to ``k`` distinct
 recipients contributes ``k`` directed edges; self-addressed copies are dropped.
 """
@@ -13,14 +13,22 @@ recipients contributes ``k`` directed edges; self-addressed copies are dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, time, timedelta, timezone
-from itertools import chain, groupby
+from datetime import date, datetime, timedelta, timezone
+from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .ingest import ActorId, Period, TeamCorpus
 
+#: Message counts of directed pairs: ``{(sender, recipient): count}``.
+EdgeCounts = dict[tuple[ActorId, ActorId], int]
+#: One UTC day: its date and its edge counts, each at least 1.  Plain data, so
+#: a corpus builds a graph per month and week but no object per day.
+DayTally = tuple[date, EdgeCounts]
+
 _DAY = timedelta(days=1)
+_SECOND = timedelta(seconds=1)
+_EARLIEST = datetime.min.replace(tzinfo=timezone.utc)
 
 
 @dataclass(frozen=True)
@@ -36,7 +44,7 @@ class WindowGraph:
     edges: Mapping[tuple[ActorId, ActorId], int]
 
 
-def _graph(window: Period, edges: dict[tuple[ActorId, ActorId], int]) -> WindowGraph:
+def _graph(window: Period, edges: EdgeCounts) -> WindowGraph:
     return WindowGraph(window=window, nodes=frozenset(chain.from_iterable(edges)),
                        edges=MappingProxyType(edges))
 
@@ -67,38 +75,46 @@ def week_periods(period: Period) -> list[Period]:
                               lambda c: c + timedelta(days=7)))
 
 
-def daily_activity(corpus: TeamCorpus) -> list[WindowGraph]:
-    """One graph per UTC day with at least one counted message, in order.
+def daily_activity(corpus: TeamCorpus) -> list[DayTally]:
+    """The tally of each UTC day with a counted message, in order.
 
-    A day graph's window is that UTC day clipped to the corpus period.  This
-    is the one walk over the corpus: each message's recipients are read once.
+    This is the one walk over the corpus: each message's recipients are read
+    once, and a new day starts only when an instant reaches the next midnight.
     """
-    period = corpus.period
-    days: list[WindowGraph] = []
-    for day, events in groupby(corpus.events, key=lambda ev: ev.timestamp.date()):
-        edges: dict[tuple[ActorId, ActorId], int] = {}
-        for ev in events:
-            for recipient in ev.recipients:
-                if recipient != ev.sender:
-                    pair = (ev.sender, recipient)
-                    edges[pair] = edges.get(pair, 0) + 1
-        if edges:
-            midnight = datetime.combine(day, time.min, timezone.utc)
+    end = corpus.period.end
+    days: list[DayTally] = []
+    edges: EdgeCounts = {}
+    next_midnight = _EARLIEST  # the first event opens the first day
+    for ev in corpus.events:
+        stamp = ev.timestamp
+        if stamp >= next_midnight:
+            edges = {}
+            days.append((stamp.date(), edges))
+            midnight = stamp.replace(hour=0, minute=0, second=0)
             # the day after 9999-12-31 is out of range; the period ends first
-            end = period.end if period.end - midnight <= _DAY else midnight + _DAY
-            days.append(_graph(Period(max(midnight, period.start), end), edges))
-    return days
+            next_midnight = end if end - midnight <= _DAY else midnight + _DAY
+        sender = ev.sender
+        for recipient in ev.recipients:
+            if recipient != sender:
+                pair = (sender, recipient)
+                edges[pair] = edges.get(pair, 0) + 1
+    return [day for day in days if day[1]]
 
 
-def window_graphs(days: Sequence[WindowGraph], windows: Sequence[Period]) -> list[WindowGraph]:
-    """Sum the :func:`daily_activity` graphs of a corpus into consecutive
-    windows that cover its period; a window without a day gets an empty graph."""
+def window_graphs(days: Sequence[DayTally], windows: Sequence[Period]) -> list[WindowGraph]:
+    """Sum the :func:`daily_activity` tallies of a corpus into consecutive
+    windows that cover its period; a window without a day gets an empty graph.
+
+    Only the first window may start, and the last end, mid-day, so each day
+    lies whole in the first window whose last second falls on or after it.
+    """
     graphs: list[WindowGraph] = []
     i, n = 0, len(days)
     for window in windows:
-        edges: dict[tuple[ActorId, ActorId], int] = {}
-        while i < n and days[i].window.start < window.end:
-            for pair, count in days[i].edges.items():
+        last = (window.end - _SECOND).date()  # an end may fall mid-day
+        edges: EdgeCounts = {}
+        while i < n and days[i][0] <= last:
+            for pair, count in days[i][1].items():
                 edges[pair] = edges.get(pair, 0) + count
             i += 1
         graphs.append(_graph(window, edges))

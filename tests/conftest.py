@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import sys
-from datetime import datetime, timezone
+from datetime import datetime, time, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -11,6 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from commscore.ingest import Period, TeamCorpus, build_corpus, make_event
+from commscore.tempograph import WindowGraph, daily_activity
 
 UTC = timezone.utc
 
@@ -41,6 +42,21 @@ def corpus_of(events, team: str = "t",
 def summer() -> Period:
     """The three-month window most tests run over."""
     return Period(ts("2012-06-01 00:00"), ts("2012-09-01 00:00"))
+
+
+def day_graphs(corpus: TeamCorpus) -> list[WindowGraph]:
+    """``daily_activity(corpus)`` as graphs: each day tally's edges over its UTC
+    day clipped to the corpus period, with the edges' ends as nodes."""
+    period = corpus.period
+    graphs = []
+    for day, edges in daily_activity(corpus):
+        midnight = datetime.combine(day, time(), UTC)
+        # the day after 9999-12-31 is out of range; the period ends first
+        end = period.end if period.end - midnight <= timedelta(days=1) \
+            else midnight + timedelta(days=1)
+        graphs.append(WindowGraph(Period(max(midnight, period.start), end),
+                                  frozenset(a for pair in edges for a in pair), edges))
+    return graphs
 
 
 def day_tallies(day) -> tuple:

@@ -41,10 +41,9 @@ from commscore.satisfaction import (
 from commscore.scorecard import DIRECTIONS
 from commscore.stats import correlate_all, pearson, p_value_two_tailed
 from commscore.synth import SynthSpec, generate_survey_rows, generate_team_events, planted_effects
-from commscore.tempograph import daily_activity
 
 import oracles
-from conftest import corpus_of, day_tallies, ev, ts
+from conftest import corpus_of, day_graphs, day_tallies, ev, ts
 
 TESTS = Path(__file__).resolve().parent
 FIXTURE = TESTS / "data" / "fixture"
@@ -238,7 +237,7 @@ def test_criterion_5_invariant_sampler(capfd):
             ev("2012-06-04 10:00", "b", ["a"]),
             ev("2012-06-05 11:00", "c", ["a", "b"]),
         ]
-        tallies = [day_tallies(day) for day in daily_activity(corpus_of(events))]
+        tallies = [day_tallies(day) for day in day_graphs(corpus_of(events))]
         assert tallies == oracles.daily_tallies(events)
         for _, sent, received, total in tallies:
             assert sum(sent.values()) == sum(received.values()) == total

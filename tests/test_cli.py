@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -108,10 +109,10 @@ def test_reports_embed_their_settings_and_fingerprint(tmp_path):
 
     ingest = {"fingerprint": "1569ab0c3645",
               **DEFAULT_SETTINGS, "period": FIXTURE_PERIOD, "strict": True}
-    analyze = {"fingerprint": "c46731682642", **DEFAULT_SETTINGS, "period": FIXTURE_PERIOD,
+    analyze = {"fingerprint": "2c3a6dcae07d", **DEFAULT_SETTINGS, "period": FIXTURE_PERIOD,
                "reply_cap": 3600, "oscillation_window": "monthly",
                "awvci_weighting": "actors", "emotionality_mode": "normalized",
-               "lexicon": "words.txt"}
+               "lexicon": "sha256:" + hashlib.sha256(lexicon.read_bytes()).hexdigest()}
     correlate = {"fingerprint": "d911f4d41066",
                  **DEFAULT_SETTINGS, "eligibility_min": 3, "alert_sigma": 0.5}
     scorecard = {"fingerprint": "4355eeac78fa", **DEFAULT_SETTINGS}
@@ -121,6 +122,29 @@ def test_reports_embed_their_settings_and_fingerprint(tmp_path):
     assert list(read(metrics / "analyze_config.json").items()) == list(analyze.items())
     assert list(read(report / "scorecard.json")["config"].items()) == sorted(correlate.items())
     assert list(read(card / "scorecard.json")["config"].items()) == sorted(scorecard.items())
+
+
+def test_a_lexicon_is_fingerprinted_by_its_bytes(tmp_path):
+    """Two lexicons of one file name are two settings; the bundled one stays
+    ``"builtin"``, so an all-default run keeps its fingerprint."""
+    corpus = tmp_path / "c"
+    assert run("ingest", *sorted((FIXTURE / "mail").glob("*.csv")), "--period", PERIOD,
+               "--out", corpus) == 0
+    recorded = {}
+    for name, words in (("lexA", b"great\nthanks\n"), ("lexB", b"fine\n"), ("default", None)):
+        options = []
+        if words is not None:
+            lexicon = _write(tmp_path / name / "words.txt", b"[positive]\n" + words)
+            options = ["--lexicon", lexicon]
+        assert run("analyze", corpus, "--out", tmp_path / f"m{name}", *options) == 0
+        recorded[name] = json.loads(
+            (tmp_path / f"m{name}" / "analyze_config.json").read_text(encoding="utf-8"))
+    for name in ("lexA", "lexB"):
+        data = (tmp_path / name / "words.txt").read_bytes()
+        assert recorded[name]["lexicon"] == "sha256:" + hashlib.sha256(data).hexdigest()
+    assert recorded["lexA"]["fingerprint"] != recorded["lexB"]["fingerprint"]
+    assert recorded["default"] == {"fingerprint": "8b9cbcbcccad", **DEFAULT_SETTINGS,
+                                   "period": FIXTURE_PERIOD}
 
 
 def test_metrics_header_uses_report_labels(tmp_path):

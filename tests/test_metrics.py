@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 import statistics
 import warnings
-from datetime import datetime, timedelta, timezone
+from collections import Counter
+from datetime import date, datetime, timedelta, timezone
 from fractions import Fraction
 from random import Random
 from types import MappingProxyType
@@ -39,8 +40,12 @@ from commscore.metrics import (
     sentiment,
 )
 from commscore.tempograph import (
+    DayTally,
     WindowGraph,
+    daily_activity,
+    month_periods,
     monthly_windows,
+    week_periods,
     weekly_windows,
 )
 
@@ -406,6 +411,33 @@ def test_metric_vector_builds_a_few_fractions_per_window(monkeypatch, actors):
     assert 0 < len(built) <= 3 * windows
 
 
+def test_metric_vector_builds_no_object_per_day(monkeypatch):
+    """An operation bound: the vector builds a ``Period`` and a ``WindowGraph``
+    per month and week window, and none per active day."""
+    events = [ev(f"2012-{month:02}-{day:02} 09:00", sender, to, subject=f"s{day}")
+              for month in (6, 7, 8) for day in range(1, 29)
+              for sender, to in (("a", ["b", "c"]), ("b", "a"))]
+    corpus = corpus_of(events)
+    expected = compute_metric_vector(corpus)
+    windows = len(month_periods(corpus.period)) + len(week_periods(corpus.period))
+    built = Counter()
+    real_post_init, real_init = Period.__post_init__, WindowGraph.__init__
+
+    def counting_post_init(self):
+        built[Period] += 1
+        real_post_init(self)
+
+    def counting_init(self, *args, **kwargs):
+        built[WindowGraph] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Period, "__post_init__", counting_post_init)
+    monkeypatch.setattr(WindowGraph, "__init__", counting_init)
+    assert compute_metric_vector(corpus) == expected
+    assert windows == 17 and len(daily_activity(corpus)) == 84
+    assert built[Period] <= windows + 2 and built[WindowGraph] <= windows + 2
+
+
 def test_graphs_under_three_nodes_centralize_to_zero():
     lone = WindowGraph(window=graph().window, nodes=frozenset({"a"}),
                        edges=MappingProxyType({}))
@@ -609,13 +641,9 @@ def test_contribution_index_errors():
         contribution_index(-1, 2)
 
 
-def _day(i: int, edges: dict, nodes=None) -> WindowGraph:
-    """The graph of the ``i``-th day from 2012-06-04 (nodes: the edges' ends)."""
-    start = ts("2012-06-04 00:00") + timedelta(days=i)
-    if nodes is None:
-        nodes = {a for pair in edges for a in pair}
-    return WindowGraph(window=Period(start, start + timedelta(days=1)),
-                       nodes=frozenset(nodes), edges=MappingProxyType(edges))
+def _day(i: int, edges: dict) -> DayTally:
+    """The tally of the ``i``-th day from 2012-06-04, as ``daily_activity`` states one."""
+    return date(2012, 6, 4) + timedelta(days=i), dict(edges)
 
 
 def test_awvci_opposed_pair_is_one():
@@ -668,8 +696,8 @@ def test_awvci_stays_within_unit_interval(seed):
 
 
 @st.composite
-def activity_days(draw) -> list[WindowGraph]:
-    """1–5 day graphs of 2–40 actors, each edge counting 1 to 10⁶ messages.
+def activity_days(draw) -> list[DayTally]:
+    """1–5 day tallies of 2–40 actors, each edge counting 1 to 10⁶ messages.
 
     A random spanning tree reaches every actor, so pure senders and pure
     receivers occur; more edges are added at random.
@@ -695,11 +723,12 @@ def activity_days(draw) -> list[WindowGraph]:
 @settings(max_examples=80, deadline=None)
 def test_awvci_matches_fraction_variance_oracle(days, weighting):
     pairs = []
-    for d in days:
-        sent = {a: sum(c for (s, _), c in d.edges.items() if s == a) for a in d.nodes}
-        received = {a: sum(c for (_, r), c in d.edges.items() if r == a) for a in d.nodes}
-        indices = [oracles.ci_formula(sent[a], received[a]) for a in sorted(d.nodes)]
-        weight = sum(d.edges.values()) if weighting == "edges" else len(indices)
+    for _, edges in days:
+        nodes = {a for pair in edges for a in pair}
+        sent = {a: sum(c for (s, _), c in edges.items() if s == a) for a in nodes}
+        received = {a: sum(c for (_, r), c in edges.items() if r == a) for a in nodes}
+        indices = [oracles.ci_formula(sent[a], received[a]) for a in sorted(nodes)]
+        weight = sum(edges.values()) if weighting == "edges" else len(indices)
         pairs.append((oracles.population_variance(indices), weight))
     assert awvci(days, weighting) == oracles.weighted_variance_mean(pairs)
 
@@ -707,11 +736,12 @@ def test_awvci_matches_fraction_variance_oracle(days, weighting):
 @pytest.mark.parametrize("edges,nodes,error", [
     ({("a", "b"): -1}, {"a", "b"}, OutOfRange),                      # a sends −1
     ({("a", "b"): 2, ("c", "b"): -3}, {"a", "b", "c"}, OutOfRange),  # b receives −1
-    ({("a", "b"): 2}, {"a", "b", "c"}, NoActivity),                  # c has no traffic
+    ({("a", "b"): 2, ("c", "b"): 0}, {"a", "b", "c"}, NoActivity),   # c has no traffic
     ({}, set(), NoActivity),                                         # no active day
 ])
 def test_awvci_rejects_bad_counts(edges, nodes, error):
-    d = _day(0, edges, nodes)
+    d = _day(0, edges)
+    assert {a for pair in edges for a in pair} == nodes  # a day's actors: its edges' ends
     with pytest.raises(error):
         awvci([d], "actors")
 

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commscore.cli import main
+from commscore.errors import NoActivity
 from commscore.ingest import Period, build_corpus, iso_utc, make_event, serialize_events
+from commscore.metrics import awvci
 from commscore.tempograph import (
     daily_activity,
     month_periods,
@@ -23,14 +25,14 @@ from commscore.tempograph import (
     weekly_windows,
 )
 
-from conftest import corpus_of, day_tallies, ev, ts
+from conftest import corpus_of, day_graphs, day_tallies, ev, ts
 import oracles
 from oracles import merge_edges
 
 
 def test_one_message_to_two_recipients_makes_two_edges():
     corpus = corpus_of([ev("2012-06-04 09:00", "a", ["b", "c"])])
-    (day,) = daily_activity(corpus)
+    (day,) = day_graphs(corpus)
     june = monthly_windows(corpus)[0]
     for g in (day, june):
         assert dict(g.edges) == {("a@ex.com", "b@ex.com"): 1, ("a@ex.com", "c@ex.com"): 1}
@@ -43,7 +45,7 @@ def test_repeated_messages_accumulate_counts():
         ev("2012-06-04 10:00", "a", "b"),
         ev("2012-06-05 10:00", "a", "b"),
     ])
-    assert [dict(d.edges) for d in daily_activity(corpus)] == \
+    assert [dict(d.edges) for d in day_graphs(corpus)] == \
         [{("a@ex.com", "b@ex.com"): 2}, {("a@ex.com", "b@ex.com"): 1}]
     assert dict(monthly_windows(corpus)[0].edges) == {("a@ex.com", "b@ex.com"): 3}
 
@@ -57,7 +59,7 @@ def test_self_only_message_yields_empty_graph():
 
 def test_cc_recipients_weigh_like_to_recipients():
     direct = corpus_of([ev("2012-06-04 09:00", "a", "b", cc="c")])
-    (day,) = daily_activity(direct)
+    (day,) = day_graphs(direct)
     assert dict(day.edges) == dict(monthly_windows(direct)[0].edges) == \
         {("a@ex.com", "b@ex.com"): 1, ("a@ex.com", "c@ex.com"): 1}
 
@@ -115,7 +117,7 @@ def test_month_with_no_events_yields_empty_graph_in_position():
 
 def test_multi_recipient_day_counts_per_recipient():
     corpus = corpus_of([ev("2012-06-04 09:00", "a", ["b", "c"])])
-    (day,) = daily_activity(corpus)
+    (day,) = day_graphs(corpus)
     assert day.window == Period(ts("2012-06-04 00:00"), ts("2012-06-05 00:00"))
     _, sent, received, total = day_tallies(day)
     assert sent == {"a@ex.com": 2}
@@ -128,7 +130,7 @@ def test_reciprocated_pair_is_symmetric():
         ev("2012-06-04 09:00", "a", "b"),
         ev("2012-06-04 10:00", "b", "a"),
     ])
-    (day,) = daily_activity(corpus)
+    (day,) = day_graphs(corpus)
     assert dict(day.edges) == {("a@ex.com", "b@ex.com"): 1, ("b@ex.com", "a@ex.com"): 1}
     _, sent, received, total = day_tallies(day)
     assert sent == received == {"a@ex.com": 1, "b@ex.com": 1}
@@ -137,7 +139,7 @@ def test_reciprocated_pair_is_symmetric():
 
 def test_quiet_days_are_absent():
     corpus = corpus_of([ev("2012-06-04 09:00", "a", "b"), ev("2012-06-06 09:00", "a", "a")])
-    days = daily_activity(corpus)
+    days = day_graphs(corpus)
     assert [d.window.start.date().isoformat() for d in days] == ["2012-06-04"]
 
 
@@ -170,7 +172,7 @@ def _build(raw):
 def test_daily_conservation_law(raw):
     """Σ sent = Σ received = total edges, every day, any corpus."""
     corpus = _build(raw)
-    tallies = [day_tallies(day) for day in daily_activity(corpus)]
+    tallies = [day_tallies(day) for day in day_graphs(corpus)]
     assert tallies == oracles.daily_tallies(corpus.events)
     for _, sent, received, total in tallies:
         assert sum(sent.values()) == sum(received.values()) == total
@@ -182,7 +184,7 @@ def test_monthly_union_equals_full_period_graph(raw):
     corpus = _build(raw)
     merged = merge_edges(g.edges for g in monthly_windows(corpus))
     full = oracles.window_edges(corpus.events, corpus.period.start, corpus.period.end)
-    assert merged == full == merge_edges(d.edges for d in daily_activity(corpus))
+    assert merged == full == merge_edges(d.edges for d in day_graphs(corpus))
     assert set().union(*(g.nodes for g in monthly_windows(corpus))) == \
         {actor for pair in full for actor in pair}
 
@@ -267,12 +269,30 @@ def test_windows_and_daily_tallies_equal_the_full_scan_oracles(corpus):
         assert windows[0].window.start == start and windows[-1].window.end == end
         for g in windows:
             assert g.nodes == {a for pair in g.edges for a in pair}
-    days = daily_activity(corpus)
+    days = day_graphs(corpus)
     assert [day_tallies(d) for d in days] == oracles.daily_tallies(events)
     for d in days:  # each window is its UTC day, clipped to the period
         midnight = datetime.combine(day_tallies(d)[0], time(), timezone.utc)
         assert d.window == Period(max(midnight, start), min(midnight + timedelta(days=1), end))
         assert d.nodes == {a for pair in d.edges for a in pair}
+
+
+@given(_edge_corpora(), st.sampled_from(("edges", "actors")))
+@settings(max_examples=80)
+def test_awvci_of_the_day_walk_equals_the_tally_oracle(corpus, weighting):
+    """AWVCI over ``daily_activity`` equals the variance oracle over
+    ``oracles.daily_tallies``, under both day weightings."""
+    pairs = []
+    for _, sent, received, total in oracles.daily_tallies(corpus.events):
+        actors = sorted(sent.keys() | received.keys())
+        indices = [oracles.ci_formula(sent.get(a, 0), received.get(a, 0)) for a in actors]
+        pairs.append((oracles.population_variance(indices),
+                      total if weighting == "edges" else len(actors)))
+    if not pairs:  # only self-addressed mail
+        with pytest.raises(NoActivity):
+            awvci(daily_activity(corpus), weighting)
+        return
+    assert awvci(daily_activity(corpus), weighting) == oracles.weighted_variance_mean(pairs)
 
 
 @given(_edge_corpora())
