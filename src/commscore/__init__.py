@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ActorId": "ingest", "EmailEvent": "ingest", "Period": "ingest", "TeamCorpus": "ingest",
     "build_corpus": "ingest", "load_corpus": "ingest", "normalize_address": "ingest",
-    "parse_events": "ingest", "serialize_events": "ingest",
+    "parse_events": "ingest", "parse_period": "ingest", "serialize_events": "ingest",
     "METRIC_FIELDS": "metrics", "METRIC_LABELS": "metrics", "MetricConfig": "metrics",
     "MetricVector": "metrics", "compute_metric_vector": "metrics",
     "contribution_index": "metrics",

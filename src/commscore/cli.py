@@ -44,6 +44,7 @@ from .ingest import (
     iso_utc,
     load_corpus,
     parse_events,
+    parse_period,
     parse_timestamp,
     serialize_events,
 )
@@ -100,20 +101,6 @@ def report_settings(args: argparse.Namespace, **effective: object) -> dict[str, 
     settings["lexicon"] = settings["lexicon"] or "builtin"
     blob = json.dumps(settings, sort_keys=True, separators=(",", ":"))
     return {"fingerprint": hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12], **settings}
-
-
-def parse_period(raw: str) -> Period:
-    """``START..END`` with ISO dates (midnight UTC) or full instants, end exclusive."""
-    parts = raw.split("..")
-    if len(parts) != 2:
-        raise ValueError(f"period must be START..END, got {raw!r}")
-    bounds = []
-    for part in parts:
-        text = part.strip()
-        if len(text) == 10:
-            text += "T00:00:00Z"
-        bounds.append(parse_timestamp(text))
-    return Period(bounds[0], bounds[1])
 
 
 # --------------------------------------------------------------------------

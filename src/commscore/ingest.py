@@ -504,6 +504,20 @@ class Period:
         return self.start <= stamp < self.end
 
 
+def parse_period(raw: str) -> Period:
+    """``START..END`` with ISO dates (midnight UTC) or full instants, end exclusive."""
+    parts = raw.split("..")
+    if len(parts) != 2:
+        raise ValueError(f"period must be START..END, got {raw!r}")
+    bounds = []
+    for part in parts:
+        text = part.strip()
+        if len(text) == 10:
+            text += "T00:00:00Z"
+        bounds.append(parse_timestamp(text))
+    return Period(bounds[0], bounds[1])
+
+
 _instant = attrgetter("timestamp")
 
 

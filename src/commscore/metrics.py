@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
@@ -260,16 +261,15 @@ class ReplyPair:
     latency: int  # seconds
 
 
-def match_replies(corpus: TeamCorpus, reply_cap: int = DEFAULT_REPLY_CAP,
-                  subjects: SubjectTable | None = None) -> list[ReplyPair]:
+def match_replies(corpus: TeamCorpus, reply_cap: int = DEFAULT_REPLY_CAP) -> list[ReplyPair]:
     """Pair each reply with the latest eligible earlier original.
 
     B replies to A iff B's sender was addressed by A (to or cc), A's sender is
     in B's ``to``, B is strictly later, the normalized subjects match, and the
     latency does not exceed ``reply_cap`` seconds.  A subject that normalizes
     to ``""`` (empty, or only ``Re:``/``Fwd:`` prefixes) is a thread like any
-    other.  ``subjects`` is the corpus's :func:`subject_table`, built here
-    when not given; only its thread keys are read.
+    other.  Each distinct raw subject is normalized once, when it is first
+    seen; its later events find their thread by the raw subject alone.
 
     One pass over the corpus, which is in ``event_order``: each event walks
     back over the earlier events of its thread, skipping those sent at the
@@ -281,14 +281,16 @@ def match_replies(corpus: TeamCorpus, reply_cap: int = DEFAULT_REPLY_CAP,
     come in the order of their replies, so the matching does not depend on the
     order of the input events.
     """
-    if subjects is None:
-        subjects = subject_table(corpus.events, _NO_WORDS)
     # a cap past the whole datetime range reaches as far back as that range
     span = timedelta(seconds=min(reply_cap, _ALL_TIME_SECONDS))
-    threads: dict[str, list[EmailEvent]] = {}
+    threads: dict[str, list[EmailEvent]] = {}  # normalized subject → its events so far
+    by_subject: dict[str, list[EmailEvent]] = {}  # raw subject → its thread
     pairs: list[ReplyPair] = []
     for reply in corpus.events:
-        thread = threads.setdefault(subjects[reply.subject][0], [])
+        thread = by_subject.get(reply.subject)
+        if thread is None:
+            thread = by_subject[reply.subject] = threads.setdefault(
+                normalize_subject(reply.subject), [])
         if thread:
             stamp, sender, to = reply.timestamp, reply.sender, reply.to
             try:
@@ -400,8 +402,17 @@ class SentimentLexicon:
                 raise ValueError(f"lexicon entry not lowercase: {word!r}")
 
 
+#: A subject's words, as :func:`sentiment` reads them from the lowercased subject.
+_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
 def load_lexicon(stream: IO[str] | Iterable[str]) -> SentimentLexicon:
-    """Read a lexicon file: one word per line under ``[positive]``/``[negative]``."""
+    """Read a lexicon file: one word per line under ``[positive]``/``[negative]``.
+
+    Each entry, lowercased, must be one word as :func:`sentiment` reads a
+    subject: letters and digits only.  Any other entry, such as ``well-done``,
+    ``thank you`` or ``a_b``, could never match and raises ``FormatError``.
+    """
     section = None
     positive: set[str] = set()
     negative: set[str] = set()
@@ -409,26 +420,27 @@ def load_lexicon(stream: IO[str] | Iterable[str]) -> SentimentLexicon:
         word = raw.strip()
         if not word or word.startswith("#"):
             continue
-        if word.lower() == "[positive]":
+        entry = word.lower()
+        if entry == "[positive]":
             section = positive
             continue
-        if word.lower() == "[negative]":
+        if entry == "[negative]":
             section = negative
             continue
         if word.startswith("["):
             raise FormatError(f"unknown lexicon section: {word}")
         if section is None:
             raise FormatError("lexicon word before any section header")
-        section.add(word.lower())
+        if not _TOKEN_RE.fullmatch(entry):
+            raise FormatError(f"lexicon entry {word!r} is not one word of letters and "
+                              "digits, so no subject could match it")
+        section.add(entry)
     return SentimentLexicon(positive=frozenset(positive), negative=frozenset(negative))
 
 
 def default_lexicon() -> SentimentLexicon:
     text = resources.files("commscore").joinpath("data/default_lexicon.txt").read_text("utf-8")
     return load_lexicon(text.splitlines())
-
-
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 def sentiment(subject: str, lexicon: SentimentLexicon) -> str:
@@ -444,47 +456,22 @@ def sentiment(subject: str, lexicon: SentimentLexicon) -> str:
 
 
 def emotionality(corpus: TeamCorpus, lexicon: SentimentLexicon,
-                 mode: str = METRIC_CHOICES["emotionality_mode"][0],
-                 subjects: SubjectTable | None = None) -> int | Fraction:
+                 mode: str = METRIC_CHOICES["emotionality_mode"][0]) -> int | Fraction:
     """Count of positive-classified subjects; ``normalized`` divides by volume.
 
-    ``subjects`` is the corpus's :func:`subject_table` under ``lexicon``, built
-    here when not given.
+    Each distinct raw subject is classified once, and counts as often as it
+    occurs.
     """
     if mode not in METRIC_CHOICES["emotionality_mode"]:
         raise ValueError(f"unknown emotionality mode: {mode!r}")
-    if subjects is None:
-        subjects = subject_table(corpus.events, lexicon)
-    count = sum([subjects[ev.subject][1] for ev in corpus.events])
+    occurrences = Counter(map(attrgetter("subject"), corpus.events))
+    count = sum([n for subject, n in occurrences.items()
+                 if sentiment(subject, lexicon) == "positive"])
     if mode == "cumulative":
         return count
     if not corpus.events:
         return 0
     return Fraction(count, len(corpus.events))
-
-
-# --------------------------------------------------------------------------
-# the subject table
-
-#: Each distinct raw subject of a corpus → (its thread key, whether it reads positive).
-SubjectTable = Mapping[str, tuple[str, bool]]
-
-#: A lexicon without words, under which no subject reads positive.
-_NO_WORDS = SentimentLexicon(frozenset(), frozenset())
-_subject = attrgetter("subject")
-
-
-def subject_table(events: Iterable[EmailEvent], lexicon: SentimentLexicon) -> SubjectTable:
-    """Each distinct raw subject of ``events`` → ``(normalize_subject(subject),
-    sentiment(subject, lexicon) == "positive")``.
-
-    Reply matching and emotionality both read it, so each distinct subject is
-    normalized and classified once per corpus, however often it recurs.
-    """
-    return {subject: (normalize_subject(subject),
-                      # without positive words nothing reads positive: no tokens needed
-                      bool(lexicon.positive) and sentiment(subject, lexicon) == "positive")
-            for subject in dict.fromkeys(map(_subject, events))}
 
 
 # --------------------------------------------------------------------------
@@ -561,14 +548,13 @@ def compute_metric_vector(corpus: TeamCorpus, config: MetricConfig = MetricConfi
         oscillation = leadership_oscillation(series)
     except InsufficientWindows:
         oscillation = None
-    lexicon = config.resolved_lexicon()
-    subjects = subject_table(corpus.events, lexicon)
-    art = response_times(match_replies(corpus, config.reply_cap, subjects)).art_median
+    art = response_times(match_replies(corpus, config.reply_cap)).art_median
     try:
         variance = awvci(days, config.awvci_weighting)
     except NoActivity:
         variance = None
-    emo = emotionality(corpus, lexicon, config.emotionality_mode, subjects)
+    lexicon = config.resolved_lexicon()
+    emo = emotionality(corpus, lexicon, config.emotionality_mode)
     return MetricVector(
         team_id=corpus.team_id,
         avg_gbc=gbc,

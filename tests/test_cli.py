@@ -482,6 +482,13 @@ EXIT_CODE_CASES = [
                  id="archive-period-before-year-1"),
     pytest.param(3, lambda d: ["analyze", _archive(d, corpus=DEEP_JSON), "--out", d / "o"],
                  id="deeply-nested-archive-corpus"),
+    *(pytest.param(code, lambda d, words=words: [
+        "analyze", _archive(d, corpus=_jsonl("team")), "--out", d / "o",
+        "--lexicon", _write(d / "words.txt", b"[positive]\ngood\n" + words)],
+                   id=f"lexicon-{name}")
+      for code, name, words in ((0, "unicode-word", "caf\u00e9\n".encode()),
+                                (3, "hyphenated-entry", b"well-done\n"),
+                                (3, "two-word-entry", b"thank you\n"))),
     pytest.param(4, lambda d: ["correlate", _write(d / "m.csv", _metrics("nan")),
                                _write(d / "s.csv", _survey()), "--out", d / "o",
                                "--eligibility-min", "1"],
@@ -605,6 +612,14 @@ def test_the_package_imports_each_public_name_on_first_use():
     exec("from commscore import *", namespace)
     assert sorted(namespace.keys() - {"__builtins__"}) == sorted(commscore.__all__)
     assert not hasattr(commscore, "no_such_name")
+
+
+def test_the_archive_api_loads_only_ingest():
+    """README's archive snippet, ``from commscore import load_corpus, parse_period``,
+    loads ``commscore.ingest`` and the two modules it imports, and no stage."""
+    loaded = _loaded_by("from commscore import load_corpus, parse_period")
+    assert sorted(m for m in loaded if m.startswith("commscore.")) == [
+        "commscore._text", "commscore.errors", "commscore.ingest"]
 
 
 def _names_used(node: ast.AST) -> set[str]:

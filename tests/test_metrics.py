@@ -16,12 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import commscore.metrics
-from commscore.errors import InsufficientWindows, NoActivity, OutOfRange
+from commscore.errors import FormatError, InsufficientWindows, NoActivity, OutOfRange
 from commscore.ingest import EmailEvent, Period, build_corpus, make_event
 from commscore.metrics import (
     METRIC_CHOICES,
     CentralityMap,
     MetricConfig,
+    SentimentLexicon,
     awvci,
     avg_new_actors,
     betweenness_centrality,
@@ -828,6 +829,64 @@ def test_vector_subject_metrics_equal_those_built_without_a_shared_table(case, m
 def test_lexicon_rejects_overlap_and_uppercase():
     with pytest.raises(ValueError):
         load_lexicon(["[positive]", "fine", "[negative]", "fine"])
+
+
+@pytest.mark.parametrize("entry", ["well-done", "thank you", "a_b"])
+def test_lexicon_rejects_an_entry_no_subject_can_match(entry):
+    """``sentiment`` reads a subject as its runs of letters and digits, so an
+    entry with a hyphen, a space or an underscore could never match."""
+    assert sentiment(f"{entry} team", SentimentLexicon(frozenset([entry]), frozenset())) \
+        == "neutral"
+    with pytest.raises(FormatError, match=repr(entry)):
+        load_lexicon(["[positive]", entry])
+
+
+def test_lexicon_accepts_a_word_of_any_script():
+    lx = load_lexicon(["[positive]", "Café", "[negative]", "ошибка"])
+    assert (lx.positive, lx.negative) == ({"café"}, {"ошибка"})
+    assert sentiment("RE: café!", lx) == "positive"
+    assert sentiment("ошибка 42", lx) == "negative"
+
+
+def _counting(monkeypatch, name):
+    """Replace ``commscore.metrics.<name>`` with a wrapper that counts its calls
+    by first argument."""
+    calls: Counter = Counter()
+    original = getattr(commscore.metrics, name)
+
+    def counted(subject, *args):
+        calls[subject] += 1
+        return original(subject, *args)
+
+    monkeypatch.setattr(commscore.metrics, name, counted)
+    return calls
+
+
+def test_subject_work_is_done_once_per_distinct_raw_subject(monkeypatch):
+    """40 events over 5 recurring raw subjects: reply matching normalizes, and
+    emotionality classifies, each distinct raw subject once, alone or inside
+    ``compute_metric_vector``; neither does the other's subject work."""
+    subjects = ["great job", "Re: great job", "delay problem", "RE: Re: delay problem", ""]
+    actors = ["a", "b", "c"]
+    events = [ev(f"2012-06-{4 + i // 8:02} {9 + i % 8:02}:00", actors[i % 3],
+                 actors[(i + 1) % 3], subject=subjects[i % 5]) for i in range(40)]
+    corpus = corpus_of(events)
+    assert len(corpus.events) == 40 and {e.subject for e in corpus.events} == set(subjects)
+    lx = _lexicon()
+    once = Counter(subjects)
+    for mode in METRIC_CHOICES["emotionality_mode"]:
+        config = MetricConfig(reply_cap=3600, emotionality_mode=mode, lexicon=lx)
+        # (the work, whether it normalizes, whether it classifies)
+        for run, normalizes, classifies in (
+                (lambda: compute_metric_vector(corpus, config), True, True),
+                (lambda: match_replies(corpus, 3600), True, False),
+                (lambda: emotionality(corpus, lx, mode), False, True)):
+            normalized = _counting(monkeypatch, "normalize_subject")
+            classified = _counting(monkeypatch, "sentiment")
+            run()
+            monkeypatch.undo()
+            assert normalized == (once if normalizes else Counter())
+            assert classified == (once if classifies else Counter())
 
 
 # ---------------------------------------------------------------------------
