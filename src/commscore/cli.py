@@ -108,6 +108,37 @@ def report_settings(args: argparse.Namespace, **effective: object) -> dict[str, 
 # which maps it to the stage's exit code
 
 
+def _ingest_group(args: argparse.Namespace, team: str, paths: list[Path],
+                  months: list[Period], corpora_dir: Path,
+                  ) -> tuple[list[tuple[dict[str, object], list[ParseIssue]]],
+                             dict[str, dict[str, object]]]:
+    """Parse ``paths``, whose format gives them all ``team`` (``""`` where
+    records name their own), and write the corpus of each team they hold.
+
+    Returns each file's source entry and issues, and each team's manifest
+    entry.  The mail is dropped on return.
+    """
+    events_by_team: dict[str, list[EmailEvent]] = {}
+    files = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            result = parse_events(fh, args.format, default_team=team,
+                                  source_name=path.name, strict=args.strict)
+        for ev in result.events:
+            if ev.team_id:
+                events_by_team.setdefault(ev.team_id, []).append(ev)
+        files.append(({"path": path.name, "events": len(result.events),
+                       "skipped": len(result.issues)}, result.issues))
+    reports: dict[str, dict[str, object]] = {}
+    for team_id, events in events_by_team.items():
+        corpus = build_corpus(events, team_id, args.period)
+        (corpora_dir / f"{team_id}.jsonl").write_bytes(serialize_events(corpus.events, "jsonl"))
+        busy = {(ev.timestamp.year, ev.timestamp.month) for ev in corpus.events}
+        gaps = [iso_utc(w.start)[:7] for w in months if (w.start.year, w.start.month) not in busy]
+        reports[team_id] = {"events": len(corpus.events), "gap_months": gaps}
+    return files, reports
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     out_dir: Path = args.out
     for path in args.paths:  # a file name names its source, and maybe its team
@@ -116,41 +147,36 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         except UnicodeEncodeError:
             raise FormatError(f"file name {os.fsencode(path.name)!r} is not UTF-8") from None
     # the archive is replaced: without its manifest, analyze refuses it until
-    # this run has written every corpus
+    # this run has written every corpus and removed the stale ones
     (out_dir / "manifest.json").unlink(missing_ok=True)
-    events_by_team: dict[str, list[EmailEvent]] = {}
-    issues: list[ParseIssue] = []
-    sources: list[dict[str, object]] = []
-    for path in args.paths:
-        team = path.stem if args.format in TEAM_PER_FILE_FORMATS else ""
-        with open(path, "rb") as fh:
-            result = parse_events(fh, args.format, default_team=team,
-                                  source_name=path.name, strict=args.strict)
-        for ev in result.events:
-            if ev.team_id:
-                events_by_team.setdefault(ev.team_id, []).append(ev)
-        issues.extend(result.issues)
-        sources.append({"path": path.name, "events": len(result.events),
-                        "skipped": len(result.issues)})
     corpora_dir = out_dir / "corpora"
     corpora_dir.mkdir(parents=True, exist_ok=True)
-    for stale in corpora_dir.glob("*.jsonl"):
-        if stale.stem not in events_by_team:
-            stale.unlink()
+    # one team's mail at a time: a CSV or mbox file's team is its stem, so its
+    # group is the files of that stem; JSONL records name their own teams, so
+    # all JSONL files are one group
+    groups: dict[str, list[int]] = {}
+    for index, path in enumerate(args.paths):
+        team = path.stem if args.format in TEAM_PER_FILE_FORMATS else ""
+        groups.setdefault(team, []).append(index)
+    months = month_periods(args.period)
+    files: dict[int, tuple[dict[str, object], list[ParseIssue]]] = {}
     teams_report: dict[str, dict[str, object]] = {}
-    for team in sorted(events_by_team):
-        corpus = build_corpus(events_by_team[team], team, args.period)
-        (corpora_dir / f"{team}.jsonl").write_bytes(serialize_events(corpus.events, "jsonl"))
-        busy = {(ev.timestamp.year, ev.timestamp.month) for ev in corpus.events}
-        gaps = [iso_utc(w.start)[:7] for w in month_periods(args.period)
-                if (w.start.year, w.start.month) not in busy]
-        teams_report[team] = {"events": len(corpus.events), "gap_months": gaps}
+    for team, indices in groups.items():
+        parsed, reports = _ingest_group(args, team, [args.paths[i] for i in indices],
+                                        months, corpora_dir)
+        files.update(zip(indices, parsed))
+        teams_report.update(reports)
+    for stale in corpora_dir.glob("*.jsonl"):
+        if stale.stem not in teams_report:
+            stale.unlink()
+    teams_report = dict(sorted(teams_report.items()))
+    issues = [issue for index in sorted(files) for issue in files[index][1]]
     config = report_settings(args)
     manifest = {
         "format": args.format,
         "period": config["period"],
         "config": config,
-        "sources": sources,
+        "sources": [files[index][0] for index in sorted(files)],
         "teams": teams_report,
         "issues": [{"source": i.source, "line": i.line, "message": i.message}
                    for i in issues],

@@ -386,9 +386,18 @@ def awvci(days: Iterable[DayTally],
 # sentiment / emotionality
 
 
+#: A subject's words, as :func:`sentiment` reads them from the lowercased subject.
+_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
 @dataclass(frozen=True)
 class SentimentLexicon:
-    """Disjoint lowercase positive/negative word sets."""
+    """Disjoint positive/negative sets of lowercase words.
+
+    Each entry must be one word as :func:`sentiment` reads a subject: letters
+    and digits only.  Any other entry, such as ``well-done``, ``thank you`` or
+    ``a_b``, could never match and raises ``FormatError``.
+    """
 
     positive: frozenset[str]
     negative: frozenset[str]
@@ -397,21 +406,19 @@ class SentimentLexicon:
         overlap = self.positive & self.negative
         if overlap:
             raise ValueError(f"lexicon words in both sections: {sorted(overlap)[:5]}")
-        for word in self.positive | self.negative:
+        for word in sorted(self.positive | self.negative):
             if word != word.lower():
                 raise ValueError(f"lexicon entry not lowercase: {word!r}")
-
-
-#: A subject's words, as :func:`sentiment` reads them from the lowercased subject.
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+            if not _TOKEN_RE.fullmatch(word):
+                raise FormatError(f"lexicon entry {word!r} is not one word of letters and "
+                                  "digits, so no subject could match it")
 
 
 def load_lexicon(stream: IO[str] | Iterable[str]) -> SentimentLexicon:
     """Read a lexicon file: one word per line under ``[positive]``/``[negative]``.
 
-    Each entry, lowercased, must be one word as :func:`sentiment` reads a
-    subject: letters and digits only.  Any other entry, such as ``well-done``,
-    ``thank you`` or ``a_b``, could never match and raises ``FormatError``.
+    Entries are lowercased, and each must be one word (see
+    :class:`SentimentLexicon`); any other raises ``FormatError``.
     """
     section = None
     positive: set[str] = set()
@@ -431,9 +438,6 @@ def load_lexicon(stream: IO[str] | Iterable[str]) -> SentimentLexicon:
             raise FormatError(f"unknown lexicon section: {word}")
         if section is None:
             raise FormatError("lexicon word before any section header")
-        if not _TOKEN_RE.fullmatch(entry):
-            raise FormatError(f"lexicon entry {word!r} is not one word of letters and "
-                              "digits, so no subject could match it")
         section.add(entry)
     return SentimentLexicon(positive=frozenset(positive), negative=frozenset(negative))
 

@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Callable
 
@@ -230,6 +232,68 @@ def test_a_failed_ingest_leaves_no_archive_to_analyze(tmp_path, capsys):
     capsys.readouterr()
     assert run("analyze", tmp_path / "c", "--out", tmp_path / "m") == 3
     assert "is not an ingest archive" in capsys.readouterr().err
+
+
+def test_ingest_reads_the_files_of_one_team_together(tmp_path, capsys):
+    """Files of one stem are one team, wherever they are on the command line;
+    sources and issues keep the command-line order."""
+    other = b"2012-06-05T09:00:00Z,b@x.com,a@x.com,,re\n"
+    last = b"2012-07-02T09:00:00Z,a@x.com,c@x.com,,more\n"
+    a = _write(tmp_path / "a" / "t.csv", MAIL_HEADER + MAIL_ROW + other + BAD_ROW)
+    u = _write(tmp_path / "u.csv", MAIL_HEADER + BAD_ROW + MAIL_ROW)
+    b = _write(tmp_path / "b" / "t.csv", MAIL_HEADER + BAD_ROW + MAIL_ROW + last)
+    both = _write(tmp_path / "both" / "t.csv", MAIL_HEADER + MAIL_ROW + other + MAIL_ROW + last)
+    assert run("ingest", a, u, b, "--period", PERIOD, "--out", tmp_path / "c") == 0
+    assert run("ingest", both, "--period", PERIOD, "--out", tmp_path / "one") == 0
+    corpora = tmp_path / "c" / "corpora"
+    assert sorted(p.name for p in corpora.iterdir()) == ["t.jsonl", "u.jsonl"]
+    assert (corpora / "t.jsonl").read_bytes() == \
+        (tmp_path / "one" / "corpora" / "t.jsonl").read_bytes()
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text(encoding="utf-8"))
+    assert [(s["path"], s["events"], s["skipped"]) for s in manifest["sources"]] == [
+        ("t.csv", 2, 1), ("u.csv", 1, 1), ("t.csv", 2, 1)]
+    assert [(i["source"], i["line"]) for i in manifest["issues"]] == [
+        ("t.csv", 4), ("u.csv", 2), ("t.csv", 2)]
+    assert manifest["teams"] == {"t": {"events": 3, "gap_months": ["2012-08"]},
+                                 "u": {"events": 1, "gap_months": ["2012-07", "2012-08"]}}
+    clean = [_write(tmp_path / "clean" / "t.csv", MAIL_HEADER + MAIL_ROW),
+             _write(tmp_path / "clean" / "u.csv", MAIL_HEADER + MAIL_ROW)]
+    capsys.readouterr()
+    assert run("ingest", *clean, b, "--period", PERIOD, "--out", tmp_path / "c",
+               "--strict") == 2
+    assert capsys.readouterr().err.startswith("error: t.csv:2: bad timestamp 'bad'")
+    assert not (tmp_path / "c" / "manifest.json").exists()
+    assert run("analyze", tmp_path / "c", "--out", tmp_path / "m") == 3
+
+
+def _long_mail(rows: int) -> bytes:
+    """``rows`` messages among six actors, a little over 17 hours apart."""
+    actors = [f"u{i}@team.example" for i in range(6)]
+    start = datetime(2012, 1, 1, tzinfo=timezone.utc)
+    return MAIL_HEADER + "".join(
+        f"{(start + timedelta(minutes=1049 * n)).isoformat()},{actors[n % 6]},"
+        f"{actors[(n + 1) % 6]};{actors[(n + 3) % 6]},,status {n}\n"
+        for n in range(rows)).encode()
+
+
+def test_ingest_memory_is_bounded_by_the_largest_team(tmp_path):
+    """Ingest holds one team's mail at a time: the peak of eight equal teams
+    stays near that of one, not eight times it."""
+    mail = _long_mail(1500)
+    paths = [_write(tmp_path / "in" / f"t{i}.csv", mail) for i in range(8)]
+    period = "2012-01-01..2015-01-01"
+    assert run("ingest", paths[0], "--period", period, "--out", tmp_path / "warm") == 0
+
+    def peak(files: list[Path]) -> int:
+        tracemalloc.start()
+        try:
+            assert run("ingest", *files, "--period", period, "--out", tmp_path / "c") == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, eight = peak(paths[:1]), peak(paths)
+    assert eight < 1.5 * one, (one, eight)
 
 
 def test_a_mail_file_name_that_is_not_utf8_fails_before_writing(tmp_path, capsys):

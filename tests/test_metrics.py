@@ -834,11 +834,19 @@ def test_lexicon_rejects_overlap_and_uppercase():
 @pytest.mark.parametrize("entry", ["well-done", "thank you", "a_b"])
 def test_lexicon_rejects_an_entry_no_subject_can_match(entry):
     """``sentiment`` reads a subject as its runs of letters and digits, so an
-    entry with a hyphen, a space or an underscore could never match."""
-    assert sentiment(f"{entry} team", SentimentLexicon(frozenset([entry]), frozenset())) \
-        == "neutral"
+    entry with a hyphen, a space or an underscore could never match, however
+    the lexicon is built."""
     with pytest.raises(FormatError, match=repr(entry)):
         load_lexicon(["[positive]", entry])
+    with pytest.raises(FormatError, match=repr(entry)):
+        SentimentLexicon(frozenset(["good"]), frozenset([entry]))
+    with pytest.raises(FormatError, match=repr(entry)):
+        MetricConfig(lexicon=SentimentLexicon(frozenset([entry]), frozenset()))
+
+
+def test_lexicon_names_its_first_unmatchable_entry_in_sorted_order():
+    with pytest.raises(FormatError, match="'a-b'"):
+        SentimentLexicon(frozenset(["z z", "good", "a-b"]), frozenset(["x_y"]))
 
 
 def test_lexicon_accepts_a_word_of_any_script():
