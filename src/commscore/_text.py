@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import suppress
 from fractions import Fraction
 from typing import BinaryIO, Iterator
 
@@ -42,27 +43,34 @@ def read_csv(source: BinaryIO, name: str,
     The first row must equal ``header`` (cells stripped; a leading BOM is
     dropped).  A missing or different header, bytes that are not UTF-8 and
     broken CSV framing raise :class:`FormatError` naming ``name`` and the line.
+    ``source`` is left open.
     """
-    reader = csv.reader(io.TextIOWrapper(source, encoding="utf-8-sig", newline=""))
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+    reader = csv.reader(text)
     seen_header = False
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            if not seen_header:
-                raise FormatError(f"{name}: empty CSV (header row required)") from None
-            return
-        except csv.Error as exc:
-            raise FormatError(f"{name}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{name}: line {_undecodable_line(source)}: "
-                              f"not UTF-8 ({exc.reason})") from None
-        if seen_header:
-            yield reader.line_num, row
-        elif tuple(cell.strip() for cell in row) == header:
-            seen_header = True
-        else:
-            raise FormatError(f"{name}: bad header {row!r}, expected {','.join(header)}")
+    try:
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                if not seen_header:
+                    raise FormatError(f"{name}: empty CSV (header row required)") from None
+                return
+            except csv.Error as exc:
+                raise FormatError(f"{name}: line {reader.line_num}: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{name}: line {_undecodable_line(source)}: "
+                                  f"not UTF-8 ({exc.reason})") from None
+            if seen_header:
+                yield reader.line_num, row
+            elif tuple(cell.strip() for cell in row) == header:
+                seen_header = True
+            else:
+                raise FormatError(f"{name}: bad header {row!r}, expected {','.join(header)}")
+    finally:
+        # a collected wrapper would close the caller's stream
+        with suppress(ValueError):  # the caller closed it already
+            text.detach()
 
 
 def _undecodable_line(source: BinaryIO) -> int | str:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import os
@@ -215,7 +214,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lexicon, lexicon_digest = metrics_mod.default_lexicon(), None
     else:
         data = args.lexicon.read_bytes()
-        lexicon = load_lexicon(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        lexicon = load_lexicon(data)
         lexicon_digest = "sha256:" + hashlib.sha256(data).hexdigest()
     metric_config = MetricConfig(reply_cap=args.reply_cap, lexicon=lexicon,
                                  **{key: getattr(args, key) for key in METRIC_CHOICES})

@@ -361,12 +361,12 @@ def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -
             if not isinstance(stamp, str):
                 raise ValueError("timestamp must be a string")
             stamp = parse_timestamp(stamp)
-            to = record.get("to") or []
-            cc = record.get("cc") or []
-            if not isinstance(to, list) or not isinstance(cc, list):
+            to, cc = record.get("to"), record.get("cc")  # absent or null: no one
+            if (to is not None and not isinstance(to, list)
+                    or cc is not None and not isinstance(cc, list)):
                 raise ValueError("to/cc must be arrays")
             # the addresses' types are checked by _parties, once per distinct key
-            key = (record["from"], tuple(to), tuple(cc))
+            key = (record["from"], tuple(to or ()), tuple(cc or ()))
             subject = record.get("subject")
             if subject is None:
                 subject = ""
@@ -492,11 +492,8 @@ class Period:
     end: datetime
 
     def __post_init__(self) -> None:
-        start, end = self.start, self.end
-        if not (start.tzinfo is end.tzinfo is timezone.utc
-                and not (start.microsecond or end.microsecond)):
-            object.__setattr__(self, "start", _utc_second(start))
-            object.__setattr__(self, "end", _utc_second(end))
+        object.__setattr__(self, "start", _utc_second(self.start))
+        object.__setattr__(self, "end", _utc_second(self.end))
         if not self.start < self.end:
             raise ValueError("period start must precede end")
 

@@ -16,14 +16,14 @@ import re
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import timedelta
 from fractions import Fraction
 from importlib import resources
 from itertools import chain
 from math import lcm
 from operator import attrgetter
 from types import MappingProxyType
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import FormatError, InsufficientWindows, NoActivity, OutOfRange
 from .ingest import ActorId, EmailEvent, TeamCorpus
@@ -250,8 +250,6 @@ def normalize_subject(subject: str) -> str:
 
 
 _SECOND = timedelta(seconds=1)
-_EARLIEST = datetime.min.replace(tzinfo=timezone.utc)
-_ALL_TIME_SECONDS = (datetime.max - datetime.min) // _SECOND
 
 
 @dataclass(frozen=True)
@@ -274,15 +272,16 @@ def match_replies(corpus: TeamCorpus, reply_cap: int = DEFAULT_REPLY_CAP) -> lis
     One pass over the corpus, which is in ``event_order``: each event walks
     back over the earlier events of its thread, skipping those sent at the
     same instant and stopping at the first sent before the reply's instant
-    minus ``reply_cap``.  The walk compares instants only; an
+    minus ``reply_cap``, clipped at the corpus period's start, before which no
+    event lies.  The walk compares instants only; an
     :class:`~commscore.ingest.EmailEvent` holds its instant at a whole UTC
     second, so the latency of the one pair kept is an exact integer.
     The first eligible original is the latest in ``event_order``, and pairs
     come in the order of their replies, so the matching does not depend on the
     order of the input events.
     """
-    # a cap past the whole datetime range reaches as far back as that range
-    span = timedelta(seconds=min(reply_cap, _ALL_TIME_SECONDS))
+    start = corpus.period.start
+    span = timedelta(seconds=min(reply_cap, (corpus.period.end - start) // _SECOND))
     threads: dict[str, list[EmailEvent]] = {}  # normalized subject → its events so far
     by_subject: dict[str, list[EmailEvent]] = {}  # raw subject → its thread
     pairs: list[ReplyPair] = []
@@ -293,10 +292,7 @@ def match_replies(corpus: TeamCorpus, reply_cap: int = DEFAULT_REPLY_CAP) -> lis
                 normalize_subject(reply.subject), [])
         if thread:
             stamp, sender, to = reply.timestamp, reply.sender, reply.to
-            try:
-                oldest = stamp - span
-            except OverflowError:  # the cap reaches back before year 1
-                oldest = _EARLIEST
+            oldest = stamp - span if stamp - start > span else start
             for original in reversed(thread):
                 sent = original.timestamp
                 if sent < oldest:
@@ -414,8 +410,9 @@ class SentimentLexicon:
                                   "digits, so no subject could match it")
 
 
-def load_lexicon(stream: IO[str] | Iterable[str]) -> SentimentLexicon:
-    """Read a lexicon file: one word per line under ``[positive]``/``[negative]``.
+def load_lexicon(data: bytes) -> SentimentLexicon:
+    """Read a lexicon file's bytes: UTF-8 (a leading BOM is dropped), one word
+    per line (ending at LF, CR LF or CR) under ``[positive]``/``[negative]``.
 
     Entries are lowercased, and each must be one word (see
     :class:`SentimentLexicon`); any other raises ``FormatError``.
@@ -423,7 +420,7 @@ def load_lexicon(stream: IO[str] | Iterable[str]) -> SentimentLexicon:
     section = None
     positive: set[str] = set()
     negative: set[str] = set()
-    for raw in stream:
+    for raw in data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         word = raw.strip()
         if not word or word.startswith("#"):
             continue
@@ -443,8 +440,8 @@ def load_lexicon(stream: IO[str] | Iterable[str]) -> SentimentLexicon:
 
 
 def default_lexicon() -> SentimentLexicon:
-    text = resources.files("commscore").joinpath("data/default_lexicon.txt").read_text("utf-8")
-    return load_lexicon(text.splitlines())
+    data = resources.files("commscore").joinpath("data/default_lexicon.txt").read_bytes()
+    return load_lexicon(data)
 
 
 def sentiment(subject: str, lexicon: SentimentLexicon) -> str:

@@ -78,8 +78,7 @@ class SynthSpec:
         if self.respondents < 1 or self.messages_per_month < 1:
             raise ValueError("respondents and messages_per_month must be positive")
         for key, size in self.effects.items():
-            base = key.split(":", 1)[0]
-            if base not in METRIC_FIELDS:
+            if key not in METRIC_FIELDS:
                 raise ValueError(f"unknown effect key: {key!r}")
             if not 0.0 <= float(size) <= 1.0:
                 raise ValueError(f"effect size for {key!r} outside [0, 1]")
@@ -90,9 +89,7 @@ class SynthSpec:
         return Period(START, START.replace(year=START.year + index // 12, month=index % 12 + 1))
 
     def effect(self, metric: str) -> float:
-        sizes = [float(v) for k, v in self.effects.items()
-                 if k == metric or k.startswith(metric + ":")]
-        return max(sizes, default=0.0)
+        return float(self.effects.get(metric, 0.0))
 
     def any_effect(self) -> bool:
         return any(float(v) > 0 for v in self.effects.values())

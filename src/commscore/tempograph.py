@@ -13,7 +13,7 @@ recipients contributes ``k`` directed edges; self-addressed copies are dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timedelta
 from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
@@ -28,7 +28,6 @@ DayTally = tuple[date, EdgeCounts]
 
 _DAY = timedelta(days=1)
 _SECOND = timedelta(seconds=1)
-_EARLIEST = datetime.min.replace(tzinfo=timezone.utc)
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ def daily_activity(corpus: TeamCorpus) -> list[DayTally]:
     end = corpus.period.end
     days: list[DayTally] = []
     edges: EdgeCounts = {}
-    next_midnight = _EARLIEST  # the first event opens the first day
+    next_midnight = corpus.period.start  # the first event opens the first day
     for ev in corpus.events:
         stamp = ev.timestamp
         if stamp >= next_midnight:

@@ -482,9 +482,10 @@ def _jsonl_records(blob: bytes, make_event, parse_timestamp, default_team: str):
             if not isinstance(stamp, str):
                 raise ValueError("timestamp must be a string")
             stamp = parse_timestamp(stamp)
-            to, cc = record.get("to") or [], record.get("cc") or []
-            if not isinstance(to, list) or not isinstance(cc, list):
-                raise ValueError("to/cc must be arrays")
+            to, cc = record.get("to"), record.get("cc")
+            if any(v is not None and not isinstance(v, list) for v in (to, cc)):
+                raise ValueError("to/cc must be arrays")  # only absent or null means none
+            to, cc = to or [], cc or []
             sender, subject = record["from"], record.get("subject")
             if subject is None:
                 subject = ""

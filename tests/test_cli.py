@@ -126,6 +126,21 @@ def test_reports_embed_their_settings_and_fingerprint(tmp_path):
     assert list(read(card / "scorecard.json")["config"].items()) == sorted(scorecard.items())
 
 
+def test_a_lexicon_file_may_start_with_a_byte_order_mark(tmp_path):
+    """A ``--lexicon`` file drops a leading BOM as a CSV file does, so the same
+    words with and without one write the same metrics."""
+    corpus = tmp_path / "c"
+    assert run("ingest", *sorted((FIXTURE / "mail").glob("*.csv")), "--period", PERIOD,
+               "--out", corpus) == 0
+    words = (Path(commscore.__file__).parent / "data" / "default_lexicon.txt").read_bytes()
+    written = []
+    for name, data in (("plain", words), ("bom", b"\xef\xbb\xbf" + words)):
+        lexicon = _write(tmp_path / name / "words.txt", data)
+        assert run("analyze", corpus, "--out", tmp_path / name / "m", "--lexicon", lexicon) == 0
+        written.append((tmp_path / name / "m" / "metrics.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_a_lexicon_is_fingerprinted_by_its_bytes(tmp_path):
     """Two lexicons of one file name are two settings; the bundled one stays
     ``"builtin"``, so an all-default run keeps its fingerprint."""
@@ -509,6 +524,8 @@ EXIT_CODE_CASES = [
       for sigma in ("0", "nan", "inf")),
     pytest.param(1, lambda d: ["synth", "--out", d / "o", "--effects", '{"bogus": 0.5}'],
                  id="unknown-effect-key"),
+    pytest.param(1, lambda d: ["synth", "--out", d / "o", "--effects", '{"avg_gbc:x": 0.5}'],
+                 id="suffixed-effect-key"),
     pytest.param(1, lambda d: ["synth", "--out", d / "o",
                                "--effects", _write(d / "e.json", DEEP_JSON)],
                  id="deeply-nested-effects-file"),
@@ -730,6 +747,26 @@ def test_only_ingest_converts_instants_to_utc():
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                and node.func.attr == "astimezone"]
     assert callers == []
+
+
+def test_only_ingest_and_the_calendar_handle_the_ends_of_the_datetime_range():
+    """Every event lies inside its corpus period, so every walk over a corpus
+    stays inside it: the ends of the datetime range matter only where
+    ``ingest`` makes instants and ``tempograph`` steps the calendar.  No other
+    module handles ``OverflowError`` or names ``datetime.min``/``datetime.max``."""
+    def reaches_a_range_end(node: ast.AST) -> bool:
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            return any(isinstance(t, ast.Name) and t.id == "OverflowError" for t in caught)
+        return (isinstance(node, ast.Attribute) and node.attr in ("min", "max")
+                and isinstance(node.value, ast.Name) and node.value.id == "datetime")
+
+    found = [(path.name, node.lineno)
+             for path in sorted(Path(commscore.__file__).parent.glob("*.py"))
+             if path.name not in ("ingest.py", "tempograph.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if reaches_a_range_end(node)]
+    assert found == []
 
 
 def test_ingest_keeps_unsafe_team_ids_inside_out(tmp_path):

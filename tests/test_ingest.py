@@ -461,6 +461,21 @@ def test_jsonl_fields_that_are_not_strings_are_malformed(edit):
         parse_events(io.BytesIO(doc), "jsonl", source_name="m.jsonl", strict=True)
 
 
+@pytest.mark.parametrize("field", ["to", "cc"])
+@pytest.mark.parametrize("value", [False, True, 0, 1, "", "b@x.com", {}, {"b@x.com": 1}])
+def test_jsonl_recipients_that_are_neither_null_nor_an_array_are_malformed(field, value):
+    """Only an absent or ``null`` ``to``/``cc`` means no recipients; a falsy
+    value such as ``false``, ``0``, ``""`` or ``{}`` is no more an array than
+    ``1`` is."""
+    good = {"timestamp": "2012-06-04T09:00:00Z", "from": "a@x.com", "to": ["b@x.com"],
+            "team_id": "t"}
+    doc = "".join(json.dumps(record) + "\n" for record in (
+        {**good, field: value}, {**good, "cc": None}, good)).encode()
+    result = parse_events(io.BytesIO(doc), "jsonl", source_name="m.jsonl")
+    assert [(e.to, e.cc) for e in result.events] == [(("b@x.com",), ())] * 2
+    assert [(i.line, i.message) for i in result.issues] == [(1, "to/cc must be arrays")]
+
+
 @pytest.mark.parametrize("subject", [{}, {"subject": None}])
 def test_jsonl_absent_or_null_subject_is_empty(subject):
     record = {"timestamp": "2012-06-04T09:00:00Z", "from": "a@x.com", "to": ["b@x.com"],

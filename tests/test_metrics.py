@@ -752,10 +752,7 @@ def test_awvci_rejects_bad_counts(edges, nodes, error):
 
 
 def _lexicon():
-    return load_lexicon([
-        "[positive]", "great", "thanks", "job",
-        "[negative]", "delay", "problem",
-    ])
+    return load_lexicon(b"[positive]\ngreat\nthanks\njob\n[negative]\ndelay\nproblem\n")
 
 
 def test_sentiment_three_way():
@@ -828,7 +825,7 @@ def test_vector_subject_metrics_equal_those_built_without_a_shared_table(case, m
 
 def test_lexicon_rejects_overlap_and_uppercase():
     with pytest.raises(ValueError):
-        load_lexicon(["[positive]", "fine", "[negative]", "fine"])
+        load_lexicon(b"[positive]\nfine\n[negative]\nfine\n")
 
 
 @pytest.mark.parametrize("entry", ["well-done", "thank you", "a_b"])
@@ -837,7 +834,7 @@ def test_lexicon_rejects_an_entry_no_subject_can_match(entry):
     entry with a hyphen, a space or an underscore could never match, however
     the lexicon is built."""
     with pytest.raises(FormatError, match=repr(entry)):
-        load_lexicon(["[positive]", entry])
+        load_lexicon(b"[positive]\n" + entry.encode())
     with pytest.raises(FormatError, match=repr(entry)):
         SentimentLexicon(frozenset(["good"]), frozenset([entry]))
     with pytest.raises(FormatError, match=repr(entry)):
@@ -849,8 +846,19 @@ def test_lexicon_names_its_first_unmatchable_entry_in_sorted_order():
         SentimentLexicon(frozenset(["z z", "good", "a-b"]), frozenset(["x_y"]))
 
 
+def test_lexicon_lines_end_only_at_a_newline_or_carriage_return():
+    """A lexicon file's lines end at ``\\n``, ``\\r\\n`` or ``\\r``, and a leading
+    BOM is dropped; ``\\x1c`` and U+2028, which ``str.splitlines`` also splits
+    on, stay inside a line."""
+    lx = load_lexicon(b"\xef\xbb\xbf# words\r[positive]\r\ngood\rfine\n[negative]\nbad")
+    assert (lx.positive, lx.negative) == ({"good", "fine"}, {"bad"})
+    for separator in ("\x1c", "\u2028"):
+        with pytest.raises(FormatError, match="not one word"):
+            load_lexicon(f"[positive]\ngood{separator}fine\n".encode())
+
+
 def test_lexicon_accepts_a_word_of_any_script():
-    lx = load_lexicon(["[positive]", "Café", "[negative]", "ошибка"])
+    lx = load_lexicon("[positive]\nCafé\n[negative]\nошибка\n".encode())
     assert (lx.positive, lx.negative) == ({"café"}, {"ошибка"})
     assert sentiment("RE: café!", lx) == "positive"
     assert sentiment("ошибка 42", lx) == "negative"

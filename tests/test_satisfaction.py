@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
 import io
 from fractions import Fraction
 from pathlib import Path
@@ -12,8 +14,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from commscore import satisfaction
+from commscore._text import read_csv
 from commscore.errors import FormatError, MalformedRecord, NoResponses, OutOfRange
+from commscore.ingest import parse_events
 from commscore.satisfaction import (
+    SURVEY_HEADER,
     SurveyResponse,
     classify_respondent,
     group_by_team,
@@ -185,6 +190,27 @@ def test_survey_csv_parses_and_groups():
     assert sorted(grouped) == ["alpha", "bravo"]
     assert nps(grouped["alpha"]) == 0        # one promoter, one detractor
     assert kpd(grouped["bravo"]) == 3
+
+
+def test_csv_readers_leave_the_callers_stream_open():
+    """Survey and CSV mail parsing read a caller's stream without closing it,
+    as JSONL parsing does, whether they finish or raise; a reader whose
+    stream its caller closed first still closes cleanly."""
+    mail = b"timestamp,from,to,cc,subject\n2012-06-04T09:00:00Z,a@x.com,b@x.com,,hi\n"
+    for data, read in ((SURVEY, load_survey), (b"bad header\n", load_survey),
+                       (mail, lambda source: parse_events(source, "csv", default_team="t"))):
+        stream = io.BytesIO(data)
+        with contextlib.suppress(FormatError):
+            read(stream)
+        gc.collect()
+        assert not stream.closed
+        stream.seek(0)
+        assert stream.read() == data
+    stream = io.BytesIO(SURVEY)
+    rows = read_csv(stream, "survey.csv", SURVEY_HEADER)
+    next(rows)
+    stream.close()
+    rows.close()
 
 
 def test_each_distinct_kpd_text_is_converted_once(monkeypatch):

@@ -72,14 +72,15 @@ def test_spec_validation():
         SynthSpec(teams=1)
     with pytest.raises(ValueError):
         SynthSpec(actors=3)
-    with pytest.raises(ValueError):
-        SynthSpec(effects={"not_a_metric": 0.5})
+    for key in ("not_a_metric", "avg_gbc:x", "oscillation_sum:NPS"):
+        with pytest.raises(ValueError, match="unknown effect key"):
+            SynthSpec(effects={key: 0.5})
     with pytest.raises(ValueError):
         SynthSpec(effects={"avg_gbc": 1.5})
 
 
-def test_scoped_effect_keys_are_accepted():
-    spec = SynthSpec(effects={"oscillation_sum:NPS": 0.8})
+def test_an_effect_is_read_by_its_metric_name():
+    spec = SynthSpec(effects={"oscillation_sum": 0.8})
     assert spec.effect("oscillation_sum") == 0.8
     assert spec.effect("avg_gbc") == 0.0
     assert spec.any_effect()
