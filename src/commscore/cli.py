@@ -20,7 +20,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
+from bisect import bisect_left
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -107,6 +110,9 @@ def report_settings(args: argparse.Namespace, **effective: object) -> dict[str, 
 # which maps it to the stage's exit code
 
 
+_instant = attrgetter("timestamp")
+
+
 def _ingest_group(args: argparse.Namespace, team: str, paths: list[Path],
                   months: list[Period], corpora_dir: Path,
                   ) -> tuple[list[tuple[dict[str, object], list[ParseIssue]]],
@@ -129,11 +135,14 @@ def _ingest_group(args: argparse.Namespace, team: str, paths: list[Path],
         files.append(({"path": path.name, "events": len(result.events),
                        "skipped": len(result.issues)}, result.issues))
     reports: dict[str, dict[str, object]] = {}
-    for team_id, events in events_by_team.items():
-        corpus = build_corpus(events, team_id, args.period)
+    for team_id, parsed in events_by_team.items():
+        corpus = build_corpus(parsed, team_id, args.period)
         (corpora_dir / f"{team_id}.jsonl").write_bytes(serialize_events(corpus.events, "jsonl"))
-        busy = {(ev.timestamp.year, ev.timestamp.month) for ev in corpus.events}
-        gaps = [iso_utc(w.start)[:7] for w in months if (w.start.year, w.start.month) not in busy]
+        events = corpus.events
+        # a gap month: the first event from its start on is past its end, or absent
+        gaps = [iso_utc(w.start)[:7] for w in months
+                if (i := bisect_left(events, w.start, key=_instant)) == len(events)
+                or events[i].timestamp >= w.end]
         reports[team_id] = {"events": len(corpus.events), "gap_months": gaps}
     return files, reports
 
@@ -246,14 +255,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 #: below it the float steps of correlation and score cards cannot overflow.
 METRIC_CELL_MAX = 1e15
 
+#: A metrics cell's number as it may be written: ASCII digits, maybe a minus
+#: sign, a decimal point and an exponent (``float()`` alone reads ``1_0`` and ``٣``).
+_METRIC_CELL_RE = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
 
 def _metric_value(cell: str, where: str) -> float | None:
     if cell == "":
         return None
-    try:
-        value = float(cell)
-    except ValueError:
-        value = math.nan
+    text = cell.strip()  # as survey cells are stripped
+    value = float(text) if _METRIC_CELL_RE.fullmatch(text) else math.nan
     if not abs(value) <= METRIC_CELL_MAX:
         raise FormatError(f"{where}: metric cell {cell!r} is not a finite number "
                           f"of magnitude at most {METRIC_CELL_MAX:g}")

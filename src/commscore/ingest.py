@@ -43,7 +43,7 @@ from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from itertools import compress, count
 from json.encoder import encode_basestring as _quote
-from operator import attrgetter, ge
+from operator import attrgetter, eq, ge
 from typing import BinaryIO, Callable, Iterable
 
 from ._text import csv_line, read_csv
@@ -109,6 +109,8 @@ def parse_timestamp(raw: str) -> datetime:
         stamp = datetime.fromisoformat(text)
     except ValueError as exc:
         raise ValueError(f"bad timestamp {raw!r}: {exc}") from None
+    if stamp.tzinfo is timezone.utc and not stamp.microsecond and not subsecond:
+        return stamp
     if stamp.tzinfo is None:
         raise ValueError(f"timestamp {raw!r} has no UTC offset")
     if subsecond:
@@ -134,10 +136,10 @@ def _utc_second(stamp: datetime) -> datetime:
 def iso_utc(stamp: datetime) -> str:
     """``YYYY-MM-DDTHH:MM:SSZ`` of an instant as :class:`EmailEvent` and
     :class:`Period` hold it (UTC, whole seconds), the year always four digits."""
-    return stamp.isoformat()[:-6] + "Z"
+    return f"{stamp.date().isoformat()}T{stamp.time().isoformat()}Z"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EmailEvent:
     """One logged message, fully normalized.
 
@@ -154,22 +156,34 @@ class EmailEvent:
     subject: str
     team_id: str
 
-    def __post_init__(self) -> None:
-        if not self.sender:
+    def __init__(self, timestamp: datetime, sender: ActorId, to: tuple[ActorId, ...],
+                 cc: tuple[ActorId, ...], subject: str, team_id: str) -> None:
+        if not sender:
             raise ValueError("sender must be nonempty")
-        if not self.to:
+        if not to:
             raise ValueError("to must contain at least one recipient")
-        combined = self.to + self.cc
-        if len(set(combined)) != len(combined):
-            raise ValueError("to ∪ cc contains duplicates")
-        stamp = self.timestamp
-        if stamp.tzinfo is not timezone.utc or stamp.microsecond:
-            object.__setattr__(self, "timestamp", _utc_second(stamp))
+        if cc or len(to) > 1:  # one recipient cannot repeat
+            combined = to + cc
+            if len(set(combined)) != len(combined):
+                raise ValueError("to ∪ cc contains duplicates")
+        if timestamp.tzinfo is not timezone.utc or timestamp.microsecond:
+            timestamp = _utc_second(timestamp)
+        # each slot is stored by its own descriptor, past the frozen __setattr__
+        _set_timestamp(self, timestamp)
+        _set_sender(self, sender)
+        _set_to(self, to)
+        _set_cc(self, cc)
+        _set_subject(self, subject)
+        _set_team_id(self, team_id)
 
     @property
     def recipients(self) -> tuple[ActorId, ...]:
         """All recipients (to then cc), duplicate-free by construction."""
         return self.to + self.cc
+
+
+_set_timestamp, _set_sender, _set_to, _set_cc, _set_subject, _set_team_id = (
+    EmailEvent.__dict__[name].__set__ for name in EmailEvent.__slots__)
 
 
 def event_order(ev: EmailEvent) -> tuple:
@@ -554,15 +568,21 @@ def build_corpus(events: Iterable[EmailEvent], team_id: str, period: Period) -> 
     empty corpus.
     """
     ordered = sorted((ev for ev in events if ev.team_id == team_id), key=_instant)
-    start = bisect_left(ordered, period.start, key=_instant)
-    end = bisect_left(ordered, period.end, start, key=_instant)
+    stamps = list(map(_instant, ordered))
+    start = bisect_left(stamps, period.start)
+    end = bisect_left(stamps, period.end, start)
     kept: list[EmailEvent] = []
-    while start < end:
-        stop = start + 1
-        while stop < end and ordered[stop].timestamp == ordered[start].timestamp:
+    # each i whose event shares its instant with the next opens or continues a run
+    for i in compress(count(start), map(eq, stamps[start:end], stamps[start + 1:end])):
+        if i < start:  # inside the run already deduplicated
+            continue
+        stop = i + 2
+        while stop < end and stamps[stop] == stamps[i]:
             stop += 1
-        kept.extend(ordered[start:stop] if stop == start + 1 else _distinct(ordered[start:stop]))
+        kept += ordered[start:i]
+        kept += _distinct(ordered[i:stop])
         start = stop
+    kept += ordered[start:end]
     return TeamCorpus(team_id=team_id, events=tuple(kept), period=period)
 
 

@@ -447,6 +447,8 @@ def default_lexicon() -> SentimentLexicon:
 def sentiment(subject: str, lexicon: SentimentLexicon) -> str:
     """Classify a subject line as positive/negative/neutral by lexicon hits."""
     tokens = _TOKEN_RE.findall(subject.lower())
+    if lexicon.positive.isdisjoint(tokens):  # most subjects: no positive word
+        return "neutral" if lexicon.negative.isdisjoint(tokens) else "negative"
     pos = sum(map(lexicon.positive.__contains__, tokens))
     neg = sum(map(lexicon.negative.__contains__, tokens))
     if pos > neg:

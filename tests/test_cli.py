@@ -22,6 +22,7 @@ import commscore
 from commscore._text import csv_line
 from commscore.cli import METRICS_CSV_HEADER, main, parse_period, read_metrics_csv
 from commscore.errors import FormatError, MalformedRecord
+from commscore.metrics import METRIC_FIELDS
 
 PERIOD = "2012-06-01..2012-09-01"
 MAIL_HEADER = b"timestamp,from,to,cc,subject\n"
@@ -618,7 +619,7 @@ def test_scorecard_of_a_tiny_metric_column(tmp_path):
     assert (alpha["z"], alpha["favorable"], alpha["alert"]) == (-1.225, False, True)
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "x"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "x", "1_0", "٣", "1e1_0"])
 def test_non_finite_metric_cells_are_format_errors(tmp_path, cell):
     survey = _write(tmp_path / "s.csv", _survey())
     # the same files with finite cells pass both commands
@@ -633,6 +634,16 @@ def test_non_finite_metric_cells_are_format_errors(tmp_path, cell):
                "--eligibility-min", "1") == 4
     assert run("scorecard", path, "--out", tmp_path / "o") == 4
     assert not (tmp_path / "o").exists()
+
+
+def test_metric_cells_are_ascii_numbers_with_surrounding_spaces_ignored(tmp_path):
+    path = _write(tmp_path / "m.csv", _metrics(" 1 ", "-1.", ".5", "0.25e-200", "2E+3", ""))
+    first = read_metrics_csv(path)[0]
+    assert [getattr(first, f) for f in METRIC_FIELDS[:6]] == [1.0, -1.0, 0.5, 0.25e-200,
+                                                              2000.0, None]
+    for cell in (" ", "+1", "1 0"):  # a blank cell is not an empty one
+        with pytest.raises(FormatError, match="not a finite number"):
+            read_metrics_csv(_write(tmp_path / "b.csv", _metrics(cell)))
 
 
 def test_metric_cells_are_bounded(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import tempfile
@@ -1022,13 +1023,27 @@ def test_period_rejects_naive_or_reversed_bounds():
         Period(ts("2012-07-01 00:00"), ts("2012-06-01 00:00"))
 
 
-def test_event_rejects_duplicate_recipients():
-    from commscore.ingest import EmailEvent
-
-    with pytest.raises(ValueError):
-        EmailEvent(timestamp=ts("2012-06-01 00:00"),
-                   sender="a@ex.com", to=("b@ex.com",), cc=("b@ex.com",),
+@pytest.mark.parametrize("sender, to, cc, message", [
+    ("", ("b@ex.com",), (), "sender must be nonempty"),
+    ("a@ex.com", (), ("b@ex.com",), "to must contain at least one recipient"),
+    ("a@ex.com", ("b@ex.com", "c@ex.com", "b@ex.com"), (), "to ∪ cc contains duplicates"),
+    ("a@ex.com", ("b@ex.com",), ("c@ex.com", "c@ex.com"), "to ∪ cc contains duplicates"),
+    ("a@ex.com", ("b@ex.com",), ("b@ex.com",), "to ∪ cc contains duplicates"),
+], ids=["empty-sender", "empty-to", "within-to", "within-cc", "across-to-and-cc"])
+def test_event_rejects_duplicate_recipients(sender, to, cc, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        EmailEvent(timestamp=ts("2012-06-01 00:00"), sender=sender, to=to, cc=cc,
                    subject="", team_id="t")
+
+
+def test_events_are_frozen_and_replace_runs_the_checks():
+    event = ev("2012-06-04 09:00", "a", ["b", "c"])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        event.sender = "z@ex.com"
+    with pytest.raises(ValueError, match="to ∪ cc contains duplicates"):
+        dataclasses.replace(event, cc=event.to)
+    assert dataclasses.replace(event, subject="s") == ev("2012-06-04 09:00", "a", ["b", "c"],
+                                                         subject="s")
 
 
 def test_make_event_drops_cc_already_in_to():
