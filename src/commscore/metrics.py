@@ -7,13 +7,13 @@ integers over a common denominator, and one ``Fraction`` is built per metric
 value, not one per term or per actor: a :class:`CentralityMap` holds integer
 numerators over one denominator per graph, centralization reads them as
 integers, and oscillation compares them as integers.  AWVCI sums its daily
-variances the same way.  Reply latencies are in seconds.
+variances the same way.  Reply latencies are in seconds, and their median
+is exact too.
 """
 
 from __future__ import annotations
 
 import re
-import statistics
 from collections import Counter
 from dataclasses import dataclass
 from datetime import timedelta
@@ -307,14 +307,19 @@ def match_replies(corpus: TeamCorpus, reply_cap: int = DEFAULT_REPLY_CAP) -> lis
 
 @dataclass(frozen=True)
 class ResponseTimes:
-    art_median: float | None
+    art_median: Fraction | None
 
 
 def response_times(pairs: Sequence[ReplyPair]) -> ResponseTimes:
-    """Median reply latency; undefined (None) when there are no pairs."""
+    """Median reply latency, exact: the middle latency, or the sum of the middle
+    two over 2; undefined (None) when there are no pairs."""
     if not pairs:
         return ResponseTimes(art_median=None)
-    return ResponseTimes(art_median=statistics.median(p.latency for p in pairs))
+    latencies = sorted(p.latency for p in pairs)
+    middle = len(latencies) // 2
+    if len(latencies) % 2:
+        return ResponseTimes(art_median=Fraction(latencies[middle]))
+    return ResponseTimes(art_median=Fraction(latencies[middle - 1] + latencies[middle], 2))
 
 
 # --------------------------------------------------------------------------
@@ -506,7 +511,7 @@ class MetricVector:
     avg_density: Fraction | None
     avg_new_actors: Fraction | None
     oscillation_sum: int | None
-    art_median: float | None
+    art_median: Fraction | None
     awvci: Fraction | None
     emotionality: int | Fraction | None
 

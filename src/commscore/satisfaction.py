@@ -21,18 +21,28 @@ SURVEY_HEADER = (
 DEFAULT_ELIGIBILITY_MIN = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SurveyResponse:
     team_id: str
     respondent_id: str
     nps_answer: int
     kpd_answers: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.nps_answer <= 10:
-            raise OutOfRange(f"nps answer {self.nps_answer} outside 0..10")
-        if len(self.kpd_answers) != 8:
+    def __init__(self, team_id: str, respondent_id: str, nps_answer: int,
+                 kpd_answers: tuple[Fraction, ...]) -> None:
+        if not 0 <= nps_answer <= 10:
+            raise OutOfRange(f"nps answer {nps_answer} outside 0..10")
+        if len(kpd_answers) != 8:
             raise ValueError("kpd_answers must have exactly 8 entries")
+        # each slot is stored by its own descriptor, past the frozen __setattr__
+        _set_team_id(self, team_id)
+        _set_respondent_id(self, respondent_id)
+        _set_nps_answer(self, nps_answer)
+        _set_kpd_answers(self, kpd_answers)
+
+
+_set_team_id, _set_respondent_id, _set_nps_answer, _set_kpd_answers = (
+    SurveyResponse.__dict__[name].__set__ for name in SurveyResponse.__slots__)
 
 
 @dataclass(frozen=True)
@@ -59,8 +69,16 @@ def nps(responses: Sequence[SurveyResponse]) -> Fraction:
     """100 · (#promoters − #detractors) / #responses."""
     if not responses:
         raise NoResponses("nps over zero responses")
-    tally = Counter(classify_respondent(r.nps_answer) for r in responses)
-    return Fraction(100 * (tally["promoter"] - tally["detractor"]), len(responses))
+    # each distinct answer is classified once, in order of first appearance, so
+    # that the first bad one raises; keyed by type too, since 1.0 == 1
+    tally: dict[tuple[type, int], int] = {}
+    for r in responses:
+        key = type(r.nps_answer), r.nps_answer
+        tally[key] = tally.get(key, 0) + 1
+    kinds: Counter[str] = Counter()
+    for (_, answer), k in tally.items():
+        kinds[classify_respondent(answer)] += k
+    return Fraction(100 * (kinds["promoter"] - kinds["detractor"]), len(responses))
 
 
 def kpd(responses: Sequence[SurveyResponse]) -> Fraction:
@@ -121,7 +139,7 @@ def load_survey(source: BinaryIO, *, source_name: str = "<stream>") -> list[Surv
                 f"expected {len(SURVEY_HEADER)} fields, got {len(row)}",
                 source=source_name, line=line,
             )
-        team, respondent, raw_nps, *raw_kpd = (f.strip() for f in row)
+        team, respondent, raw_nps, *raw_kpd = map(str.strip, row)
         if not team or not respondent:
             raise MalformedRecord("empty team_id or respondent_id",
                                   source=source_name, line=line)
@@ -133,12 +151,14 @@ def load_survey(source: BinaryIO, *, source_name: str = "<stream>") -> list[Surv
             if raw_nps not in nps_of:
                 nps_of[raw_nps] = _nps_answer(raw_nps)
             answer = nps_of[raw_nps]
-            for v in raw_kpd:
-                if v not in answer_of:
-                    answer_of[v] = _kpd_answer(v)
-            answers = tuple(map(answer_of.__getitem__, raw_kpd))
-            response = SurveyResponse(team_id=team, respondent_id=respondent,
-                                      nps_answer=answer, kpd_answers=answers)
+            try:
+                answers = tuple(map(answer_of.__getitem__, raw_kpd))
+            except KeyError:  # a text not seen before: convert the row's new ones
+                for v in raw_kpd:
+                    if v not in answer_of:
+                        answer_of[v] = _kpd_answer(v)
+                answers = tuple(map(answer_of.__getitem__, raw_kpd))
+            response = SurveyResponse(team, respondent, answer, answers)
         except (ValueError, OutOfRange) as exc:
             raise MalformedRecord(str(exc), source=source_name, line=line) from None
         out.append(response)

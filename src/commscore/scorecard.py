@@ -7,6 +7,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring as _quote
 from typing import Mapping, Sequence
 
 from ._text import csv_line, fmt3
@@ -72,11 +73,15 @@ def _cohort_stats(cohort: Sequence[MetricVector]) -> dict[str, tuple[int, ...] |
     return stats
 
 
+def _alert_limit(alert_sigma: float) -> Fraction | None:
+    """``alert_sigma`` as an exact ratio; None (no alert) for inf or NaN."""
+    return Fraction(alert_sigma) if alert_sigma < math.inf else None
+
+
 def _score(team: MetricVector, stats: Mapping[str, tuple[int, ...] | None],
-           alert_sigma: float, survey_eligible: bool | None) -> ScoreCard:
+           limit: Fraction | None, survey_eligible: bool | None) -> ScoreCard:
     """For a value k/den, n·k − Σk is n·den times its deviation from the mean and the
     spread n²·den² times the variance: the decisions compare these integers exactly."""
-    limit = Fraction(alert_sigma) if alert_sigma < math.inf else None  # inf or NaN: no alert
     scores: dict[str, MetricScore] = {}
     for field in METRIC_FIELDS:
         value = team.value(field)
@@ -106,7 +111,7 @@ def build_scorecard(team: MetricVector, cohort: Sequence[MetricVector],
     expected direction by more than ``alert_sigma``.  Metrics undefined for
     the team, or defined for fewer than two cohort members, stay unscored.
     """
-    return _score(team, _cohort_stats(cohort), alert_sigma, survey_eligible)
+    return _score(team, _cohort_stats(cohort), _alert_limit(alert_sigma), survey_eligible)
 
 
 def build_scorecards(cohort: Sequence[MetricVector],
@@ -116,8 +121,9 @@ def build_scorecards(cohort: Sequence[MetricVector],
     if not cohort:
         return []
     stats = _cohort_stats(cohort)
+    limit = _alert_limit(alert_sigma)
     eligibility = eligibility or {}
-    return [_score(team, stats, alert_sigma, eligibility.get(team.team_id))
+    return [_score(team, stats, limit, eligibility.get(team.team_id))
             for team in sorted(cohort, key=lambda m: m.team_id)]
 
 
@@ -143,31 +149,54 @@ def render(scorecards: Sequence[ScoreCard], format: str = SCORECARD_FORMATS[0], 
     raise UnsupportedFormat(f"unknown scorecard format: {format!r}")
 
 
-def _card_payload(card: ScoreCard) -> dict:
-    metrics = {}
-    for field in METRIC_FIELDS:
-        s = card.metrics[field]
-        metrics[field] = {
-            "value": _round3(s.value),
-            "z": _round3(s.z),
-            "favorable": s.favorable,
-            "alert": s.alert,
-        }
-    return {
-        "team_id": card.team_id,
-        "survey_eligible": card.survey_eligible,
-        "metrics": metrics,
-    }
+def _json_scalar(value: object) -> str:
+    """``json.dumps(value)`` of one scalar.  ``None``, ``True`` and ``False`` are
+    matched by identity, since ``1.0 == True``; a finite float is its ``repr``."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is float and -math.inf < value < math.inf:
+        return float.__repr__(value)
+    return json.dumps(value, ensure_ascii=False)
+
+
+def _card_template() -> str:
+    """One ``teams`` entry as ``json.dumps(..., indent=2)`` lays it out, with a
+    ``%s`` for the team id, its survey eligibility and each metric's four cells."""
+    metrics = ",\n".join(
+        f'        {_quote(field)}: {{\n          "value": %s,\n          "z": %s,\n'
+        f'          "favorable": %s,\n          "alert": %s\n        }}'
+        for field in METRIC_FIELDS)
+    return ('    {\n      "team_id": %s,\n      "survey_eligible": %s,\n'
+            f'      "metrics": {{\n{metrics}\n      }}\n    }}')
+
+
+_CARD_TEMPLATE = _card_template()
 
 
 def _render_json(cards: Sequence[ScoreCard], generated_at: str,
                  config: Mapping[str, object]) -> bytes:
-    payload = {
-        "generated_at": generated_at,
-        "config": dict(sorted(config.items())),
-        "teams": [_card_payload(c) for c in cards],
-    }
-    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    """Byte for byte ``json.dumps(payload, indent=2, ensure_ascii=False) + "\n"``
+    of ``{"generated_at", "config" (keys sorted), "teams"}``, each card filled
+    into one template; the cards are encoded one at a time and joined once."""
+    # the settings are few: dumped alone, then indented one level (a dumped
+    # string holds no raw newline)
+    settings = json.dumps(dict(sorted(config.items())), indent=2,
+                          ensure_ascii=False).replace("\n", "\n  ")
+    parts = [(f'{{\n  "generated_at": {_quote(generated_at)},\n'
+              f'  "config": {settings},\n  "teams": [\n').encode("utf-8")]
+    for card in cards:
+        cells = [_quote(card.team_id), _json_scalar(card.survey_eligible)]
+        for field in METRIC_FIELDS:
+            s = card.metrics[field]
+            cells += (_json_scalar(_round3(s.value)), _json_scalar(_round3(s.z)),
+                      _json_scalar(s.favorable), _json_scalar(s.alert))
+        parts += ((_CARD_TEMPLATE % tuple(cells)).encode("utf-8"), b",\n")
+    parts[-1] = b"\n  ]\n}\n"
+    return b"".join(parts)
 
 
 def _bool_cell(flag: bool | None) -> str:

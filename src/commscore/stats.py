@@ -123,21 +123,18 @@ def correlate_all(vectors: Sequence[MetricVector],
     Missing values are handled by pairwise deletion; cells with fewer than 3
     pairs or a constant series stay undefined instead of being dropped.
     """
-    eligible: Mapping[str, TeamSatisfaction] = {
-        s.team_id: s for s in sats if s.eligible
+    # each eligible team's targets, as floats, converted once
+    targets: Mapping[str, tuple[float, float]] = {
+        s.team_id: (float(s.nps), float(s.kpd)) for s in sats if s.eligible
     }
+    rows = [(vec, targets[vec.team_id]) for vec in vectors if vec.team_id in targets]
     cells: list[CorrelationResult] = []
     for field in METRIC_FIELDS:
-        for target in TARGETS:
-            xs: list[float] = []
-            ys: list[float] = []
-            for vec in vectors:
-                sat = eligible.get(vec.team_id)
-                value = vec.value(field)
-                if sat is None or value is None:
-                    continue
-                xs.append(value)
-                ys.append(float(sat.nps if target == "NPS" else sat.kpd))
+        pairs = [(value, ys) for vec, ys in rows
+                 if (value := vec.value(field)) is not None]
+        xs = [x for x, _ in pairs]
+        for column, target in enumerate(TARGETS):
+            ys = [y[column] for _, y in pairs]
             try:
                 r = pearson(xs, ys)
             except DegenerateSeries:

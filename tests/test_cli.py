@@ -684,6 +684,39 @@ def _loaded_by(statement: str) -> list[str]:
     return ast.literal_eval(out)
 
 
+_DIGEST_REPORTS = """\
+import contextlib, hashlib, io, sys
+from pathlib import Path
+from commscore.cli import main
+metrics, survey, out = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["correlate", metrics, survey, "--out", out + "/report"]) == 0
+    for format in ("json", "csv", "html"):
+        assert main(["scorecard", metrics, "--out", out + "/cards", "--format", format]) == 0
+for path in sorted(Path(out).glob("*/*")):
+    print(path.relative_to(out).as_posix(), hashlib.sha256(path.read_bytes()).hexdigest())
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    """``correlate`` and ``scorecard`` in each format, run on the golden fixture
+    under two hash seeds, each in a fresh interpreter, write the same bytes:
+    no set or dict order reaches a report."""
+    src = str(Path(commscore.__file__).parents[1])
+    digests = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        digests.append(subprocess.run(
+            [sys.executable, "-c", _DIGEST_REPORTS, str(FIXTURE.parent / "golden" / "metrics.csv"),
+             str(FIXTURE / "survey.csv"), str(tmp_path / seed)],
+            env=env, check=True, capture_output=True, text=True).stdout.splitlines())
+    assert [line.split()[0] for line in digests[0]] == [
+        "cards/scorecard.csv", "cards/scorecard.html", "cards/scorecard.json",
+        "report/correlation.csv", "report/scorecard.html", "report/scorecard.json"]
+    assert digests[0] == digests[1]
+
+
 def test_cli_imports_only_the_standard_library():
     """A fresh interpreter loads nothing outside the stdlib for ``import commscore.cli``,
     and neither ``email`` (the mbox parser's) nor ``commscore.synth``."""

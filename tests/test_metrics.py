@@ -613,16 +613,34 @@ def test_reply_cap_may_reach_past_the_datetime_range():
         assert [p.latency for p in match_replies(corpus, cap)] == [3600]
 
 
-def test_response_time_medians():
-    def fake_pairs(latencies):
-        a = ev("2012-06-04 09:00", "a", "b", subject="s")
-        from commscore.metrics import ReplyPair
-        return [ReplyPair(a, a, lat) for lat in latencies]
+def _fake_pairs(latencies):
+    a = ev("2012-06-04 09:00", "a", "b", subject="s")
+    from commscore.metrics import ReplyPair
+    return [ReplyPair(a, a, lat) for lat in latencies]
 
-    assert response_times(fake_pairs([3600, 7200, 36000])).art_median == 7200
-    assert response_times(fake_pairs([1000, 3000])).art_median == 2000
+
+def test_response_time_medians():
+    assert response_times(_fake_pairs([3600, 7200, 36000])).art_median == 7200
+    assert response_times(_fake_pairs([1000, 3000])).art_median == 2000
     empty = response_times([])
     assert empty.art_median is None
+
+
+@given(st.lists(st.integers(0, 2**51), min_size=1, max_size=40))
+@example([3600, 7200, 36000])
+@example([1000, 3001])
+@example([2**51, 2**51 - 1])
+def test_response_time_median_is_exact(latencies):
+    """The median is the middle latency, or the sum of the middle two over 2, as
+    an exact Fraction, for odd and even counts alike; below 2**52 it equals
+    ``statistics.median``, whose half of an int sum is then a float exactly."""
+    art = response_times(_fake_pairs(latencies)).art_median
+    ordered = sorted(latencies)
+    middle = len(ordered) // 2
+    assert type(art) is Fraction
+    assert art == (ordered[middle] if len(ordered) % 2
+                   else Fraction(ordered[middle - 1] + ordered[middle], 2))
+    assert art == statistics.median(latencies)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import gc
 import io
 from fractions import Fraction
@@ -92,6 +93,38 @@ def test_nps_is_order_invariant(answers):
     permuted = nps([resp(a, rid=f"r{i}") for i, a in enumerate(answers)])
     baseline = nps([resp(a, rid=f"r{i}") for i, a in enumerate(sorted(answers))])
     assert permuted == baseline == Fraction(100 * (2 - 4), 8)
+
+
+def test_nps_classifies_each_distinct_answer_once(monkeypatch):
+    classified: list[object] = []
+    real = satisfaction.classify_respondent
+    monkeypatch.setattr(satisfaction, "classify_respondent",
+                        lambda answer: classified.append(answer) or real(answer))
+    answers = [9, 3, 9, 10, 3, 3, 7, 9]
+    assert nps([resp(a, rid=f"r{i}") for i, a in enumerate(answers)]) == \
+        oracles.reichheld_nps(answers)
+    assert classified == [9, 3, 10, 7]
+
+
+@pytest.mark.parametrize("answers,bad", [([9, 1, 1.0, 9.5], "1.0"), ([9, 9.5, 1.0], "9.5"),
+                                         ([1.0, 1], "1.0"), ([3, True, 9.0], "9.0")])
+def test_nps_raises_on_the_first_bad_answer_in_response_order(answers, bad):
+    """An answer equal to a valid one but not an ``int`` (``1.0 == 1``) is not
+    counted as that answer: it raises, and the first bad answer is the one named."""
+    with pytest.raises(OutOfRange, match=rf"got {bad}$"):
+        nps([resp(a, rid=f"r{i}") for i, a in enumerate(answers)])
+
+
+def test_responses_are_frozen_and_replace_runs_the_checks():
+    r = resp(9)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.nps_answer = 3  # type: ignore[misc]
+    assert not hasattr(r, "__dict__")
+    assert dataclasses.replace(r, respondent_id="r2") == resp(9, rid="r2")
+    with pytest.raises(OutOfRange, match="nps answer 11 outside 0..10"):
+        dataclasses.replace(r, nps_answer=11)
+    with pytest.raises(ValueError, match="exactly 8 entries"):
+        dataclasses.replace(r, kpd_answers=r.kpd_answers[:7])
 
 
 def test_nps_requires_responses():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from commscore.metrics import METRIC_FIELDS, MetricVector
 from commscore.scorecard import (
     DIRECTIONS,
     MetricScore,
+    ScoreCard,
     build_scorecard,
     build_scorecards,
     render,
@@ -250,6 +252,75 @@ def test_json_schema_round_trips():
     for field in METRIC_FIELDS:
         cell = first["metrics"][field]
         assert set(cell) == {"value", "z", "favorable", "alert"}
+
+
+# the values the JSON writer must tell apart: 1.0 and 1 are not true, 0.0 and
+# 0 not false, and NaN and the infinities are written as json writes them
+_cells = st.one_of(
+    st.sampled_from([None, 0.0, -0.0, 1.0, 0, 1, -7, math.nan, math.inf, -math.inf,
+                     5e-324, 1e16, -1e16]),
+    st.floats(), st.integers(-10**20, 10**20))
+_flags = st.sampled_from([True, False, None])
+_team_ids = st.one_of(
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028\u2029", "équipe ☃", "", "a\nb"]),
+    st.text())
+_settings = st.fixed_dictionaries(
+    {"period": st.one_of(st.none(), st.fixed_dictionaries(
+        {"start": st.text(), "end": st.text()}))},
+    optional={"alert_sigma": st.one_of(st.floats(), st.integers()), "strict": st.booleans(),
+              "lexicon": st.text(), "fingerprint": st.text(), "reply_cap": st.integers()})
+_score_cards = st.lists(st.builds(
+    ScoreCard, _team_ids,
+    st.fixed_dictionaries({field: st.builds(MetricScore, _cells, _cells, _flags, _flags)
+                           for field in METRIC_FIELDS}),
+    _flags), min_size=1, max_size=4)
+
+
+def _json_report(cards, generated_at, config) -> bytes:
+    """The score-card report as ``json.dumps`` writes it, for comparison."""
+    def rounded(value):
+        return None if value is None else round(value, 3)
+
+    def cell(s: MetricScore) -> dict:
+        return {"value": rounded(s.value), "z": rounded(s.z),
+                "favorable": s.favorable, "alert": s.alert}
+
+    payload = {
+        "generated_at": generated_at,
+        "config": dict(sorted(config.items())),
+        "teams": [{"team_id": card.team_id, "survey_eligible": card.survey_eligible,
+                   "metrics": {field: cell(card.metrics[field]) for field in METRIC_FIELDS}}
+                  for card in cards],
+    }
+    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+@given(_score_cards, st.text(), _settings)
+@example(_cards(), "2012-10-01T00:00:00Z", {"period": None, "alert_sigma": 1.0})
+@settings(max_examples=300)
+def test_json_render_equals_json_dumps_of_the_report(cards, generated_at, config):
+    assert render(cards, "json", generated_at=generated_at, config=config) == \
+        _json_report(cards, generated_at, config)
+
+
+def test_json_render_memory_is_bounded_by_its_output():
+    """The JSON report of 300 cards peaks at a small multiple of its own bytes:
+    cards are written one at a time, not as one payload for ``json``'s encoder."""
+    cohort = [vector(f"team{i:03d}", **{field: Fraction(i * (k + 3) % 97, 89 + k)
+                                        for k, field in enumerate(METRIC_FIELDS)})
+              for i in range(300)]
+    cards = build_scorecards(cohort, eligibility={f"team{i:03d}": i % 3 == 0
+                                                  for i in range(0, 300, 2)})
+    config = {"period": {"start": "2012-06-01T00:00:00Z", "end": "2012-09-01T00:00:00Z"},
+              "alert_sigma": 1.0}
+    render(cards, "json", generated_at="2012-10-01T00:00:00Z", config=config)
+    tracemalloc.start()
+    try:
+        blob = render(cards, "json", generated_at="2012-10-01T00:00:00Z", config=config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(blob), (peak, len(blob))
 
 
 def test_html_contains_all_rows_in_order():
