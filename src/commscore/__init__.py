@@ -28,8 +28,8 @@ _EXPORTS = {
     "SurveyResponse": "satisfaction", "TeamSatisfaction": "satisfaction",
     "classify_respondent": "satisfaction", "kpd": "satisfaction", "nps": "satisfaction",
     "team_satisfaction": "satisfaction",
-    "DIRECTIONS": "scorecard", "ScoreCard": "scorecard", "build_scorecard": "scorecard",
-    "build_scorecards": "scorecard", "render": "scorecard",
+    "DIRECTIONS": "scorecard", "ScoreCard": "scorecard", "build_scorecards": "scorecard",
+    "render": "scorecard",
     "CorrelationResult": "stats", "correlate_all": "stats", "p_value_two_tailed": "stats",
     "pearson": "stats",
     "SynthSpec": "synth", "planted_effects": "synth",

@@ -340,6 +340,18 @@ def contribution_index(sent: int, received: int) -> Fraction:
     return Fraction(sent - received, _traffic(sent, received))
 
 
+def spread_parts(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int, int]:
+    """Integers ``k`` over one denominator ``d``, the lcm of the ``q``, with
+    ``k[i]/d == p/q`` for the i-th ratio ``(p, q)``; and the spread
+    n·Σk² − (Σk)², which is n²·d² times the ratios' population variance.
+
+    AWVCI's daily variances, Pearson r and the score-card z are all read from it.
+    """
+    d = lcm(*[q for _, q in ratios])
+    ks = [p * (d // q) for p, q in ratios]
+    return ks, d, len(ks) * sum([k * k for k in ks]) - sum(ks) ** 2
+
+
 def awvci(days: Iterable[DayTally],
           weighting: str = METRIC_CHOICES["awvci_weighting"][0]) -> Fraction:
     """Weighted mean of daily contribution-index variances.
@@ -351,14 +363,14 @@ def awvci(days: Iterable[DayTally],
     weights are the day's total edge count (``weighting="edges"``, the
     default) or its actor count (``weighting="actors"``).
 
-    The sums are exact integers.  With q = sent + received per actor and L
-    the lcm of a day's q, each index times L is the integer x = (sent −
-    received)·L/q, and the variance of k indices is (k·Σx² − (Σx)²)/(k²L²).
-    The weighted numerators are summed per denominator, and divided once.
+    The sums are exact integers.  With q = sent + received per actor, each
+    day's indices (sent − received)/q go through :func:`spread_parts`: over
+    their common denominator L, the variance of k indices is its spread over
+    k²L².  The weighted numerators are summed per denominator, and divided once.
     """
     if weighting not in METRIC_CHOICES["awvci_weighting"]:
         raise ValueError(f"unknown AWVCI weighting: {weighting!r}")
-    parts: dict[int, int] = {}  # {k²L²: Σ weight·(k·Σx² − (Σx)²)}
+    parts: dict[int, int] = {}  # {k²L²: Σ weight·spread}
     total_weight = 0
     for _, edges in days:
         sent = dict.fromkeys(chain.from_iterable(edges), 0)
@@ -369,12 +381,11 @@ def awvci(days: Iterable[DayTally],
         counts = [(s - received[a], _traffic(s, received[a])) for a, s in sent.items()]
         if not counts:
             continue
-        common = lcm(*[q for _, q in counts])
-        xs = [d * (common // q) for d, q in counts]
-        k = len(xs)
+        _, common, spread = spread_parts(counts)
+        k = len(counts)
         weight = sum(edges.values()) if weighting == "edges" else k
         den = k * k * common * common
-        parts[den] = parts.get(den, 0) + weight * (k * sum([x * x for x in xs]) - sum(xs) ** 2)
+        parts[den] = parts.get(den, 0) + weight * spread
         total_weight += weight
     if total_weight == 0:
         raise NoActivity("no day with active actors")

@@ -30,6 +30,8 @@ class SurveyResponse:
 
     def __init__(self, team_id: str, respondent_id: str, nps_answer: int,
                  kpd_answers: tuple[Fraction, ...]) -> None:
+        if not isinstance(nps_answer, int):
+            raise OutOfRange(f"nps answer must be an integer in 0..10, got {nps_answer!r}")
         if not 0 <= nps_answer <= 10:
             raise OutOfRange(f"nps answer {nps_answer} outside 0..10")
         if len(kpd_answers) != 8:
@@ -69,14 +71,10 @@ def nps(responses: Sequence[SurveyResponse]) -> Fraction:
     """100 · (#promoters − #detractors) / #responses."""
     if not responses:
         raise NoResponses("nps over zero responses")
-    # each distinct answer is classified once, in order of first appearance, so
-    # that the first bad one raises; keyed by type too, since 1.0 == 1
-    tally: dict[tuple[type, int], int] = {}
-    for r in responses:
-        key = type(r.nps_answer), r.nps_answer
-        tally[key] = tally.get(key, 0) + 1
+    # every answer is an int (SurveyResponse checks it), so each distinct
+    # value is tallied and classified once
     kinds: Counter[str] = Counter()
-    for (_, answer), k in tally.items():
+    for answer, k in Counter(r.nps_answer for r in responses).items():
         kinds[classify_respondent(answer)] += k
     return Fraction(100 * (kinds["promoter"] - kinds["detractor"]), len(responses))
 

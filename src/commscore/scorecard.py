@@ -6,14 +6,13 @@ import html
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring as _quote
 from typing import Mapping, Sequence
 
 from ._text import csv_line, fmt3
 from .errors import CohortTooSmall, UnsupportedFormat
-from .metrics import METRIC_FIELDS, MetricVector
-from .stats import _exact_parts, standard_score
+from .metrics import METRIC_FIELDS, MetricVector, spread_parts
+from .stats import standard_score
 
 #: Expected correlation direction per metric (the score-card legend).
 DIRECTIONS: dict[str, str] = {
@@ -57,74 +56,50 @@ class ScoreCard:
     survey_eligible: bool | None = None
 
 
-def _cohort_stats(cohort: Sequence[MetricVector]) -> dict[str, tuple[int, ...] | None]:
-    """Per field, (n, den, Σk, n·Σk² − (Σk)²) of the cohort's values k/den; None
-    where fewer than two are defined."""
-    if len(cohort) < 2:
-        raise CohortTooSmall(f"cohort of {len(cohort)} cannot be standardized")
-    stats: dict[str, tuple[int, ...] | None] = {}
-    for field in METRIC_FIELDS:
-        values = [v for v in (m.value(field) for m in cohort) if v is not None]
-        if len(values) < 2:
-            stats[field] = None
-            continue
-        ks, den, spread = _exact_parts(values)
-        stats[field] = len(ks), den, sum(ks), spread
-    return stats
-
-
-def _alert_limit(alert_sigma: float) -> Fraction | None:
-    """``alert_sigma`` as an exact ratio; None (no alert) for inf or NaN."""
-    return Fraction(alert_sigma) if alert_sigma < math.inf else None
-
-
-def _score(team: MetricVector, stats: Mapping[str, tuple[int, ...] | None],
-           limit: Fraction | None, survey_eligible: bool | None) -> ScoreCard:
-    """For a value k/den, n·k − Σk is n·den times its deviation from the mean and the
-    spread n²·den² times the variance: the decisions compare these integers exactly."""
-    scores: dict[str, MetricScore] = {}
-    for field in METRIC_FIELDS:
-        value = team.value(field)
-        if value is None or stats[field] is None:
-            scores[field] = MetricScore(value=value, z=None, favorable=None, alert=None)
-            continue
-        n, den, total, spread = stats[field]
-        p, q = value.as_integer_ratio()
-        grid = math.lcm(den, q)  # den itself for a cohort member
-        # a constant column standardizes every value to z = 0
-        deviation = n * p * (grid // q) - total * (grid // den) if spread else 0
-        spread *= (grid // den) ** 2
-        z = standard_score(deviation, spread) if spread else 0.0
-        favorable = deviation >= 0 if DIRECTIONS[field] == "+" else deviation <= 0
-        alert = (not favorable and limit is not None
-                 and (deviation * limit.denominator) ** 2 > limit.numerator ** 2 * spread)
-        scores[field] = MetricScore(value=value, z=z, favorable=favorable, alert=alert)
-    return ScoreCard(team_id=team.team_id, metrics=scores, survey_eligible=survey_eligible)
-
-
-def build_scorecard(team: MetricVector, cohort: Sequence[MetricVector],
-                    *, alert_sigma: float = DEFAULT_ALERT_SIGMA,
-                    survey_eligible: bool | None = None) -> ScoreCard:
-    """Standardize one team's metrics against the cohort (population σ).
-
-    z = 0 counts as favorable; an alert fires when z runs against the
-    expected direction by more than ``alert_sigma``.  Metrics undefined for
-    the team, or defined for fewer than two cohort members, stay unscored.
-    """
-    return _score(team, _cohort_stats(cohort), _alert_limit(alert_sigma), survey_eligible)
-
-
 def build_scorecards(cohort: Sequence[MetricVector],
                      *, alert_sigma: float = DEFAULT_ALERT_SIGMA,
                      eligibility: Mapping[str, bool | None] | None = None) -> list[ScoreCard]:
-    """Score every cohort member, sorted by team id; the cohort statistics are computed once."""
+    """Standardize each cohort member's metrics against the cohort (population σ),
+    one card per member, sorted by team id.
+
+    z = 0 counts as favorable; an alert fires when z runs against the expected
+    direction by more than ``alert_sigma`` (never for inf or NaN).  Metrics
+    undefined for the team, or defined for fewer than two members, stay
+    unscored.  Per field, :func:`~commscore.metrics.spread_parts` puts the
+    defined values over one denominator d as integers k: n·k − Σk is n·d times
+    a member's deviation from the mean and the spread n²·d² times the variance,
+    so the decisions compare these integers exactly.
+    """
     if not cohort:
         return []
-    stats = _cohort_stats(cohort)
-    limit = _alert_limit(alert_sigma)
+    if len(cohort) < 2:
+        raise CohortTooSmall(f"cohort of {len(cohort)} cannot be standardized")
+    # alert_sigma as an exact ratio; None (no alert) for inf or NaN
+    limit = alert_sigma.as_integer_ratio() if alert_sigma < math.inf else None
+    teams = sorted(cohort, key=lambda m: m.team_id)
+    scores: list[dict[str, MetricScore]] = [{} for _ in teams]
+    for field in METRIC_FIELDS:
+        values = [team.value(field) for team in teams]
+        defined = [v.as_integer_ratio() for v in values if v is not None]
+        scored = len(defined) > 1
+        if scored:
+            ks, _, spread = spread_parts(defined)
+            n, total, member = len(ks), sum(ks), iter(ks)
+        for card, value in zip(scores, values):
+            if value is None or not scored:
+                card[field] = MetricScore(value=value, z=None, favorable=None, alert=None)
+                continue
+            deviation = n * next(member) - total
+            # a constant column standardizes every value to z = 0
+            z = standard_score(deviation, spread) if spread else 0.0
+            favorable = deviation >= 0 if DIRECTIONS[field] == "+" else deviation <= 0
+            alert = (not favorable and limit is not None
+                     and (deviation * limit[1]) ** 2 > limit[0] ** 2 * spread)
+            card[field] = MetricScore(value=value, z=z, favorable=favorable, alert=alert)
     eligibility = eligibility or {}
-    return [_score(team, stats, limit, eligibility.get(team.team_id))
-            for team in sorted(cohort, key=lambda m: m.team_id)]
+    return [ScoreCard(team_id=team.team_id, metrics=metrics,
+                      survey_eligible=eligibility.get(team.team_id))
+            for team, metrics in zip(teams, scores)]
 
 
 def _round3(value: float | None) -> float | None:

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Mapping, Sequence
 
 from ._text import csv_line
 from .errors import DegenerateInput, DegenerateSeries, LengthMismatch
-from .metrics import METRIC_FIELDS, METRIC_LABELS, MetricVector
+from .metrics import METRIC_FIELDS, METRIC_LABELS, MetricVector, spread_parts
 from .satisfaction import TeamSatisfaction
 
 ALPHA = 0.05
@@ -18,37 +17,21 @@ ALPHA = 0.05
 TARGETS = ("NPS", "KPD")
 
 
-def _exact_parts(values: Sequence[float]) -> tuple[list[int], int, int]:
-    """Integers ``k`` and one denominator ``d`` with ``values[i] == k[i] / d``, and
-    the spread n·Σk² − (Σk)², n²·d² times the population variance, as an integer."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = math.lcm(*(q for _, q in ratios))
-    ks = [p * (den // q) for p, q in ratios]
-    return ks, den, len(ks) * sum(map(mul, ks, ks)) - sum(ks) ** 2
-
-
-def _pearson_parts(x: Sequence[float], y: Sequence[float]) -> tuple[Fraction, Fraction, Fraction]:
-    """n·Σxy − Σx·Σy, n·Σx² − (Σx)² and n·Σy² − (Σy)², summed exactly as integers."""
-    xs, dx, spread_x = _exact_parts(x)
-    ys, dy, spread_y = _exact_parts(y)
-    return (Fraction(len(xs) * sum(map(mul, xs, ys)) - sum(xs) * sum(ys), dx * dy),
-            Fraction(spread_x, dx * dx), Fraction(spread_y, dy * dy))
-
-
-def _times_power_of_two(value: Fraction | int, exponent: int) -> float:
+def _times_power_of_two(value: int, exponent: int) -> float:
     """``value · 2**exponent``, rounded to a float once."""
-    num, den = value.numerator, value.denominator
-    return (num << exponent) / den if exponent >= 0 else num / (den << -exponent)
+    return float(value << exponent) if exponent >= 0 else value / (1 << -exponent)
 
 
-def _half_scale(var: Fraction | int) -> int:
-    """An ``a`` that puts ``var · 4**a`` in [1/4, 2), well inside the normal floats."""
-    return (var.denominator.bit_length() - var.numerator.bit_length()) // 2
+def _half_scale(spread: int) -> int:
+    """An ``a`` that puts ``spread · 4**a`` in [1/4, 2), well inside the normal floats."""
+    return (1 - spread.bit_length()) // 2
 
 
 def standard_score(deviation: int, spread: int) -> float:
-    """``deviation / √spread`` for a positive integer ``spread``; as in :func:`pearson`,
-    ``spread`` is scaled by 4**a into the normal floats and ``deviation`` by 2**a."""
+    """``deviation / √spread`` for a positive integer ``spread``, which is scaled
+    by 4**a into the normal floats and ``deviation`` by 2**a: in the normal float
+    range such a scaling is exact, so nothing underflows or overflows and the
+    quotient is the same as without it."""
     a = _half_scale(spread)
     return _times_power_of_two(deviation, a) / math.sqrt(_times_power_of_two(spread, 2 * a))
 
@@ -57,24 +40,23 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson product-moment coefficient.
 
     Raises LengthMismatch for unequal lengths and DegenerateSeries for
-    constant or too-short (< 3) input.  r = cov / √(varx·vary) is evaluated in
-    floats after scaling varx by 4**a, vary by 4**b and cov by 2**(a+b), so
-    that no step underflows or overflows; in the normal float range such a
-    scaling is exact, and r is the same as without it.
+    constant or too-short (< 3) input.  Over each series' common denominator,
+    :func:`~commscore.metrics.spread_parts` gives integers and their spreads
+    n·Σx² − (Σx)² and n·Σy² − (Σy)²; with cov = n·Σxy − Σx·Σy the denominators
+    cancel, and r = cov / √(spread_x·spread_y) is one :func:`standard_score`.
     """
     if len(x) != len(y):
         raise LengthMismatch(f"series lengths differ: {len(x)} vs {len(y)}")
     if len(x) < 3:
         raise DegenerateSeries(f"need at least 3 pairs, got {len(x)}")
-    cov, varx, vary = _pearson_parts(x, y)
-    if varx == 0 or vary == 0:
+    xs, _, spread_x = spread_parts([v.as_integer_ratio() for v in x])
+    ys, _, spread_y = spread_parts([v.as_integer_ratio() for v in y])
+    if spread_x == 0 or spread_y == 0:
         raise DegenerateSeries("constant series has no correlation")
-    if cov * cov == varx * vary:
+    cov = len(xs) * sum(map(mul, xs, ys)) - sum(xs) * sum(ys)
+    if cov * cov == spread_x * spread_y:
         return 1.0 if cov > 0 else -1.0
-    a, b = _half_scale(varx), _half_scale(vary)
-    r = _times_power_of_two(cov, a + b) / math.sqrt(
-        _times_power_of_two(varx, 2 * a) * _times_power_of_two(vary, 2 * b))
-    return max(-1.0, min(1.0, r))
+    return max(-1.0, min(1.0, standard_score(cov, spread_x * spread_y)))
 
 
 def p_value_two_tailed(r: float, n: int) -> float:
@@ -87,7 +69,7 @@ def p_value_two_tailed(r: float, n: int) -> float:
     """
     if n < 3:
         raise DegenerateInput(f"p-value needs n ≥ 3, got {n}")
-    if abs(r) > 1:
+    if not abs(r) <= 1:
         raise DegenerateInput(f"|r| must not exceed 1, got {r}")
     if abs(r) == 1:
         return 0.0

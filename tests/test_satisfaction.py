@@ -109,10 +109,11 @@ def test_nps_classifies_each_distinct_answer_once(monkeypatch):
 @pytest.mark.parametrize("answers,bad", [([9, 1, 1.0, 9.5], "1.0"), ([9, 9.5, 1.0], "9.5"),
                                          ([1.0, 1], "1.0"), ([3, True, 9.0], "9.0")])
 def test_nps_raises_on_the_first_bad_answer_in_response_order(answers, bad):
-    """An answer equal to a valid one but not an ``int`` (``1.0 == 1``) is not
-    counted as that answer: it raises, and the first bad answer is the one named."""
+    """An NPS answer equal to a valid one but not an ``int`` (``1.0 == 1``) is
+    refused when its response is made, so responses made in order name the
+    first bad answer; ``True`` is an ``int`` and is accepted."""
     with pytest.raises(OutOfRange, match=rf"got {bad}$"):
-        nps([resp(a, rid=f"r{i}") for i, a in enumerate(answers)])
+        [resp(a, rid=f"r{i}") for i, a in enumerate(answers)]
 
 
 def test_responses_are_frozen_and_replace_runs_the_checks():

@@ -6,13 +6,13 @@ import math
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from commscore import stats
 from commscore.errors import DegenerateInput, DegenerateSeries, LengthMismatch
-from commscore.metrics import METRIC_FIELDS, MetricVector
+from commscore.metrics import METRIC_FIELDS, MetricVector, spread_parts
 from commscore.satisfaction import TeamSatisfaction
 from commscore.stats import (
     correlate_all,
@@ -117,12 +117,32 @@ def _series_pair(draw, min_size=0, values=_value):
             draw(st.lists(_value, min_size=n, max_size=n)))
 
 
-@given(_series_pair())
-@example(([1e-300, -0.0, 1e15], [3, -0.0, 0.5]))
+@given(st.lists(_value, min_size=1, max_size=12))
+@example([1e-300, -0.0, 1e15])
+@example([Fraction(1, 3), 0.1, -7])
 @settings(max_examples=300)
-def test_integer_pearson_parts_equal_fraction_sums(pair):
+def test_spread_parts_put_each_ratio_over_one_denominator(values):
+    """Each ``k/d`` is its input ratio exactly, and the spread is n²·d² times
+    the population variance."""
+    ks, d, spread = spread_parts([v.as_integer_ratio() for v in values])
+    exact = [Fraction(v) for v in values]
+    assert [Fraction(k, d) for k in ks] == exact
+    assert spread == len(exact) ** 2 * d * d * oracles.population_variance(exact)
+
+
+@given(_series_pair(min_size=3))
+@example(([1e-300, -0.0, 1e15], [3, -0.0, 0.5]))
+@example(([1.0, 2.0, 4.0], [1, 2, 5]))
+@settings(max_examples=300)
+def test_pearson_is_within_two_ulps_of_a_50_digit_r(pair):
     x, y = pair
-    assert stats._pearson_parts(x, y) == oracles.pearson_parts(x, y)
+    cov, varx, vary = oracles.pearson_parts(x, y)
+    assume(varx != 0 and vary != 0)
+    with mpmath.workdps(50):
+        exact = float(mpmath.mpf(cov.numerator) / cov.denominator / mpmath.sqrt(
+            mpmath.mpf(varx.numerator) / varx.denominator
+            * mpmath.mpf(vary.numerator) / vary.denominator))
+    assert abs(pearson(x, y) - exact) <= 2 * math.ulp(exact)
 
 
 @given(st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=12, unique=True),
@@ -132,7 +152,6 @@ def test_integer_pearson_parts_equal_fraction_sums(pair):
 def test_collinear_series_take_the_exact_path(ints, slope, shift, exponent):
     x = [math.ldexp(v, exponent) for v in ints]   # exact, subnormals included
     y = [slope * v + shift for v in ints]
-    assert stats._pearson_parts(x, y) == oracles.pearson_parts(x, y)
     assert is_exact(x, y)
     assert pearson(x, y) == math.copysign(1.0, slope)
 
@@ -181,6 +200,8 @@ def test_p_value_edge_cases():
         p_value_two_tailed(0.5, 2)
     with pytest.raises(DegenerateInput):
         p_value_two_tailed(1.5, 13)
+    with pytest.raises(DegenerateInput):  # NaN is no correlation, not p = 0
+        p_value_two_tailed(math.nan, 5)
 
 
 @given(st.floats(min_value=-0.999, max_value=0.999), st.integers(3, 40))
