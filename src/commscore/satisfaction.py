@@ -84,15 +84,22 @@ def kpd(responses: Sequence[SurveyResponse]) -> Fraction:
 
     Every respondent gives exactly 8 answers, so this is Σ answers / (8·n).
     The numerators are summed as integers per denominator and put over
-    their lcm once.
+    their lcm once.  An answer that is not an ``int`` or ``Fraction`` in 1..5
+    raises ``OutOfRange``.
     """
     if not responses:
         raise NoResponses("kpd over zero responses")
     numerators: dict[int, int] = {}
     for r in responses:
         for answer in r.kpd_answers:
-            den = answer.denominator
-            numerators[den] = numerators.get(den, 0) + answer.numerator
+            try:
+                den, num = answer.denominator, answer.numerator
+            except AttributeError:  # not a rational, such as a float
+                raise OutOfRange(f"kpd answer must be an int or Fraction, "
+                                 f"got {answer!r}") from None
+            if not den <= num <= 5 * den:
+                raise OutOfRange(f"kpd answer {answer} outside 1..5")
+            numerators[den] = numerators.get(den, 0) + num
     common = lcm(*numerators)
     total = sum(num * (common // den) for den, num in numerators.items())
     return Fraction(total, 8 * len(responses) * common)

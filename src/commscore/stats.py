@@ -39,8 +39,9 @@ def standard_score(deviation: int, spread: int) -> float:
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson product-moment coefficient.
 
-    Raises LengthMismatch for unequal lengths and DegenerateSeries for
-    constant or too-short (< 3) input.  Over each series' common denominator,
+    Raises LengthMismatch for unequal lengths, DegenerateSeries for
+    constant or too-short (< 3) input and DegenerateInput for an infinite or
+    NaN value.  Over each series' common denominator,
     :func:`~commscore.metrics.spread_parts` gives integers and their spreads
     n·Σx² − (Σx)² and n·Σy² − (Σy)²; with cov = n·Σxy − Σx·Σy the denominators
     cancel, and r = cov / √(spread_x·spread_y) is one :func:`standard_score`.
@@ -49,6 +50,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise LengthMismatch(f"series lengths differ: {len(x)} vs {len(y)}")
     if len(x) < 3:
         raise DegenerateSeries(f"need at least 3 pairs, got {len(x)}")
+    if not all(map(math.isfinite, x)) or not all(map(math.isfinite, y)):
+        raise DegenerateInput("correlation needs finite values")
     xs, _, spread_x = spread_parts([v.as_integer_ratio() for v in x])
     ys, _, spread_y = spread_parts([v.as_integer_ratio() for v in y])
     if spread_x == 0 or spread_y == 0:

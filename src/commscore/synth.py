@@ -39,7 +39,7 @@ from ._text import csv_line
 from .ingest import EmailEvent, Period, event_order, iso_utc, make_event, serialize_events
 from .metrics import METRIC_FIELDS
 from .satisfaction import SURVEY_HEADER
-from .tempograph import month_periods, week_periods
+from .tempograph import month_periods, next_month, week_periods
 
 #: Neutral subject vocabulary (kept out of the bundled sentiment lexicon).
 _TOPICS = (
@@ -82,11 +82,14 @@ class SynthSpec:
                 raise ValueError(f"unknown effect key: {key!r}")
             if not 0.0 <= float(size) <= 1.0:
                 raise ValueError(f"effect size for {key!r} outside [0, 1]")
+        self.period()  # a period past year 9999 raises here, before any mail is made
 
     def period(self) -> Period:
         """``months`` whole UTC calendar months from :data:`START`."""
-        index = START.month - 1 + self.months
-        return Period(START, START.replace(year=START.year + index // 12, month=index % 12 + 1))
+        end = START
+        for _ in range(self.months):
+            end = next_month(end)
+        return Period(START, end)
 
     def effect(self, metric: str) -> float:
         return float(self.effects.get(metric, 0.0))

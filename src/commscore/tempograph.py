@@ -5,8 +5,8 @@ its one bucket: :func:`daily_activity` tallies each message into its day, and
 every month or week graph is a sum of day tallies.  It is also the one
 calendar: :func:`month_periods` and :func:`week_periods` give the UTC months
 and Monday-started weeks of a period, and :mod:`commscore.synth` generates its
-mail over them.  Event and period instants are UTC whole seconds
-by type, so an instant's date is its UTC day.  A message to ``k`` distinct
+mail over them and ends its period by :func:`next_month`.  Event and period
+instants are UTC whole seconds by type, so an instant's date is its UTC day.  A message to ``k`` distinct
 recipients contributes ``k`` directed edges; self-addressed copies are dropped.
 """
 
@@ -60,11 +60,15 @@ def _clipped_walk(period: Period, cursor: datetime,
         cursor = following
 
 
+def next_month(start: datetime) -> datetime:
+    """The start of the UTC calendar month after the one that ``start`` begins."""
+    return start.replace(year=start.year + start.month // 12, month=start.month % 12 + 1)
+
+
 def month_periods(period: Period) -> list[Period]:
     """UTC calendar months intersecting the period, clipped to it, in order."""
     first = period.start.replace(day=1, hour=0, minute=0, second=0)
-    return list(_clipped_walk(period, first, lambda c: c.replace(
-        year=c.year + c.month // 12, month=c.month % 12 + 1)))
+    return list(_clipped_walk(period, first, next_month))
 
 
 def week_periods(period: Period) -> list[Period]:

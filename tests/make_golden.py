@@ -1,38 +1,24 @@
 """Regenerate the golden pipeline outputs for the bundled fixture.
 
-Everything here is computed from first principles with the standard library,
-mpmath, and the brute-force helpers in oracles.py -- the package under test
-is never imported.  The acceptance suite then demands that the real pipeline
-reproduces these files byte for byte.
+Every byte written comes from ``oracles.metrics_csv`` and ``oracles.reports``,
+which compose the reference implementations in oracles.py; this script only
+reads the fixture and writes the files.  Neither imports the package under
+test.  The acceptance suite then demands that the real pipeline reproduces
+these files byte for byte.
 
 Run from the repository root:  python3 tests/make_golden.py
 """
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import json
-import math
-import re
-import statistics
 import sys
-from datetime import datetime, timedelta, timezone
-from fractions import Fraction
+from collections import namedtuple
+from datetime import datetime, timezone
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from oracles import (  # noqa: E402
-    degree_map,
-    enumeration_betweenness,
-    freeman_centralization,
-    pearson_r,
-    population_variance,
-    reichheld_nps,
-    student_t_p,
-    weighted_variance_mean,
-)
+import oracles  # noqa: E402
 
 TESTS = Path(__file__).resolve().parent
 FIXTURE = TESTS / "data" / "fixture"
@@ -41,458 +27,42 @@ LEXICON = TESTS.parent / "src" / "commscore" / "data" / "default_lexicon.txt"
 
 PERIOD_START = datetime(2012, 6, 1, tzinfo=timezone.utc)
 PERIOD_END = datetime(2012, 9, 1, tzinfo=timezone.utc)
-REPLY_CAP = 7 * 86400
 
-FIELDS = ("avg_gbc", "avg_gdc", "avg_density", "avg_new_actors",
-          "oscillation_sum", "art_median", "awvci", "emotionality")
-LABELS = ("Avg GBC", "Avg GDC", "Avg Density", "Avg. New Actors",
-          "Sum of Oscillation", "ART Median", "AWVCI (weighted by #actors)",
-          "Emotionality (cumulated pos. sentiment)")
-DIRECTIONS = ("+", "+", "+", "-", "-", "-", "+", "-")
+Record = namedtuple("Record", "timestamp sender to cc subject team_id")
 
-_TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
+def make_event(stamp: datetime, sender: str, to: list[str], cc: list[str],
+               subject: str, team: str) -> Record:
+    """A plain mail record.  The fixture's addresses are already in normal
+    form, so only repeats go: within ``to``, and from ``cc`` those in ``to``."""
+    to = tuple(dict.fromkeys(to))
+    return Record(stamp, sender, to, tuple(a for a in dict.fromkeys(cc) if a not in to),
+                  subject, team)
 
-# ---------------------------------------------------------------------------
-# fixture loading
 
-
-class Mail:
-    def __init__(self, ts: datetime, sender: str, to: tuple[str, ...],
-                 cc: tuple[str, ...], subject: str):
-        self.ts = ts
-        self.sender = sender
-        self.to = to
-        self.cc = cc
-        self.subject = subject
-
-    @property
-    def recipients(self) -> tuple[str, ...]:
-        seen = list(self.to)
-        for addr in self.cc:
-            if addr not in seen:
-                seen.append(addr)
-        return tuple(seen)
-
-
-def load_team(path: Path) -> list[Mail]:
-    events = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            ts = datetime.fromisoformat(row["timestamp"].replace("Z", "+00:00"))
-            ts = ts.astimezone(timezone.utc)
-            to = tuple(p.strip() for p in row["to"].split(";") if p.strip())
-            cc = tuple(p.strip() for p in row["cc"].split(";") if p.strip())
-            events.append(Mail(ts, row["from"].strip(), to, cc, row["subject"]))
-    # analysis-period filter, then duplicate removal on the archive key
-    events = [e for e in events if PERIOD_START <= e.ts < PERIOD_END]
-    deduped: dict[tuple, Mail] = {}
-    for e in events:
-        deduped.setdefault((e.ts, e.sender, frozenset(e.to), e.subject), e)
-    return sorted(deduped.values(), key=lambda e: e.ts)
-
-
-# ---------------------------------------------------------------------------
-# window arithmetic
-
-
-def month_windows() -> list[tuple[datetime, datetime]]:
-    bounds = [PERIOD_START]
-    cur = PERIOD_START
-    while True:
-        nxt = (cur.replace(day=1) + timedelta(days=32)).replace(
-            day=1, hour=0, minute=0, second=0, microsecond=0)
-        if nxt >= PERIOD_END:
-            break
-        bounds.append(nxt)
-        cur = nxt
-    bounds.append(PERIOD_END)
-    return list(zip(bounds, bounds[1:]))
-
-
-def week_windows() -> list[tuple[datetime, datetime]]:
-    bounds = [PERIOD_START]
-    monday = PERIOD_START + timedelta(days=(7 - PERIOD_START.weekday()) % 7)
-    if monday == PERIOD_START:
-        monday += timedelta(days=7)
-    while monday < PERIOD_END:
-        bounds.append(monday)
-        monday += timedelta(days=7)
-    bounds.append(PERIOD_END)
-    return list(zip(bounds, bounds[1:]))
-
-
-def in_window(e: Mail, window: tuple[datetime, datetime]) -> bool:
-    return window[0] <= e.ts < window[1]
-
-
-def graph_of(events: list[Mail]) -> tuple[set[str], set[tuple[str, str]]]:
-    nodes: set[str] = set()
-    edges: set[tuple[str, str]] = set()
-    for e in events:
-        nodes.add(e.sender)
-        for rcpt in e.recipients:
-            nodes.add(rcpt)
-            if rcpt != e.sender:
-                edges.add((e.sender, rcpt))
-    return nodes, edges
-
-
-# ---------------------------------------------------------------------------
-# metric derivations
-
-
-def monthly_structure(events: list[Mail]) -> tuple[Fraction, Fraction, Fraction]:
-    gbcs, gdcs, densities = [], [], []
-    for window in month_windows():
-        in_month = [e for e in events if in_window(e, window)]
-        if not in_month:
-            continue
-        nodes, edges = graph_of(in_month)
-        n = len(nodes)
-        betw = enumeration_betweenness(nodes, edges)
-        gbcs.append(freeman_centralization(betw, "betweenness"))
-        gdcs.append(freeman_centralization(degree_map(nodes, edges), "degree"))
-        densities.append(Fraction(len(edges), n * (n - 1)) if n > 1 else Fraction(0))
-    count = len(gbcs)
-    mean = lambda xs: sum(xs, start=Fraction(0)) / count  # noqa: E731
-    return mean(gbcs), mean(gdcs), mean(densities)
-
-
-def avg_new_actors(events: list[Mail]) -> Fraction:
-    windows = month_windows()
-    actor_sets = []
-    for window in windows:
-        nodes, _ = graph_of([e for e in events if in_window(e, window)])
-        actor_sets.append(nodes)
-    seen = set(actor_sets[0])
-    new_counts = []
-    for actors in actor_sets[1:]:
-        new_counts.append(len(actors - seen))
-        seen |= actors
-    return Fraction(sum(new_counts), len(new_counts))
-
-
-def oscillation_sum(events: list[Mail]) -> int:
-    windows = week_windows()
-    maps = []
-    all_actors: set[str] = set()
-    for window in windows:
-        nodes, edges = graph_of([e for e in events if in_window(e, window)])
-        maps.append(enumeration_betweenness(nodes, edges))
-        all_actors |= nodes
-    total = 0
-    for actor in sorted(all_actors):
-        series = [m.get(actor, Fraction(0)) for m in maps]
-        last_sign, changes = 0, 0
-        for prev, cur in zip(series, series[1:]):
-            if cur == prev:
-                continue
-            sign = 1 if cur > prev else -1
-            if last_sign and sign != last_sign:
-                changes += 1
-            last_sign = sign
-        total += changes
-    return total
-
-
-def normalize_subject(subject: str) -> str:
-    prefix = re.compile(r"^\s*(re|fw|fwd)\s*:\s*", re.IGNORECASE)
-    while True:
-        stripped = prefix.sub("", subject)
-        if stripped == subject:
-            break
-        subject = stripped
-    return re.sub(r"\s+", " ", subject).strip().lower()
-
-
-def art_median(events: list[Mail]) -> float | None:
-    latencies = []
-    for reply in events:
-        candidates = [
-            orig for orig in events
-            if orig.ts < reply.ts
-            and (reply.ts - orig.ts).total_seconds() <= REPLY_CAP
-            and reply.sender in orig.recipients
-            and orig.sender in reply.to
-            and normalize_subject(orig.subject) == normalize_subject(reply.subject)
-        ]
-        if candidates:
-            best = max(candidates, key=lambda e: e.ts)
-            latencies.append((reply.ts - best.ts).total_seconds())
-    if not latencies:
-        return None
-    return float(statistics.median(latencies))
-
-
-def awvci(events: list[Mail]) -> Fraction | None:
-    by_day: dict[object, list[Mail]] = {}
-    for e in events:
-        by_day.setdefault(e.ts.date(), []).append(e)
-    pairs = []
-    for day in sorted(by_day):
-        sent: dict[str, int] = {}
-        received: dict[str, int] = {}
-        deliveries = 0
-        for e in by_day[day]:
-            for rcpt in e.recipients:
-                sent[e.sender] = sent.get(e.sender, 0) + 1
-                received[rcpt] = received.get(rcpt, 0) + 1
-                deliveries += 1
-        cis = []
-        for actor in set(sent) | set(received):
-            s, r = sent.get(actor, 0), received.get(actor, 0)
-            cis.append(Fraction(s - r, s + r))
-        pairs.append((population_variance(cis), deliveries))
-    if not pairs:
-        return None
-    return weighted_variance_mean(pairs)
-
-
-def load_lexicon() -> tuple[set[str], set[str]]:
-    positive: set[str] = set()
-    negative: set[str] = set()
-    current = None
-    for raw in LEXICON.read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == "[positive]":
-            current = positive
-        elif line == "[negative]":
-            current = negative
-        else:
-            current.add(line)
-    return positive, negative
-
-
-def emotionality(events: list[Mail]) -> int:
-    positive, negative = load_lexicon()
-    count = 0
-    for e in events:
-        tokens = _TOKEN.findall(e.subject.lower())
-        pos = sum(1 for t in tokens if t in positive)
-        neg = sum(1 for t in tokens if t in negative)
-        if pos > neg:
-            count += 1
-    return count
-
-
-# ---------------------------------------------------------------------------
-# file formatting (mirrors the documented CSV/JSON contracts)
-
-
-def csv_field(value: str) -> str:
-    if any(ch in value for ch in (",", ";", '"', "\n", "\r")):
-        return '"' + value.replace('"', '""') + '"'
-    return value
-
-
-def csv_line(fields: tuple[str, ...]) -> str:
-    return ",".join(csv_field(f) for f in fields) + "\n"
-
-
-def fmt6(value) -> str:
-    return "" if value is None else f"{float(value):.6f}"
-
-
-def metrics_rows(teams: dict[str, list[Mail]]) -> dict[str, dict[str, object]]:
-    rows: dict[str, dict[str, object]] = {}
-    for team, events in sorted(teams.items()):
-        gbc, gdc, density = monthly_structure(events)
-        rows[team] = {
-            "avg_gbc": gbc,
-            "avg_gdc": gdc,
-            "avg_density": density,
-            "avg_new_actors": avg_new_actors(events),
-            "oscillation_sum": oscillation_sum(events),
-            "art_median": art_median(events),
-            "awvci": awvci(events),
-            "emotionality": emotionality(events),
-        }
-    return rows
-
-
-def write_metrics_csv(rows: dict[str, dict[str, object]]) -> Path:
-    lines = [csv_line(("team_id",) + LABELS)]
-    for team, values in rows.items():
-        lines.append(csv_line((team,) + tuple(fmt6(values[f]) for f in FIELDS)))
-    path = GOLDEN / "metrics.csv"
-    path.write_bytes("".join(lines).encode("utf-8"))
-    return path
-
-
-# ---------------------------------------------------------------------------
-# survey, correlation, scorecard
-
-
-def load_survey() -> dict[str, dict[str, object]]:
-    teams: dict[str, dict[str, object]] = {}
-    with open(FIXTURE / "survey.csv", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            team = teams.setdefault(row["team_id"], {"nps_answers": [],
-                                                     "respondent_means": []})
-            team["nps_answers"].append(int(row["nps"]))
-            answers = [Fraction(row[f"kpd_{i}"]) for i in range(1, 9)]
-            team["respondent_means"].append(
-                sum(answers, start=Fraction(0)) / len(answers))
-    for team, data in teams.items():
-        n = len(data["nps_answers"])
-        data["eligible"] = n > 20
-        data["nps"] = reichheld_nps(data["nps_answers"])
-        data["kpd"] = (sum(data["respondent_means"], start=Fraction(0))
-                       / len(data["respondent_means"]))
-    return teams
-
-
-def reread_metrics(path: Path) -> dict[str, dict[str, float | None]]:
-    """Parse the six-decimal CSV back; downstream stages consume this file."""
-    parsed: dict[str, dict[str, float | None]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            parsed[row[0]] = {
-                f: (None if cell == "" else float(cell))
-                for f, cell in zip(FIELDS, row[1:])
-            }
-    return parsed
-
-
-def exact_unit_correlation(xs: list[float], ys: list[float]) -> bool:
-    fx = [Fraction(x) for x in xs]
-    fy = [Fraction(y) for y in ys]
-    n = len(fx)
-    mx = sum(fx, start=Fraction(0)) / n
-    my = sum(fy, start=Fraction(0)) / n
-    cov = sum(((a - mx) * (b - my) for a, b in zip(fx, fy)), start=Fraction(0))
-    vx = sum(((a - mx) ** 2 for a in fx), start=Fraction(0))
-    vy = sum(((b - my) ** 2 for b in fy), start=Fraction(0))
-    return vx != 0 and vy != 0 and cov * cov == vx * vy
-
-
-def correlation_cells(metrics: dict[str, dict[str, float | None]],
-                      survey: dict[str, dict[str, object]]):
-    eligible = [t for t in metrics if survey.get(t, {}).get("eligible")]
-    cells: dict[tuple[str, str], dict[str, object]] = {}
-    for field in FIELDS:
-        for target in ("NPS", "KPD"):
-            xs, ys = [], []
-            for team in metrics:
-                if team not in eligible or metrics[team][field] is None:
-                    continue
-                xs.append(metrics[team][field])
-                ys.append(float(survey[team][target.lower()]))
-            cell: dict[str, object] = {"n": len(xs)}
-            if len(xs) >= 3 and len(set(xs)) > 1 and len(set(ys)) > 1:
-                if exact_unit_correlation(xs, ys):
-                    r = 1.0 if pearson_r(xs, ys) > 0 else -1.0
-                    p = 0.0
-                else:
-                    r = max(-1.0, min(1.0, pearson_r(xs, ys)))
-                    p = student_t_p(r, len(xs))
-                cell.update(r=r, p=p, significant=p < 0.05)
-            cells[(field, target)] = cell
-    return cells
-
-
-def write_correlation_csv(cells) -> Path:
-    lines = [csv_line(("target",) + LABELS)]
-    for target in ("NPS", "KPD"):
-        lines.append(csv_line((target,) + ("",) * len(FIELDS)))
-        pearson_row, sig_row, n_row = [], [], []
-        for field in FIELDS:
-            cell = cells[(field, target)]
-            if "r" not in cell:
-                pearson_row.append("")
-                sig_row.append("")
-                n_row.append(str(cell["n"]))
-                continue
-            star = "*" if cell["significant"] else ""
-            pearson_row.append(f"{cell['r']:.3f}{star}")
-            sig_row.append(f"{cell['p']:.3f}")
-            n_row.append(str(cell["n"]))
-        lines.append(csv_line(("Pearson",) + tuple(pearson_row)))
-        lines.append(csv_line(("Sig. (2-tailed)",) + tuple(sig_row)))
-        lines.append(csv_line(("N",) + tuple(n_row)))
-    path = GOLDEN / "correlation.csv"
-    path.write_bytes("".join(lines).encode("utf-8"))
-    return path
-
-
-def config_payload() -> dict[str, object]:
-    config = {
-        "period": None,
-        "format": "csv",
-        "reply_cap": REPLY_CAP,
-        "oscillation_window": "weekly",
-        "awvci_weighting": "edges",
-        "emotionality_mode": "cumulative",
-        "eligibility_min": 20,
-        "alert_sigma": 1.0,
-        "strict": False,
-        "lexicon": "builtin",
-    }
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    fingerprint = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-    return {"fingerprint": fingerprint, **config}
-
-
-def write_scorecard_json(metrics: dict[str, dict[str, float | None]],
-                         survey: dict[str, dict[str, object]]) -> Path:
-    teams = []
-    for team in sorted(metrics):
-        entry_metrics = {}
-        for field, direction in zip(FIELDS, DIRECTIONS):
-            value = metrics[team][field]
-            cohort = [metrics[t][field] for t in sorted(metrics)
-                      if metrics[t][field] is not None]
-            if value is None or len(cohort) < 2:
-                entry_metrics[field] = {"value": value, "z": None,
-                                        "favorable": None, "alert": None}
-                continue
-            mean = math.fsum(cohort) / len(cohort)
-            sigma = math.sqrt(math.fsum((v - mean) ** 2 for v in cohort)
-                              / len(cohort))
-            z = 0.0 if sigma == 0 else (value - mean) / sigma
-            favorable = z >= 0 if direction == "+" else z <= 0
-            alert = (not favorable) and abs(z) > 1.0
-            entry_metrics[field] = {
-                "value": round(value, 3),
-                "z": round(z, 3),
-                "favorable": favorable,
-                "alert": alert,
-            }
-        teams.append({
-            "team_id": team,
-            "survey_eligible": bool(survey[team]["eligible"])
-            if team in survey else None,
-            "metrics": entry_metrics,
-        })
-    payload = {
-        "generated_at": "1970-01-01T00:00:00Z",
-        "config": dict(sorted(config_payload().items())),
-        "teams": teams,
-    }
-    path = GOLDEN / "scorecard.json"
-    path.write_bytes((json.dumps(payload, indent=2, ensure_ascii=False)
-                      + "\n").encode("utf-8"))
-    return path
+def parse_timestamp(text: str) -> datetime:
+    return oracles.utc_second(datetime.fromisoformat(text.replace("Z", "+00:00")))
 
 
 def main() -> None:
+    events = []
+    for path in sorted((FIXTURE / "mail").glob("*.csv")):
+        parsed, issues = oracles.reference_parse(path.read_bytes(), "csv", make_event,
+                                                 parse_timestamp, default_team=path.stem,
+                                                 source=path.name)
+        if issues:
+            sys.exit(f"malformed fixture records: {issues}")
+        events += parsed
+    metrics = oracles.metrics_csv(events, PERIOD_START, PERIOD_END, reply_cap=7 * 86400,
+                                  oscillation_window="weekly", awvci_weighting="edges",
+                                  emotionality_mode="cumulative", lexicon=LEXICON.read_bytes())
+    correlation, scorecard = oracles.reports(metrics, (FIXTURE / "survey.csv").read_bytes(),
+                                             eligibility_min=20, alert_sigma=1.0)
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    teams = {path.stem: load_team(path)
-             for path in sorted((FIXTURE / "mail").glob("*.csv"))}
-    rows = metrics_rows(teams)
-    metrics_path = write_metrics_csv(rows)
-    print(f"wrote {metrics_path}")
-    metrics = reread_metrics(metrics_path)
-    survey = load_survey()
-    cells = correlation_cells(metrics, survey)
-    print(f"wrote {write_correlation_csv(cells)}")
-    print(f"wrote {write_scorecard_json(metrics, survey)}")
+    for name, blob in (("metrics.csv", metrics), ("correlation.csv", correlation),
+                       ("scorecard.json", scorecard)):
+        (GOLDEN / name).write_bytes(blob)
+        print(f"wrote {GOLDEN / name}")
 
 
 if __name__ == "__main__":

@@ -15,16 +15,24 @@ record, each through one call of the ``make_event`` the caller passes in, with
 nothing remembered between records; an mbox header's UTF-8 is checked on its
 raw bytes and on each encoded word instead of on the ``email`` parse tree; a
 corpus is deduplicated in one dict over every event and sorted by a key of all
-fields; and the score-card mean and variance are sums of one ``Fraction`` per
-value.
+fields; the score-card mean and variance are sums of one ``Fraction`` per
+value; a lexicon is read line by line from its bytes, and a subject's words
+are its runs of ``str.isalnum`` characters.
+
+:func:`metrics_csv` and :func:`reports` compose these oracles into the bytes
+of ``metrics.csv``, ``correlation.csv`` and ``scorecard.json``; the golden
+files are written from them by ``make_golden.py``.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import hashlib
 import io
 import json
 import re
+import statistics
 from collections import deque
 from datetime import date, datetime, timedelta, timezone
 from email import message_from_bytes, policy
@@ -351,10 +359,9 @@ def reichheld_nps(answers: Sequence[int]) -> Fraction:
     return Fraction(100 * (promoters - detractors), len(answers))
 
 
-def respondent_mean_kpd(responses: Sequence) -> Fraction:
+def respondent_mean_kpd(answers: Sequence[Sequence[Fraction]]) -> Fraction:
     """KPD: the mean over respondents of each respondent's mean answer."""
-    per_respondent = [sum(r.kpd_answers, start=Fraction(0)) / len(r.kpd_answers)
-                      for r in responses]
+    per_respondent = [sum(row, start=Fraction(0)) / len(row) for row in answers]
     return sum(per_respondent, start=Fraction(0)) / len(per_respondent)
 
 
@@ -381,17 +388,22 @@ def mean_and_variance(values: Sequence[float]) -> tuple[Fraction, Fraction]:
     return sum(exact, start=Fraction(0)) / len(exact), population_variance(exact)
 
 
+def over_root(numerator: Fraction, square: Fraction) -> float:
+    """numerator / √square for a positive ``square``, at 50 digits and an
+    unbounded exponent, so a result near the ends of the float range neither
+    underflows nor overflows before its one rounding."""
+    with mpmath.workdps(50):
+        return float(mpmath.mpf(numerator.numerator) / numerator.denominator
+                     / mpmath.sqrt(mpmath.mpf(square.numerator) / square.denominator))
+
+
 def z_score(value: float, values: Sequence[float]) -> float:
-    """(value − mean) / σ of ``values``, from :func:`mean_and_variance` at 50 digits
-    and an unbounded exponent, so a z near the ends of the float range neither
-    underflows nor overflows before its one rounding; 0 for a constant column."""
+    """(value − mean) / σ of ``values``, from :func:`mean_and_variance` through
+    :func:`over_root`; 0 for a constant column."""
     mean, var = mean_and_variance(values)
     if var == 0:
         return 0.0
-    deviation = Fraction(value) - mean
-    with mpmath.workdps(50):
-        return float(mpmath.mpf(deviation.numerator) / deviation.denominator
-                     / mpmath.sqrt(mpmath.mpf(var.numerator) / var.denominator))
+    return over_root(Fraction(value) - mean, var)
 
 
 # ---------------------------------------------------------------------------
@@ -567,3 +579,204 @@ def reference_parse(blob: bytes, format: str, make_event: Callable, parse_timest
         except Exception as exc:  # every other error is the record's issue
             issues.append((source, line, str(exc)))
     return events, issues
+
+
+# ---------------------------------------------------------------------------
+# sentiment oracle
+
+
+def lexicon_words(data: bytes) -> tuple[set[str], set[str]]:
+    """The positive and negative words of a well-formed lexicon file.
+
+    The bytes are UTF-8 after an optional BOM; lines end at CR LF, CR or LF.
+    Each stripped, lowercased line that is not blank or a ``#`` comment is a
+    ``[positive]``/``[negative]`` header or a word of the last header's section.
+    """
+    sections: dict[str, set[str]] = {"[positive]": set(), "[negative]": set()}
+    words = None
+    for line in re.split("\r\n|\r|\n", data.removeprefix(codecs.BOM_UTF8).decode("utf-8")):
+        entry = line.strip().lower()
+        if not entry or entry.startswith("#"):
+            continue
+        if entry in sections:
+            words = sections[entry]
+        else:
+            words.add(entry)
+    return sections["[positive]"], sections["[negative]"]
+
+
+def positive_subject(subject: str, positive: set[str], negative: set[str]) -> bool:
+    """More positive than negative words in the lowercased subject, a word
+    being a maximal run of ``str.isalnum`` characters."""
+    words = "".join(c if c.isalnum() else " " for c in subject.lower()).split()
+    return sum(w in positive for w in words) > sum(w in negative for w in words)
+
+
+# ---------------------------------------------------------------------------
+# the whole pipeline: the report bytes of ``analyze`` and ``correlate``
+
+METRIC_LABELS = ("Avg GBC", "Avg GDC", "Avg Density", "Avg. New Actors",
+                 "Sum of Oscillation", "ART Median", "AWVCI (weighted by #actors)",
+                 "Emotionality (cumulated pos. sentiment)")
+METRIC_FIELDS = ("avg_gbc", "avg_gdc", "avg_density", "avg_new_actors",
+                 "oscillation_sum", "art_median", "awvci", "emotionality")
+#: The score card's expected direction of each metric.
+DIRECTIONS = ("+", "+", "+", "-", "-", "-", "+", "-")
+
+
+def _csv_line(fields: Sequence[str]) -> str:
+    """One report line: a field holding ``,;"``, CR or LF is quoted, with ``"`` doubled."""
+    return ",".join('"' + f.replace('"', '""') + '"' if any(c in f for c in ',;"\r\n') else f
+                    for f in fields) + "\n"
+
+
+def _mean(values: Sequence[Fraction]) -> Fraction | None:
+    return sum(values, start=Fraction(0)) / len(values) if values else None
+
+
+def _graph(edges: Mapping[tuple[str, str], int]) -> tuple[set[str], Mapping]:
+    return {v for pair in edges for v in pair}, edges
+
+
+def _team_metrics(corpus: Sequence, start: datetime, end: datetime, *, reply_cap: int,
+                  oscillation_window: str, awvci_weighting: str, emotionality_mode: str,
+                  lexicon: tuple[set[str], set[str]]) -> tuple:
+    """The eight metrics of one :func:`reference_corpus` of ``[start, end)``,
+    ``None`` where undefined, in :data:`METRIC_FIELDS` order.
+
+    GBC, GDC and density average over the months with an edge, and are
+    undefined without one; new actors count every month, and need two;
+    oscillation needs three windows; ART and AWVCI need a reply pair and a day
+    with an edge.
+    """
+    months = [_graph(e) for _, e in calendar_edges(corpus, start, end, month_key)]
+    betweenness = [enumeration_betweenness(nodes, edges) for nodes, edges in months]
+    active = [(nodes, edges, b) for (nodes, edges), b in zip(months, betweenness) if edges]
+    gbc = _mean([freeman_centralization(b, "betweenness") for _, _, b in active])
+    gdc = _mean([freeman_centralization(degree_map(nodes, edges), "degree")
+                 for nodes, edges, _ in active])
+    density = _mean([Fraction(len(edges), len(nodes) * (len(nodes) - 1))
+                     for nodes, edges, _ in active])
+    new_actors = None
+    if len(months) >= 2:
+        new = [len(nodes - set().union(*[seen for seen, _ in months[:i]]))
+               for i, (nodes, _) in enumerate(months) if i]
+        new_actors = Fraction(sum(new), len(new))
+    if oscillation_window == "weekly":
+        betweenness = [enumeration_betweenness(*_graph(e))
+                       for _, e in calendar_edges(corpus, start, end, week_key)]
+    oscillation = None
+    if len(betweenness) >= 3:
+        oscillation = sum(turning_points([b.get(actor, Fraction(0)) for b in betweenness])
+                          for actor in set().union(*betweenness))
+    latencies = [latency for _, _, latency in reply_pairs(corpus, reply_cap)]
+    art = statistics.median(latencies) if latencies else None
+    days = []
+    for _, sent, received, total in daily_tallies(corpus):
+        actors = set(sent) | set(received)
+        variance = population_variance([ci_formula(sent.get(a, 0), received.get(a, 0))
+                                        for a in actors])
+        days.append((variance, total if awvci_weighting == "edges" else len(actors)))
+    awvci = weighted_variance_mean(days) if days else None
+    positives = sum(positive_subject(ev.subject, *lexicon) for ev in corpus)
+    if emotionality_mode == "normalized":
+        positives = Fraction(positives, len(corpus)) if corpus else 0
+    return gbc, gdc, density, new_actors, oscillation, art, awvci, positives
+
+
+def metrics_csv(events: Sequence, start: datetime, end: datetime, *, reply_cap: int,
+                oscillation_window: str, awvci_weighting: str, emotionality_mode: str,
+                lexicon: bytes) -> bytes:
+    """``metrics.csv`` of every team of ``events`` over ``[start, end)``: one row
+    per team id in sorted order, each value to six decimals, undefined empty."""
+    words = lexicon_words(lexicon)
+    lines = [_csv_line(("team_id",) + METRIC_LABELS)]
+    for team in sorted({ev.team_id for ev in events}):
+        values = _team_metrics(reference_corpus(events, team, start, end), start, end,
+                               reply_cap=reply_cap, oscillation_window=oscillation_window,
+                               awvci_weighting=awvci_weighting,
+                               emotionality_mode=emotionality_mode, lexicon=words)
+        lines.append(_csv_line([team] + ["" if v is None else f"{float(v):.6f}"
+                                         for v in values]))
+    return "".join(lines).encode("utf-8")
+
+
+def _correlation_cells(pairs: Sequence[tuple[float, float]]) -> tuple[str, str, str]:
+    """Pearson, Sig. (2-tailed) and N of one metric × target cell."""
+    n = len(pairs)
+    if n < 3:
+        return "", "", str(n)
+    cov, var_x, var_y = pearson_parts([x for x, _ in pairs], [y for _, y in pairs])
+    if var_x == 0 or var_y == 0:
+        return "", "", str(n)
+    if cov * cov == var_x * var_y:
+        r = 1.0 if cov > 0 else -1.0
+    else:
+        r = over_root(cov, var_x * var_y)
+    p = student_t_p(r, n)
+    return f"{r:.3f}" + ("*" if p < 0.05 else ""), f"{p:.3f}", str(n)
+
+
+def reports(metrics: bytes, survey: bytes, *, eligibility_min: int,
+            alert_sigma: float) -> tuple[bytes, bytes]:
+    """``correlation.csv`` and ``scorecard.json`` of ``correlate`` on a
+    ``metrics.csv`` and a survey, at the default ``--generated-at``.
+
+    Correlation runs over the teams with metrics and more than
+    ``eligibility_min`` respondents, each cell dropping the teams whose metric
+    is undefined.  Score cards standardize every team of ``metrics.csv``
+    against all of them.  The report's settings are the defaults of every
+    setting ``correlate`` has no option for.
+    """
+    values = {row[0]: [None if cell == "" else float(cell) for cell in row[1:]]
+              for row in list(csv.reader(io.StringIO(metrics.decode("utf-8"))))[1:]}
+    answers: dict[str, list[tuple[int, tuple[Fraction, ...]]]] = {}
+    for row in csv.DictReader(io.StringIO(survey.decode("utf-8-sig"))):
+        answers.setdefault(row["team_id"], []).append(
+            (int(row["nps"]), tuple(Fraction(row[f"kpd_{i}"]) for i in range(1, 9))))
+    targets = {team: (float(reichheld_nps([nps for nps, _ in given])),
+                      float(respondent_mean_kpd([kpd for _, kpd in given])))
+               for team, given in answers.items() if len(given) > eligibility_min}
+
+    lines = [_csv_line(("target",) + METRIC_LABELS)]
+    for column, target in enumerate(("NPS", "KPD")):
+        cells = [_correlation_cells([(row[i], targets[team][column])
+                                     for team, row in values.items()
+                                     if team in targets and row[i] is not None])
+                 for i in range(len(METRIC_FIELDS))]
+        lines.append(_csv_line((target,) + ("",) * len(METRIC_FIELDS)))
+        for label, part in zip(("Pearson", "Sig. (2-tailed)", "N"), zip(*cells)):
+            lines.append(_csv_line((label,) + part))
+
+    cards = []
+    for team in sorted(values):
+        scores = {}
+        for i, (field, direction) in enumerate(zip(METRIC_FIELDS, DIRECTIONS)):
+            value = values[team][i]
+            column = [row[i] for row in values.values() if row[i] is not None]
+            if value is None or len(column) < 2:
+                scores[field] = {"value": value, "z": None, "favorable": None, "alert": None}
+                continue
+            mean, variance = mean_and_variance(column)
+            deviation = Fraction(value) - mean
+            favorable = deviation >= 0 if direction == "+" else deviation <= 0
+            scores[field] = {
+                "value": round(value, 3),
+                "z": round(z_score(value, column), 3),
+                "favorable": favorable,
+                "alert": not favorable and deviation ** 2 > Fraction(alert_sigma) ** 2 * variance,
+            }
+        cards.append({"team_id": team,
+                      "survey_eligible": len(answers[team]) > eligibility_min
+                      if team in answers else None,
+                      "metrics": scores})
+    settings = {"period": None, "format": "csv", "reply_cap": 7 * 86400,
+                "oscillation_window": "weekly", "awvci_weighting": "edges",
+                "emotionality_mode": "cumulative", "eligibility_min": eligibility_min,
+                "alert_sigma": alert_sigma, "strict": False, "lexicon": "builtin"}
+    blob = json.dumps(settings, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    config = {"fingerprint": hashlib.sha256(blob).hexdigest()[:12], **settings}
+    payload = {"generated_at": "1970-01-01T00:00:00Z",
+               "config": dict(sorted(config.items())), "teams": cards}
+    scorecard = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return "".join(lines).encode("utf-8"), scorecard.encode("utf-8")

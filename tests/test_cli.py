@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -23,7 +24,10 @@ import commscore
 from commscore._text import csv_line
 from commscore.cli import METRICS_CSV_HEADER, main, parse_period, read_metrics_csv
 from commscore.errors import FormatError, MalformedRecord
-from commscore.metrics import METRIC_FIELDS
+from commscore.ingest import make_event, parse_timestamp
+from commscore.metrics import METRIC_CHOICES, METRIC_FIELDS
+
+import oracles
 
 PERIOD = "2012-06-01..2012-09-01"
 MAIL_HEADER = b"timestamp,from,to,cc,subject\n"
@@ -83,6 +87,85 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
         ("scorecard.html", report_a, report_b),
     ]:
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+#: Month starts from November 2012: a period of two or more months crosses a year.
+_MONTH_STARTS = [datetime(year, month, 1, tzinfo=timezone.utc)
+                 for year, month in ((2012, 11), (2012, 12), (2013, 1), (2013, 2), (2013, 3))]
+#: Recurring subjects: threads under reply and forward prefixes, a positive one
+#: with a comma, and a negative one.
+_SUBJECTS = ("plan", "Re: plan", "RE: Fwd:  Plan", "thanks, great work",
+             "Re: thanks, great work", "a problem")
+
+
+@st.composite
+def _mail_and_survey(draw) -> tuple[int, dict[str, bytes], bytes]:
+    """(months, CSV mail per team, survey) for 3–5 teams of 2–8 actors.
+
+    Each team writes on a few days at a few hours, so same-instant messages,
+    replies and exact repeats are common; ``to`` may hold the sender and
+    ``cc`` may repeat ``to``.  Every team has two or three respondents.
+    """
+    months = draw(st.integers(1, 4))
+    days = (_MONTH_STARTS[months] - _MONTH_STARTS[0]).days
+    mail, survey = {}, [SURVEY_HEADER.decode()]
+    for team in [f"t{i}" for i in range(draw(st.integers(3, 5)))]:
+        party = st.sampled_from([f"a{i}@{team}.example" for i in range(draw(st.integers(2, 8)))])
+        when = st.tuples(st.sampled_from(draw(st.lists(st.integers(0, days - 1), min_size=1,
+                                                       max_size=4, unique=True))),
+                         st.sampled_from([9, 10, 17]))
+        rows = draw(st.lists(st.tuples(when, party, st.lists(party, min_size=1, max_size=3),
+                                       st.lists(party, max_size=2), st.sampled_from(_SUBJECTS)),
+                             min_size=1, max_size=16))
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+        mail[team] = MAIL_HEADER + "".join(
+            csv_line((f"{_MONTH_STARTS[0] + timedelta(days=day, hours=hour):%Y-%m-%dT%H:%M:%SZ}",
+                      sender, ";".join(to), ";".join(cc), subject))
+            for (day, hour), sender, to, cc, subject in rows).encode()
+        survey += [csv_line([team, f"r{k}", str(draw(st.integers(0, 10)))] + draw(st.lists(
+            st.sampled_from(["1", "2.5", "3", "4.5", "5"]), min_size=8, max_size=8)))
+            for k in range(draw(st.integers(2, 3)))]
+    return months, mail, "".join(survey).encode()
+
+
+@pytest.mark.parametrize("choices", list(itertools.product(*METRIC_CHOICES.values())))
+def test_reports_equal_the_oracle_pipeline(choices):
+    """``ingest``, ``analyze`` and ``correlate`` write ``metrics.csv``,
+    ``correlation.csv`` and ``scorecard.json`` byte for byte as
+    ``oracles.metrics_csv`` and ``oracles.reports`` derive them from the
+    oracles' parse of the same mail, under each metric choice."""
+    options = dict(zip(METRIC_CHOICES, choices))
+    flags = [part for key, value in options.items()
+             for part in ("--" + key.replace("_", "-"), value)]
+    lexicon = (Path(commscore.__file__).parent / "data" / "default_lexicon.txt").read_bytes()
+
+    @given(_mail_and_survey(), st.sampled_from([3600, 86400, 7 * 86400]))
+    @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def check(inputs, reply_cap: int) -> None:
+        months, mail, survey = inputs
+        start, end = _MONTH_STARTS[0], _MONTH_STARTS[months]
+        events = []
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            paths = [_write(root / f"{team}.csv", blob) for team, blob in mail.items()]
+            for path in paths:
+                events += oracles.reference_parse(path.read_bytes(), "csv", make_event,
+                                                  parse_timestamp, default_team=path.stem)[0]
+            assert run("ingest", *paths, "--period", f"{start:%Y-%m-%d}..{end:%Y-%m-%d}",
+                       "--out", root / "archive") == 0
+            assert run("analyze", root / "archive", "--out", root / "metrics",
+                       "--reply-cap", reply_cap, *flags) == 0
+            assert run("correlate", root / "metrics" / "metrics.csv",
+                       _write(root / "survey.csv", survey), "--out", root / "report",
+                       "--eligibility-min", "1", "--alert-sigma", "0.5") == 0
+            metrics = oracles.metrics_csv(events, start, end, reply_cap=reply_cap,
+                                          lexicon=lexicon, **options)
+            assert (root / "metrics" / "metrics.csv").read_bytes() == metrics
+            correlation, scorecard = oracles.reports(metrics, survey, eligibility_min=1,
+                                                     alert_sigma=0.5)
+            assert (root / "report" / "correlation.csv").read_bytes() == correlation
+            assert (root / "report" / "scorecard.json").read_bytes() == scorecard
+    check()
 
 
 FIXTURE = Path(__file__).parent / "data" / "fixture"
@@ -600,6 +683,8 @@ EXIT_CODE_CASES = [
                  id="kpd-1e1000000"),
     pytest.param(4, _correlate_survey("alpha,r0,5,3,3,3,3,3,3,3,3\n"),
                  id="duplicate-respondent"),
+    pytest.param(1, lambda d: ["synth", "--out", d / "o", "--months", "100000"],
+                 id="synth-past-year-9999"),
 ]
 
 
@@ -819,6 +904,23 @@ def test_only_ingest_and_the_calendar_handle_the_ends_of_the_datetime_range():
              if path.name not in ("ingest.py", "tempograph.py")
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if reaches_a_range_end(node)]
+    assert found == []
+
+
+def test_the_oracles_and_the_golden_writer_import_nothing_from_the_package():
+    """``tests/oracles.py`` and ``tests/make_golden.py`` are the references the
+    package is checked against, so neither imports ``commscore``."""
+    found = []
+    for name in ("oracles.py", "make_golden.py"):
+        for node in ast.walk(ast.parse((Path(__file__).parent / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [(name, module) for module in modules
+                      if module.partition(".")[0] == "commscore"]
     assert found == []
 
 

@@ -2,8 +2,8 @@
 
 Every number below was worked out on paper from the message tables in
 tests/data/fixture (see make_fixture.py for the construction); the golden
-report files are in turn generated from the same arithmetic by
-make_golden.py.  This suite ties the public API to those hand results.
+report files are written by make_golden.py from ``oracles.metrics_csv`` and
+``oracles.reports``.  This suite ties the public API to those hand results.
 """
 
 from __future__ import annotations

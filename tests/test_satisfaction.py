@@ -138,8 +138,8 @@ def test_nps_requires_responses():
 
 
 def test_kpd_single_respondent_mean():
-    r = SurveyResponse("t", "r1", 9, tuple(Fraction(k) for k in range(1, 9)))
-    assert kpd([r]) == Fraction(9, 2)
+    r = SurveyResponse("t", "r1", 9, tuple(Fraction(k) for k in (1, 2, 3, 4, 5, 5, 4, 3)))
+    assert kpd([r]) == Fraction(27, 8)
 
 
 def test_kpd_constant_answers():
@@ -147,9 +147,9 @@ def test_kpd_constant_answers():
 
 
 def test_kpd_averages_respondent_means():
-    low = SurveyResponse("t", "a", 9, tuple(Fraction(4) for _ in range(8)))
-    high = SurveyResponse("t", "b", 9, tuple(Fraction(6) for _ in range(8)))
-    assert kpd([low, high]) == 5
+    low = SurveyResponse("t", "a", 9, tuple(Fraction(2) for _ in range(8)))
+    high = SurveyResponse("t", "b", 9, tuple(Fraction(4) for _ in range(8)))
+    assert kpd([low, high]) == 3
 
 
 @given(st.permutations(list(range(6))))
@@ -169,7 +169,13 @@ _answer = st.sampled_from([1, 2, 5, 10]).flatmap(
           (Fraction(17, 10),) * 8])
 def test_kpd_equals_mean_of_respondent_means(rows):
     responses = [SurveyResponse("t", f"r{i}", 9, answers) for i, answers in enumerate(rows)]
-    assert kpd(responses) == oracles.respondent_mean_kpd(responses)
+    assert kpd(responses) == oracles.respondent_mean_kpd(rows)
+
+
+@pytest.mark.parametrize("answer", [Fraction(100), 0, Fraction(1, 2), 3.5, "3"])
+def test_kpd_refuses_an_answer_that_is_not_a_number_in_1_to_5(answer):
+    with pytest.raises(OutOfRange):
+        kpd([SurveyResponse("t", "r", 5, (Fraction(3),) * 7 + (answer,))])
 
 
 def test_kpd_requires_eight_answers():

@@ -62,6 +62,14 @@ def test_degenerate_series_rejected():
         pearson([1, 2, 3], [1, 2])
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_values_are_degenerate_input(bad):
+    with pytest.raises(DegenerateInput):
+        pearson([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+    with pytest.raises(DegenerateInput):
+        pearson([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
+
+
 _series = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False).map(lambda v: round(v, 3)),
     min_size=3, max_size=10)
