@@ -386,7 +386,7 @@ def _positive(number: Callable[[str], Any]) -> Callable[[str], Any]:
     return _argument(positive)
 
 
-def _parse_effects(raw: str) -> dict[str, float]:
+def _parse_effects(raw: str) -> dict[str, Any]:
     if raw == "none":
         return {}
     if raw == "planted":
@@ -395,10 +395,10 @@ def _parse_effects(raw: str) -> dict[str, float]:
         return planted_effects()
     if not raw.lstrip().startswith("{"):
         raw = Path(raw).read_text(encoding="utf-8")
-    effects = json.loads(raw, parse_int=float)
+    effects = json.loads(raw, parse_int=float)  # an integer size is written as 1.0, not 1
     if not isinstance(effects, dict):
         raise ValueError("effects must be a JSON object")
-    return {str(k): float(v) for k, v in effects.items()}
+    return effects
 
 
 def _setting(parser: argparse.ArgumentParser, flag: str, **kwargs: Any) -> None:

@@ -508,6 +508,16 @@ class MetricConfig:
     emotionality_mode: str = METRIC_CHOICES["emotionality_mode"][0]
     lexicon: SentimentLexicon | None = None
 
+    def __post_init__(self) -> None:
+        for name, label in (("oscillation_window", "oscillation granularity"),
+                            ("awvci_weighting", "AWVCI weighting"),
+                            ("emotionality_mode", "emotionality mode")):
+            if getattr(self, name) not in METRIC_CHOICES[name]:
+                raise ValueError(f"unknown {label}: {getattr(self, name)!r}")
+        if type(self.reply_cap) is not int or self.reply_cap < 1:  # a bool is no cap
+            raise ValueError(f"reply cap must be a positive whole number of seconds, "
+                             f"got {self.reply_cap!r}")
+
     def resolved_lexicon(self) -> SentimentLexicon:
         return self.lexicon if self.lexicon is not None else default_lexicon()
 
@@ -556,13 +566,11 @@ def compute_metric_vector(corpus: TeamCorpus, config: MetricConfig = MetricConfi
         new_actors = avg_new_actors(months)
     except InsufficientWindows:
         new_actors = None
-    if config.oscillation_window == "weekly":
-        series = [betweenness_centrality(g)
-                  for g in window_graphs(days, week_periods(corpus.period))]
-    elif config.oscillation_window == "monthly":
+    if config.oscillation_window == "monthly":
         series = month_betweenness
     else:
-        raise ValueError(f"unknown oscillation granularity: {config.oscillation_window!r}")
+        series = [betweenness_centrality(g)
+                  for g in window_graphs(days, week_periods(corpus.period))]
     try:
         oscillation = leadership_oscillation(series)
     except InsufficientWindows:

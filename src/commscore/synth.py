@@ -20,8 +20,10 @@ expected correlation directions:
   (emotionality, planted downward).
 
 A zero effect leaves the corresponding knob at a jittered baseline that is
-independent of the latent.  Everything is a pure function of the seed: the
-emitted files are byte-identical across runs.
+independent of the latent.  A team's staffing (its members, hub and
+lieutenants) is walked month by month and never stored, so a team's memory
+beyond its mail does not grow with the months.  Everything is a pure function
+of the seed: the emitted files are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from random import Random
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping
 
 from ._text import csv_line
 from .ingest import EmailEvent, Period, event_order, iso_utc, make_event, serialize_events
@@ -80,7 +82,9 @@ class SynthSpec:
         for key, size in self.effects.items():
             if key not in METRIC_FIELDS:
                 raise ValueError(f"unknown effect key: {key!r}")
-            if not 0.0 <= float(size) <= 1.0:
+            if isinstance(size, bool) or not isinstance(size, (int, float)):
+                raise ValueError(f"effect size for {key!r} is not a number: {size!r}")
+            if not 0.0 <= size <= 1.0:
                 raise ValueError(f"effect size for {key!r} outside [0, 1]")
         self.period()  # a period past year 9999 raises here, before any mail is made
 
@@ -95,7 +99,7 @@ class SynthSpec:
         return float(self.effects.get(metric, 0.0))
 
     def any_effect(self) -> bool:
-        return any(float(v) > 0 for v in self.effects.values())
+        return any(v > 0 for v in self.effects.values())
 
     def team_ids(self) -> list[str]:
         return [f"team{i + 1:02d}" for i in range(self.teams)]
@@ -142,55 +146,43 @@ def _team_knobs(spec: SynthSpec, index: int, latent: float) -> _Knobs:
     )
 
 
-def _member_pools(spec: SynthSpec, team: str, knobs: _Knobs) -> list[list[str]]:
-    """Per-month actor pools with growth-biased turnover."""
-    rng = Random(f"{spec.seed}|{team}|pool")
-    next_id = spec.actors
-    pool = [f"a{k:02d}@{team}.example.com" for k in range(spec.actors)]
-    pools = [list(pool)]
-    for _ in range(1, spec.months):
-        joiners = round(knobs.churn * spec.actors)
-        leavers = min(max(0, len(pool) - 6), round(joiners * 0.4))
-        if leavers > 0:
-            for leaver in rng.sample(sorted(pool), leavers):
-                pool.remove(leaver)
-        for _ in range(joiners):
-            pool.append(f"a{next_id:02d}@{team}.example.com")
-            next_id += 1
-        pools.append(list(pool))
-    return pools
-
-
 @dataclass(frozen=True)
 class _Roles:
     hub: str
     lieutenants: tuple[str, str]
-    periphery: tuple[str, ...]
-
-    def cluster(self, side: int) -> tuple[str, ...]:
-        """Periphery members reporting to lieutenant 0 or 1."""
-        return tuple(p for i, p in enumerate(self.periphery) if i % 2 == side)
+    clusters: tuple[tuple[str, ...], tuple[str, ...]]  # the periphery under each lieutenant
 
 
-def _monthly_roles(spec: SynthSpec, team: str,
-                   pools: Sequence[Sequence[str]]) -> list[_Roles]:
-    """Stable hub/lieutenant roles, repaired only when churn removes a holder."""
-    rng = Random(f"{spec.seed}|{team}|roles")
+def _staffing(spec: SynthSpec, team: str, knobs: _Knobs) -> Iterator[tuple[list[str], _Roles]]:
+    """Each month's sorted members and roles, made as the walk reaches the month.
+
+    Turnover is growth-biased.  Hub and lieutenants are stable, repaired only
+    when churn removes a holder; the rest of the pool is their periphery.
+    """
+    pool_rng = Random(f"{spec.seed}|{team}|pool")
+    roles_rng = Random(f"{spec.seed}|{team}|roles")
+    pool = sorted(f"a{k:02d}@{team}.example.com" for k in range(spec.actors))
+    next_id = spec.actors
     hub: str | None = None
     lieutenants: list[str] = []
-    schedule: list[_Roles] = []
-    for pool_members in pools:
-        pool = sorted(pool_members)
+    for month in range(spec.months):
+        if month:
+            joiners = round(knobs.churn * spec.actors)
+            # never below 6 members, so each cluster keeps at least one
+            leavers = pool_rng.sample(pool, min(len(pool) - 6, round(joiners * 0.4)))
+            pool = sorted([a for a in pool if a not in leavers]
+                          + [f"a{k:02d}@{team}.example.com"
+                             for k in range(next_id, next_id + joiners)])
+            next_id += joiners
         if hub not in pool:
-            hub = rng.choice(pool)
+            hub = roles_rng.choice(pool)
         lieutenants = [a for a in lieutenants if a in pool and a != hub]
         while len(lieutenants) < 2:
-            lieutenants.append(rng.choice(
+            lieutenants.append(roles_rng.choice(
                 [a for a in pool if a != hub and a not in lieutenants]))
-        periphery = tuple(a for a in pool if a != hub and a not in lieutenants)
-        schedule.append(_Roles(hub=hub, lieutenants=(lieutenants[0], lieutenants[1]),
-                               periphery=periphery))
-    return schedule
+        periphery = [a for a in pool if a != hub and a not in lieutenants]
+        yield pool, _Roles(hub=hub, lieutenants=(lieutenants[0], lieutenants[1]),
+                           clusters=(tuple(periphery[0::2]), tuple(periphery[1::2])))
 
 
 def generate_team_events(spec: SynthSpec, index: int) -> list[EmailEvent]:
@@ -202,8 +194,6 @@ def generate_team_events(spec: SynthSpec, index: int) -> list[EmailEvent]:
     team = spec.team_ids()[index]
     latent = index / (spec.teams - 1)
     knobs = _team_knobs(spec, index, latent)
-    pools = _member_pools(spec, team, knobs)
-    monthly_roles = _monthly_roles(spec, team, pools)
     rng = Random(f"{spec.seed}|{team}|mail")
     period = spec.period()
     months, weeks = month_periods(period), week_periods(period)
@@ -236,9 +226,10 @@ def generate_team_events(spec: SynthSpec, index: int) -> list[EmailEvent]:
 
     # weekly core sync keeps hierarchical teams' core mutually connected
     if knobs.hierarchy >= 0.35:
+        month_starts = [month.start for month in months]
+        cores = [(roles.hub, roles.lieutenants) for _, roles in _staffing(spec, team, knobs)]
         for week in weeks:
-            roles = next(r for m, r in zip(months, monthly_roles) if week.start in m)
-            hub, (lt1, lt2) = roles.hub, roles.lieutenants
+            hub, (lt1, lt2) = cores[bisect_right(month_starts, week.start) - 1]
             for offset, (a, b) in enumerate([(hub, lt1), (lt1, hub), (hub, lt2),
                                              (lt2, hub), (lt1, lt2), (lt2, lt1)]):
                 stamp = week.start + timedelta(
@@ -246,17 +237,14 @@ def generate_team_events(spec: SynthSpec, index: int) -> list[EmailEvent]:
                 if stamp in period:
                     post(stamp, a, [b], fresh_subject(), reply_p=0.0)
 
-    for month, pool_members, roles in zip(months, pools, monthly_roles):
-        pool = sorted(pool_members)
+    for month, (pool, roles) in zip(months, _staffing(spec, team, knobs)):
         send_day_bias: dict[tuple[datetime, str], bool] = {}
         for _ in range(round(spec.messages_per_month * knobs.volume)):
             day = month.start + timedelta(days=rng.randrange((month.end - month.start).days))
             stamp = day + timedelta(seconds=rng.randrange(8 * 3600, 18 * 3600))
             if rng.random() < knobs.hierarchy:
                 side = rng.randrange(2)
-                cluster = [a for a in roles.cluster(side) if a in pool]
-                if not cluster:
-                    cluster = [a for a in pool if a != roles.hub]
+                cluster = roles.clusters[side]
                 pick = rng.random()
                 if pick >= 0.91 and len(cluster) >= 2:
                     # direct collaboration between two cluster mates

@@ -506,6 +506,10 @@ def test_synth_effects_accept_inline_json(tmp_path):
                "--effects", '{"art_median": 0.5}') == 0
     manifest = json.loads((tmp_path / "d" / "synth_manifest.json").read_text())
     assert manifest["effects"] == {"art_median": 0.5}
+    assert run("synth", "--out", tmp_path / "i", "--seed", "1", "--teams", "2",
+               "--effects", '{"art_median": 1, "awvci": 0}') == 0
+    assert '"art_median": 1.0,\n    "awvci": 0.0\n' in (
+        tmp_path / "i" / "synth_manifest.json").read_text()
 
 
 def test_synth_rejects_unknown_effect_keys(tmp_path):
@@ -611,6 +615,11 @@ EXIT_CODE_CASES = [
                  id="unknown-effect-key"),
     pytest.param(1, lambda d: ["synth", "--out", d / "o", "--effects", '{"avg_gbc:x": 0.5}'],
                  id="suffixed-effect-key"),
+    *(pytest.param(1, lambda d, size=size: ["synth", "--out", d / "o",
+                                            "--effects", f'{{"avg_gbc": {size}}}'],
+                   id=f"effect-size-{name}")
+      for name, size in (("string", '"0.5"'), ("padded-string", '" 1 "'), ("true", "true"),
+                         ("null", "null"), ("list", "[0.5]"))),
     pytest.param(1, lambda d: ["synth", "--out", d / "o",
                                "--effects", _write(d / "e.json", DEEP_JSON)],
                  id="deeply-nested-effects-file"),
@@ -770,36 +779,127 @@ def _loaded_by(statement: str) -> list[str]:
     return ast.literal_eval(out)
 
 
-_DIGEST_REPORTS = """\
-import contextlib, hashlib, io, sys
+#: Mail that takes every normalizing path: display names, upper-case
+#: addresses, cc lists of two or more, UTC offsets other than ``Z``, a
+#: same-instant duplicate ("plan" again, its ``to`` reordered, with less cc)
+#: and a same-instant message of another subject, over a period across a year.
+_EVERY_PATH_MAIL = (
+    ("2012-12-03T09:00:00+01:00", "Ann Lee <ANN@x.com>",
+     ["bob@x.com", "Cy <cy@x.com>", "dee@x.com", "eve@x.com", "fay@x.com"], [], "kickoff"),
+    ("2012-12-10T10:00:00Z", "bob@x.com", ["ann@x.com"], ["cy@x.com", "Dee <DEE@x.com>", "eve@x.com"],
+     "Re: kickoff thanks"),
+    ("2012-12-28T09:00:00+02:00", "Ann Lee <ANN@x.com>", ["bob@x.com", "Cy <cy@x.com>"],
+     ["dee@x.com", "eve@x.com", "fay@x.com"], "plan"),
+    ("2012-12-28T07:00:00Z", "ann@x.com", ["cy@x.com", "BOB@x.com"], ["eve@x.com"], "plan"),
+    ("2012-12-28T07:00:00Z", "bob@x.com", ["ann@x.com"], ["fay@x.com", "cy@x.com", "dee@x.com"],
+     "Re: plan"),
+    ("2012-12-31T23:30:00-05:00", "Dee <Dee@X.com>", ["ann@x.com", "bob@x.com", "cy@x.com"],
+     ["fay@x.com", "eve@x.com"], "Re: plan great"),
+    ("2013-01-02T10:00:00Z", "eve@x.com", ["fay@x.com", "ann@x.com", "bob@x.com"],
+     ["cy@x.com", "dee@x.com"], "budget"),
+    ("2013-01-09T14:00:00+05:30", "Fay <FAY@x.com>", ["eve@x.com"],
+     ["dee@x.com", "cy@x.com", "bob@x.com"], "Re: budget"),
+    ("2013-01-15T08:00:00Z", "CY@X.COM", ["dee@x.com", "eve@x.com", "fay@x.com", "ann@x.com"], [],
+     "delay problem"),
+    ("2013-01-22T16:45:00-08:00", "bob@x.com", ["cy@x.com", "dee@x.com"],
+     ["ann@x.com", "fay@x.com", "eve@x.com"], "Re: delay problem"),
+)
+
+
+def _write_every_path_mail(folder: Path) -> None:
+    """:data:`_EVERY_PATH_MAIL` as one team ``t`` in CSV, JSONL and mbox."""
+    from email.utils import format_datetime
+
+    rows = [(stamp, sender, ";".join(to), ";".join(cc), subject)
+            for stamp, sender, to, cc, subject in _EVERY_PATH_MAIL]
+    _write(folder / "csv" / "t.csv",
+           "".join(map(csv_line, [("timestamp", "from", "to", "cc", "subject"), *rows])).encode())
+    _write(folder / "jsonl" / "t.jsonl", "".join(
+        json.dumps({"timestamp": stamp, "from": sender, "to": to, "cc": cc, "subject": subject,
+                    "team_id": "t"}) + "\n"
+        for stamp, sender, to, cc, subject in _EVERY_PATH_MAIL).encode())
+    # Python 3.10's fromisoformat does not read a trailing Z
+    dates = [format_datetime(datetime.fromisoformat(stamp.replace("Z", "+00:00")))
+             for stamp, *_ in _EVERY_PATH_MAIL]
+    _write(folder / "mbox" / "t.mbox", "".join(
+        f"From x\nFrom: {sender}\nTo: {', '.join(to)}\nCc: {', '.join(cc)}\n"
+        f"Subject: {subject}\nDate: {date}\n\nbody\n"
+        for date, (_, sender, to, cc, subject) in zip(dates, _EVERY_PATH_MAIL)).encode())
+
+
+_DIGEST_PIPELINE = """\
+import contextlib, hashlib, io, re, sys
 from pathlib import Path
 from commscore.cli import main
-metrics, survey, out = sys.argv[1:]
+golden_metrics, golden_survey, mail, out = map(Path, sys.argv[1:])
+
+def run(*argv):
+    assert main([str(arg) for arg in argv]) == 0, argv
+
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["correlate", metrics, survey, "--out", out + "/report"]) == 0
+    run("correlate", golden_metrics, golden_survey, "--out", out / "report")
     for format in ("json", "csv", "html"):
-        assert main(["scorecard", metrics, "--out", out + "/cards", "--format", format]) == 0
-for path in sorted(Path(out).glob("*/*")):
-    print(path.relative_to(out).as_posix(), hashlib.sha256(path.read_bytes()).hexdigest())
+        run("scorecard", golden_metrics, "--out", out / "cards", "--format", format)
+    run("synth", "--out", out / "synth", "--seed", "7", "--teams", "6", "--months", "8",
+        "--actors", "6", "--messages", "30", "--effects", "planted")
+    (out / "synth" / "recur").mkdir()
+    for path in sorted((out / "synth" / "mail").glob("*.csv")):
+        # as the benchmark's threads workload: no thread numbers, so subjects recur
+        (out / "synth" / "recur" / path.name).write_text(re.sub(
+            r",((?:Re: )*[a-z]+) [0-9]+(?=[^,]*$)", r",\\1", path.read_text(encoding="utf-8"),
+            flags=re.M), encoding="utf-8")
+    for name, format, period in (("recur", "csv", "2012-06-01..2013-02-01"),
+                                 ("csv", "csv", "2012-12-01..2013-02-01"),
+                                 ("jsonl", "jsonl", "2012-12-01..2013-02-01"),
+                                 ("mbox", "mbox", "2012-12-01..2013-02-01")):
+        source = out / "synth" / "recur" if name == "recur" else mail / name
+        run("ingest", *sorted(source.iterdir()), "--format", format, "--period", period,
+            "--out", out / name / "archive")
+        run("analyze", out / name / "archive", "--out", out / name / "default")
+        run("analyze", out / name / "archive", "--out", out / name / "options",
+            "--reply-cap", "3600", "--oscillation-window", "monthly",
+            "--awvci-weighting", "actors", "--emotionality-mode", "normalized")
+    metrics = out / "recur" / "default" / "metrics.csv"
+    run("correlate", metrics, out / "synth" / "survey.csv", "--out", out / "strict",
+        "--alert-sigma", "0.5", "--eligibility-min", "5")
+    for format in ("json", "csv", "html"):
+        run("scorecard", metrics, "--out", out / "strictcards", "--alert-sigma", "0.5",
+            "--format", format)
+for path in sorted(out.rglob("*")):
+    if path.is_file():
+        print(path.relative_to(out).as_posix(), hashlib.sha256(path.read_bytes()).hexdigest())
 """
 
 
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
-    """``correlate`` and ``scorecard`` in each format, run on the golden fixture
-    under two hash seeds, each in a fresh interpreter, write the same bytes:
-    no set or dict order reaches a report."""
+    """The whole pipeline, each stage through ``main()`` and each run in a fresh
+    interpreter, writes the same bytes under two hash seeds: no set or dict
+    order reaches a file.  On the golden fixture it runs ``correlate`` and
+    ``scorecard`` in each format.  It runs ``synth`` over a year boundary,
+    then ``ingest`` of that mail with its subjects made recurring, and of
+    :data:`_EVERY_PATH_MAIL` in CSV, JSONL and mbox.  Each archive is
+    analyzed with the default options and with every other choice, and the
+    synth metrics go through ``correlate`` and ``scorecard`` (each format)
+    with a lower alert threshold and eligibility bar."""
+    _write_every_path_mail(tmp_path / "mail")
     src = str(Path(commscore.__file__).parents[1])
     digests = []
     for seed in ("1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         digests.append(subprocess.run(
-            [sys.executable, "-c", _DIGEST_REPORTS, str(FIXTURE.parent / "golden" / "metrics.csv"),
-             str(FIXTURE / "survey.csv"), str(tmp_path / seed)],
+            [sys.executable, "-c", _DIGEST_PIPELINE, str(FIXTURE.parent / "golden" / "metrics.csv"),
+             str(FIXTURE / "survey.csv"), str(tmp_path / "mail"), str(tmp_path / seed)],
             env=env, check=True, capture_output=True, text=True).stdout.splitlines())
-    assert [line.split()[0] for line in digests[0]] == [
-        "cards/scorecard.csv", "cards/scorecard.html", "cards/scorecard.json",
-        "report/correlation.csv", "report/scorecard.html", "report/scorecard.json"]
+    written = [line.split()[0] for line in digests[0]]
+    assert len(written) == 55
+    assert {"cards/scorecard.csv", "cards/scorecard.html", "cards/scorecard.json",
+            "report/correlation.csv", "report/scorecard.html", "report/scorecard.json",
+            "synth/mail/team06.csv", "strict/correlation.csv", "strictcards/scorecard.csv",
+            "strictcards/scorecard.html", "strictcards/scorecard.json"} <= set(written)
+    for name in ("recur", "csv", "jsonl", "mbox"):
+        assert {f"{name}/archive/manifest.json", f"{name}/default/metrics.csv",
+                f"{name}/options/metrics.csv"} <= set(written)
     assert digests[0] == digests[1]
 
 

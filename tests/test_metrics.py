@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import statistics
 import warnings
 from collections import Counter
@@ -981,6 +982,22 @@ def test_monthly_oscillation_reuses_monthly_betweenness(monkeypatch):
     assert calls == [g.window for g in monthly_windows(corpus)]  # once per month
     with pytest.raises(ValueError, match="granularity"):
         compute_metric_vector(corpus, MetricConfig(oscillation_window="daily"))
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"oscillation_window": "daily"}, "unknown oscillation granularity: 'daily'"),
+    ({"awvci_weighting": "x"}, "unknown AWVCI weighting: 'x'"),
+    ({"emotionality_mode": "y"}, "unknown emotionality mode: 'y'"),
+    *(({"reply_cap": cap}, f"reply cap must be a positive whole number of seconds, got {cap!r}")
+      for cap in (0, -5, 1.5, 3600.0, "3600", True)),
+], ids=["oscillation-daily", "awvci-x", "emotionality-y", "cap-0", "cap-minus-5", "cap-1.5",
+        "cap-float-3600", "cap-str-3600", "cap-true"])
+def test_metric_config_refuses_what_the_command_line_refuses(setting, message):
+    """A setting outside its choices, or a reply cap that is not a positive
+    integer, fails when the config is made, before any metric can run."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MetricConfig(**setting)
+    assert MetricConfig(reply_cap=1).reply_cap == 1
 
 
 def test_vector_reads_each_events_recipients_once(monkeypatch):
