@@ -28,6 +28,8 @@ by instant, deduplicated only where several share one instant.
 Each archive line (:func:`serialize_events`) is written from one template,
 every string field escaped by ``json``'s own string escaper: byte for byte
 ``json.dumps(..., ensure_ascii=False, separators=(",", ":"))`` of the event.
+Each distinct ``(sender, to, cc, team_id)`` is escaped once per call, and
+each line escapes only its subject.
 A JSONL record whose address, subject or team id decodes to a lone surrogate
 (``"\\ud800"``), which UTF-8 cannot encode, is malformed.
 """
@@ -484,12 +486,22 @@ def serialize_events(events: Iterable[EmailEvent], format: str) -> bytes:
                                  ";".join(ev.to), ";".join(ev.cc), ev.subject)))
         return "".join(out).encode("utf-8")
     if format == "jsonl":
-        # each line is encoded on its own: no archive-sized str beside the bytes
-        return b"".join([
-            f'{{"timestamp":"{iso_utc(ev.timestamp)}","from":{_quote(ev.sender)},'
-            f'"to":[{",".join(map(_quote, ev.to))}],"cc":[{",".join(map(_quote, ev.cc))}],'
-            f'"subject":{_quote(ev.subject)},"team_id":{_quote(ev.team_id)}}}\n'.encode()
-            for ev in events])
+        # mail repeats a few (sender, to, cc, team) parties: each is escaped
+        # once per call into the pieces before and after the subject
+        parties: dict[tuple, tuple[str, str]] = {}
+        lines = []
+        for ev in events:
+            key = (ev.sender, ev.to, ev.cc, ev.team_id)
+            pieces = parties.get(key)
+            if pieces is None:
+                pieces = parties[key] = (
+                    f'","from":{_quote(ev.sender)},"to":[{",".join(map(_quote, ev.to))}],'
+                    f'"cc":[{",".join(map(_quote, ev.cc))}],"subject":',
+                    f',"team_id":{_quote(ev.team_id)}}}\n')
+            # each line is encoded on its own: no archive-sized str beside the bytes
+            lines.append(f'{{"timestamp":"{iso_utc(ev.timestamp)}{pieces[0]}'
+                         f'{_quote(ev.subject)}{pieces[1]}'.encode())
+        return b"".join(lines)
     raise UnsupportedFormat(f"cannot serialize format: {format!r}")
 
 

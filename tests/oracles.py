@@ -755,7 +755,8 @@ def reports(metrics: bytes, survey: bytes, *, eligibility_min: int,
             value = values[team][i]
             column = [row[i] for row in values.values() if row[i] is not None]
             if value is None or len(column) < 2:
-                scores[field] = {"value": value, "z": None, "favorable": None, "alert": None}
+                scores[field] = {"value": None if value is None else round(value, 3),
+                                 "z": None, "favorable": None, "alert": None}
                 continue
             mean, variance = mean_and_variance(column)
             deviation = Fraction(value) - mean

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import commscore
@@ -128,6 +128,17 @@ def _mail_and_survey(draw) -> tuple[int, dict[str, bytes], bytes]:
     return months, mail, "".join(survey).encode()
 
 
+#: Metrics defined for one team only: the score card writes each such value
+#: rounded to three places (AWVCI 0.320988 reads 0.321) but scores none of them.
+_ONE_TEAM_DEFINED = (1, {
+    "t0": MAIL_HEADER + b"2012-11-01T09:00:00Z,a0@t0.example,a0@t0.example,,plan\n",
+    "t1": MAIL_HEADER + b"2012-11-01T09:00:00Z,a0@t1.example,a0@t1.example,,plan\n",
+    "t2": MAIL_HEADER + b"2012-11-01T09:00:00Z,a0@t2.example,a1@t2.example,,plan\n"
+                        b"2012-11-01T09:00:00Z,a1@t2.example,a0@t2.example,a2@t2.example,plan\n"},
+    SURVEY_HEADER + b"".join(b"t%d,r%d,0,1,1,1,1,1,1,1,1\n" % (team, k)
+                             for team in range(3) for k in range(2)))
+
+
 @pytest.mark.parametrize("choices", list(itertools.product(*METRIC_CHOICES.values())))
 def test_reports_equal_the_oracle_pipeline(choices):
     """``ingest``, ``analyze`` and ``correlate`` write ``metrics.csv``,
@@ -140,6 +151,7 @@ def test_reports_equal_the_oracle_pipeline(choices):
     lexicon = (Path(commscore.__file__).parent / "data" / "default_lexicon.txt").read_bytes()
 
     @given(_mail_and_survey(), st.sampled_from([3600, 86400, 7 * 86400]))
+    @example(_ONE_TEAM_DEFINED, 3600)
     @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def check(inputs, reply_cap: int) -> None:
         months, mail, survey = inputs

@@ -340,12 +340,59 @@ def _wild_events(draw):
                       tuple(names[split:]), draw(_wild_text), draw(_wild_text))
 
 
-@given(st.lists(_wild_events(), max_size=6))
+@st.composite
+def _shared_party_events(draw):
+    """Events over a small pool of senders, recipient lists and teams.  Each
+    drawn party comes with three others that differ from it only in ``cc``,
+    only in ``team_id`` or only in the order of ``to``; every party is used at
+    least once, in shuffled order, and some more than once."""
+    names = draw(st.lists(_wild_text.filter(bool), min_size=4, max_size=6, unique=True))
+    teams = draw(st.lists(_wild_text, min_size=2, max_size=3, unique=True))
+    parties = []
+    for _ in range(draw(st.integers(1, 3))):
+        sender = draw(st.sampled_from(names))
+        order = draw(st.permutations(names))
+        to, cc = tuple(order[:2]), tuple(order[2:3])
+        team, other_team = draw(st.permutations(teams))[:2]
+        parties += [(sender, to, cc, team), (sender, to, tuple(order[2:4]), team),
+                    (sender, to, cc, other_team), (sender, to[::-1], cc, team)]
+    used = draw(st.permutations(parties + draw(st.lists(st.sampled_from(parties), max_size=6))))
+    return [EmailEvent(draw(_zoned_stamp), sender, to, cc, draw(_wild_text), team)
+            for sender, to, cc, team in used]
+
+
+@given(st.one_of(st.lists(_wild_events(), max_size=6), _shared_party_events()))
 @example([EmailEvent(datetime(999, 1, 2, 3, 4, 5, tzinfo=timezone.utc), 'a"\\',
                      ("b\x00\n",), ("\U0001F600",), "\x1f \\u0041", "t\u2028")])
-@settings(max_examples=200)
+@settings(max_examples=300)
 def test_jsonl_archive_equals_json_dumps_per_event(events):
+    """Each line is ``json.dumps`` of its event, also where events share
+    parties: escaped parties are reused only where sender, ``to`` in its order,
+    ``cc`` and team all agree."""
     assert serialize_events(events, "jsonl") == oracles.archive_bytes(events)
+
+
+def test_each_distinct_party_is_escaped_once_per_archive(monkeypatch):
+    """An operation bound: the JSONL archive escapes each event's subject and,
+    once per distinct ``(sender, to, cc, team_id)``, its sender, addresses and
+    team."""
+    events = []
+    for path in sorted((FIXTURE / "mail").glob("*.csv")):
+        with open(path, "rb") as fh:
+            events += parse_events(fh, "csv", default_team=path.stem).events
+    parties = {(e.sender, e.to, e.cc, e.team_id) for e in events}
+    escaped: list[str] = []
+    quote = ingest._quote
+
+    def counting_quote(text):
+        escaped.append(text)
+        return quote(text)
+
+    monkeypatch.setattr(ingest, "_quote", counting_quote)
+    archive = serialize_events(events, "jsonl")
+    assert len(parties) < len(events)
+    assert len(escaped) <= len(events) + sum(2 + len(to) + len(cc) for _, to, cc, _ in parties)
+    assert archive == oracles.archive_bytes(events)
 
 
 @given(_zoned_stamp, st.sampled_from(["+00:00", "Z", "z"]))
