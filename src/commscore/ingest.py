@@ -32,6 +32,15 @@ Each distinct ``(sender, to, cc, team_id)`` is escaped once per call, and
 each line escapes only its subject.
 A JSONL record whose address, subject or team id decodes to a lone surrogate
 (``"\\ud800"``), which UTF-8 cannot encode, is malformed.
+
+A JSONL line in that writer's form, in any file, can skip most of its decoding.
+Inside a JSON string every ``"`` is escaped, so its party text runs from the
+stamp's closing quote to its first ``,"subject":``.  Where that text and the
+text after the subject both equal those of an earlier line of the same parse,
+decoded whole into an event, only the stamp and the subject are decoded; they
+still pass :func:`parse_timestamp` and the lone-surrogate check.  Every other
+line, and one whose stamp or subject fails, is decoded whole and checked field
+by field, so each line gives the same event or message either way.
 """
 
 from __future__ import annotations
@@ -285,12 +294,23 @@ class _Records:
     The memo maps each distinct raw party key to ``parties(*key)`` or to the
     text of its error.  A cached error is still reported once per record, with
     that record's own line.
+
+    A JSONL parse keeps two text memos in front of it (:func:`_parse_jsonl`):
+    ``party_texts`` maps the party text of a line in the writer's form,
+    ``","from":…,"cc":[…]``, to its normalized parties, and ``tail_texts``
+    maps the text after its subject, ``,"team_id":…}``, to its team.  Each is
+    filled only from a line whose event was built, and only with the pieces
+    :func:`serialize_events` writes for that record.  A text hit skips decoding
+    and hashing the record's fields; the key memo stays for every other
+    record: JSONL not in the writer's form, text misses, CSV and mbox.
     """
 
     def __init__(self, name: str, strict: bool, parties: Callable[..., tuple]) -> None:
         self.name, self.strict, self._parties = name, strict, parties
         self.result = ParseResult(events=[])
         self._memo: dict[tuple, tuple | str] = {}
+        self.party_texts: dict[str, tuple] = {}
+        self.tail_texts: dict[str, str] = {}
 
     def issue(self, line: int, message: str) -> None:
         if self.strict:
@@ -303,8 +323,10 @@ class _Records:
         except MalformedAddress as exc:
             return str(exc)
 
-    def add(self, line: int, stamp: datetime, key: tuple, subject: str, team: str) -> None:
-        """The event of a record with this stamp and raw party key, or its issue."""
+    def add(self, line: int, stamp: datetime, key: tuple, subject: str,
+            team: str) -> tuple | None:
+        """Add the event of a record with this stamp and raw party key, or its
+        issue; the event's normalized parties, ``None`` for an issue."""
         try:
             parties = self._memo[key]
         except KeyError:
@@ -314,8 +336,9 @@ class _Records:
         error = _team_error(team) or parties
         if isinstance(error, str):
             self.issue(line, error)
-        else:
-            self.result.events.append(EmailEvent(stamp, *parties, subject, team))
+            return None
+        self.result.events.append(EmailEvent(stamp, *parties, subject, team))
+        return parties
 
 
 def _csv_parties(sender: str, to: str, cc: str) -> tuple:
@@ -346,19 +369,33 @@ _scan_json = json.JSONDecoder().scan_once
 
 def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -> ParseResult:
     records = _Records(name, strict, _parties)
+    events, party_texts, tail_texts = records.result.events, records.party_texts, records.tail_texts
     for lineno, raw in enumerate(source, start=1):
         stripped = raw.strip()
         if not stripped:
             continue
         try:
             text = stripped.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            records.issue(lineno, f"bad JSON: {exc}")
+            continue
+        # a '"' inside a JSON string is escaped, so in a line in the writer's
+        # form the first ',"subject":' ends the party text
+        cut = text.find(',"subject":', 34)
+        parties = party_texts.get(text[34:cut]) if cut > 0 else None
+        if parties:
+            event = _written_event(text, cut, parties, tail_texts)
+            if event:
+                events.append(event)
+                continue
+        try:
             try:
                 record, end = _scan_json(text, 0)
             except (StopIteration, json.JSONDecodeError, RecursionError):
                 end = -1
             if end != len(text):  # not one JSON value: json.loads says why
                 record = json.loads(text)
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             records.issue(lineno, f"bad JSON: {exc}")
             continue
         if not isinstance(record, dict):
@@ -390,12 +427,73 @@ def _parse_jsonl(source: BinaryIO, default_team: str, name: str, strict: bool) -
                 raise ValueError("subject must be a string or null")
             if not subject.isascii() and _SURROGATE_RE.search(subject):
                 raise ValueError(f"subject {subject!r} holds a lone surrogate")
-            records.add(lineno, stamp, key, subject, team)
+            parties = records.add(lineno, stamp, key, subject, team)
         except KeyError as exc:
             records.issue(lineno, f"missing key {exc}")
+            continue
         except ValueError as exc:
             records.issue(lineno, str(exc))
+            continue
+        if parties:
+            _remember(text, cut, record, parties, team, records)
     return records.result
+
+
+#: The start of a JSONL line in the writer's form; its stamp takes offsets 14–34.
+_WRITTEN_HEAD = '{"timestamp":"'
+
+
+def _written_parties(sender: str, to: Iterable[str], cc: Iterable[str]) -> str:
+    """The party text of a JSONL line as :func:`serialize_events` writes it:
+    ``","from":…,"to":[…],"cc":[…]``, from the stamp's closing quote."""
+    return (f'","from":{_quote(sender)},"to":[{",".join(map(_quote, to))}],'
+            f'"cc":[{",".join(map(_quote, cc))}]')
+
+
+def _written_tail(team_id: str) -> str:
+    """The text after the subject of a JSONL line as :func:`serialize_events`
+    writes it, without the newline."""
+    return f',"team_id":{_quote(team_id)}}}'
+
+
+def _remember(text: str, cut: int, record: dict, parties: tuple, team: str,
+              records: _Records) -> None:
+    """Cache the party and tail texts of a line whose ``record`` was built
+    with these ``parties`` and ``team``, if the line is the one the writer
+    writes for that record, its party text ending at ``cut``."""
+    if len(record) != 6 or cut < 0 or text[14:34] != record["timestamp"]:
+        return
+    try:
+        party, tail = (_written_parties(record["from"], record["to"], record["cc"]),
+                       _written_tail(record["team_id"]))
+    except (KeyError, TypeError):  # another key, or a null cc or team id
+        return
+    if text[34:cut] == party and text.endswith(tail):
+        records.party_texts[party] = parties
+        records.tail_texts[tail] = team
+
+
+def _written_event(text: str, cut: int, parties: tuple,
+                   tail_texts: dict[str, str]) -> EmailEvent | None:
+    """The event of a JSONL line in the writer's form whose party text, ending
+    at ``cut``, has these ``parties``; ``None`` leaves the line to the record path.
+
+    The stamp and the subject must each be one JSON string, the stamp ending
+    where the party text starts, and the text after the subject a cached tail.
+    A stamp or subject that the record path refuses is left to it to report.
+    """
+    # the subject follows the 11 characters of ',"subject":'
+    if not (text.startswith(_WRITTEN_HEAD) and text.startswith('"', cut + 11)):
+        return None
+    try:  # a JSONDecodeError is a ValueError
+        stamp, stamp_end = _scan_json(text, 13)
+        subject, end = _scan_json(text, cut + 11)
+        team = tail_texts.get(text[end:])
+        if team and stamp_end == 35 and (subject.isascii() or not _SURROGATE_RE.search(subject)):
+            return EmailEvent(parse_timestamp(stamp), *parties, subject, team)
+    except ValueError:
+        pass
+    return None
 
 
 def _header(msg, name: str) -> str:
@@ -495,11 +593,10 @@ def serialize_events(events: Iterable[EmailEvent], format: str) -> bytes:
             pieces = parties.get(key)
             if pieces is None:
                 pieces = parties[key] = (
-                    f'","from":{_quote(ev.sender)},"to":[{",".join(map(_quote, ev.to))}],'
-                    f'"cc":[{",".join(map(_quote, ev.cc))}],"subject":',
-                    f',"team_id":{_quote(ev.team_id)}}}\n')
+                    f'{_written_parties(ev.sender, ev.to, ev.cc)},"subject":',
+                    f'{_written_tail(ev.team_id)}\n')
             # each line is encoded on its own: no archive-sized str beside the bytes
-            lines.append(f'{{"timestamp":"{iso_utc(ev.timestamp)}{pieces[0]}'
+            lines.append(f'{_WRITTEN_HEAD}{iso_utc(ev.timestamp)}{pieces[0]}'
                          f'{_quote(ev.subject)}{pieces[1]}'.encode())
         return b"".join(lines)
     raise UnsupportedFormat(f"cannot serialize format: {format!r}")
@@ -614,8 +711,11 @@ def load_corpus(path: str | os.PathLike, team_id: str, period: Period) -> TeamCo
     """Read one archived corpus file (``corpora/<team>.jsonl``) into a :class:`TeamCorpus`.
 
     The file is parsed strictly: a malformed line raises :class:`MalformedRecord`
-    naming the file and line.  The events then go through :func:`build_corpus`,
-    as any other parsed events do.
+    naming the file and line.  Lines as :func:`serialize_events` wrote them
+    mostly repeat an earlier line's parties and team, and decode only their
+    stamp and subject (see the module notes); every other line is read as any
+    JSONL record is.  The events then go through :func:`build_corpus`, as any
+    other parsed events do.
     """
     with open(path, "rb") as fh:
         events = _parse_jsonl(fh, team_id, os.path.basename(path), strict=True).events

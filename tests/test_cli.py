@@ -24,7 +24,7 @@ import commscore
 from commscore._text import csv_line
 from commscore.cli import METRICS_CSV_HEADER, main, parse_period, read_metrics_csv
 from commscore.errors import FormatError, MalformedRecord
-from commscore.ingest import make_event, parse_timestamp
+from commscore.ingest import make_event, parse_timestamp, serialize_events
 from commscore.metrics import METRIC_CHOICES, METRIC_FIELDS
 
 import oracles
@@ -1056,11 +1056,36 @@ _jsonl_records = st.lists(st.one_of(
     st.text(max_size=12).map(_jsonl),
     st.binary(max_size=80).map(lambda b: b + b"\n")), max_size=4).map(b"".join)
 
+#: Lines as ``ingest`` writes them, which the reload reads through its text
+#: memos: two parties, the second with a cc and text that JSON escapes.
+_WRITTEN_LINES = serialize_events([
+    make_event(parse_timestamp(f"2012-06-0{day}T09:00:00Z"), sender, [to], cc, subject, "team")
+    for day, (sender, to, cc, subject) in enumerate(
+        [("a@x.com", "b@x.com", [], "s"), ("b@x.com", "a@x.com", ["c@x.com"], 'é "\\')] * 2,
+        start=1)], "jsonl").splitlines(keepends=True)
+
+
+@st.composite
+def _near_written_archives(draw) -> bytes:
+    """Written lines, one to three of them with one byte inserted, deleted or replaced."""
+    lines = list(_WRITTEN_LINES)
+    byte = st.one_of(st.sampled_from([bytes([c]) for c in b'"\\,:{}[] \t\r\nuzZ0']),
+                     st.binary(min_size=1, max_size=1))
+    for i in draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=3)):
+        line = lines[i]
+        at = draw(st.integers(0, len(line) - 1))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        keep = at + (edit != "insert")
+        lines[i] = line[:at] + (b"" if edit == "delete" else draw(byte)) + line[keep:]
+    return b"".join(lines)
+
+
 #: (name of the fuzzed input, strategy for its bytes)
 FUZZ_INPUTS = {
     "mail.csv": _payloads(MAIL_HEADER),
     "mail.jsonl": _jsonl_records,
     "archive corpus": _jsonl_records,
+    "archive corpus near the written form": _near_written_archives(),
     "archive manifest": _payloads(b'{"period": '),
     "survey.csv": _payloads(SURVEY_HEADER),
     "metrics.csv": _payloads(csv_line(METRICS_CSV_HEADER).encode()),

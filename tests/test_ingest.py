@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import tempfile
 import warnings
 from collections import Counter
@@ -395,6 +396,35 @@ def test_each_distinct_party_is_escaped_once_per_archive(monkeypatch):
     assert archive == oracles.archive_bytes(events)
 
 
+def test_each_distinct_party_is_decoded_once_per_reload(monkeypatch):
+    """An operation bound: reading back one team's archive decodes a whole
+    record and normalizes its parties once per distinct ``(sender, to, cc)``;
+    each other line decodes only its stamp and subject."""
+    with open(FIXTURE / "mail" / "alpha.csv", "rb") as fh:
+        events = parse_events(fh, "csv", default_team="alpha").events
+    parties = {(e.sender, e.to, e.cc) for e in events}
+    decoded: list[str] = []
+    normalized: list[tuple] = []
+    scan, normalize = ingest._scan_json, ingest._parties
+
+    def counting_scan(text, index):
+        if index == 0:
+            decoded.append(text)
+        return scan(text, index)
+
+    def counting_parties(*key):
+        normalized.append(key)
+        return normalize(*key)
+
+    monkeypatch.setattr(ingest, "_scan_json", counting_scan)
+    monkeypatch.setattr(ingest, "_parties", counting_parties)
+    archive = serialize_events(events, "jsonl")
+    result = parse_events(io.BytesIO(archive), "jsonl", default_team="alpha", strict=True)
+    assert result.events == events
+    assert 4 * len(parties) < len(events)
+    assert len(decoded) == len(normalized) == len(parties)
+
+
 @given(_zoned_stamp, st.sampled_from(["+00:00", "Z", "z"]))
 @example(datetime(999, 1, 2, 3, 4, 5, 6, tzinfo=timezone.utc), "Z")
 @example(datetime(2000, 1, 1, tzinfo=timezone(timedelta(microseconds=1))), "Z")
@@ -582,6 +612,48 @@ _TEAMS = ("t", "u", "../up", ".")
 #: One good JSONL record, edited by the examples.
 _RECORD = {"timestamp": "2012-06-04T09:00:00Z", "from": "a@ex.com", "to": ["b@ex.com"],
            "cc": [], "subject": "s", "team_id": "t"}
+
+
+def _written_json(record: dict) -> str:
+    """``record`` as ``serialize_events`` writes a line: no spaces, the keys in
+    the order given, non-ASCII text unescaped but for a lone surrogate, which
+    UTF-8 cannot encode, written as its ``\\u`` escape."""
+    text = json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+    return re.sub(r"[\ud800-\udfff]", lambda m: f"\\u{ord(m[0]):04x}", text)
+
+
+#: ``_RECORD`` in the writer's form: read from the record, it fills the text memos.
+_WRITTEN_LINE = (_written_json(_RECORD) + "\n").encode()
+#: Edits of ``_WRITTEN_LINE`` at the edges of the writer's form.  Each example
+#: reads one before and one after that line: with the text memos empty and filled.
+_NEAR_WRITTEN = tuple(_WRITTEN_LINE.replace(old, new, 1) for old, new in (
+    (b',"team_id"', b',"from":"z@ex.com","team_id"'),  # keys repeated in the tail
+    (b',"team_id"', b',"to":["c@ex.com"],"team_id"'),
+    (b'"t"}', b'"t","team_id":"u"}'),
+    (b'"subject":"s"', b'"subject":null,"subject":"s"'),
+    (b'"subject":"s"', b'"subject":"s\\",\\"subject\\":\\"x"'),
+    (b'"from":"a@ex.com"', b'"from":"\\u0061@ex.com"'),
+    (b'"subject":"s"', b'"subject":"\\u0073"'),
+    (b'"subject":"s"', b'"subject":"\\ud800"'),
+    (b'00:00Z"', b'00:00z"'),
+    (b'T09', b' 09'),
+    (b'T09', b'"09'),  # fromisoformat takes any separator; JSON takes neither
+    (b'T09', b'\t09'),
+    (b'"t"}', b'".."}'),
+    (b'}\n', b'} \n'),
+    (b'}\n', b'}\r\n'),
+))
+
+
+def _examples(*values):
+    """``@example(value)`` for each value."""
+    def decorate(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+    return decorate
+
+
 _party_triples = st.tuples(st.sampled_from(_RAW_ADDRESSES),
                            st.lists(st.sampled_from(_RAW_ADDRESSES), max_size=3),
                            st.lists(st.sampled_from(_RAW_ADDRESSES), max_size=2))
@@ -591,6 +663,7 @@ _party_triples = st.tuples(st.sampled_from(_RAW_ADDRESSES),
 def _mail_files(draw):
     """A mail file of one format whose records reuse a few raw party triples."""
     format = draw(st.sampled_from(["csv", "jsonl", "mbox"]))
+    dumps = draw(st.sampled_from([_written_json, json.dumps]))
     triples = draw(st.lists(_party_triples, min_size=1, max_size=3))
     lines = ["timestamp,from,to,cc,subject\n"] if format == "csv" else []
     for _ in range(draw(st.integers(0, 8))):
@@ -604,9 +677,9 @@ def _mail_files(draw):
                       "cc": cc, "subject": subject, "team_id": draw(st.sampled_from(_TEAMS))}
             if draw(st.integers(0, 9)) == 0:
                 record.pop(draw(st.sampled_from(["from", "subject", "team_id"])))
-            if draw(st.integers(0, 9)) == 0:  # json.dumps writes it as the escape \ud800
+            if draw(st.integers(0, 9)) == 0:  # written as the escape \ud800
                 record[draw(st.sampled_from(["from", "subject", "team_id"]))] = "x\ud800"
-            lines.append(json.dumps(record) + "\n")
+            lines.append(dumps(record) + "\n")
         else:
             headers = [f"From: {sender}", f"To: {', '.join(to)}", f"Cc: {', '.join(cc)}"]
             if subject is not None:
@@ -629,6 +702,7 @@ def _mail_files(draw):
 @example((b"".join(json.dumps({**_RECORD, **edit}).encode() + b"\n" for edit in (
     {"to": ["b@ex.com", "c\udc00@ex.com"]}, {"team_id": "t\ud800"}, {"subject": "\udfff"},
     {"subject": "\ud83d\ude00 \\ud800"})), "jsonl", "t"))
+@_examples(*((line + _WRITTEN_LINE + line, "jsonl", "t") for line in _NEAR_WRITTEN))
 @settings(max_examples=300, deadline=None)
 def test_parse_events_equals_make_event_per_record(mail):
     """The memoized parse gives the events, issues and strict-mode error of
@@ -868,7 +942,9 @@ _WRONG_TYPES = (("from", 5), ("from", ["a@ex.com"]), ("to", []), ("to", [7]), ("
 
 @st.composite
 def _archive_lines(draw):
-    """An archive ``ingest`` could write, then edited by hand or by another writer."""
+    """An archive ``ingest`` could write, then edited by hand or by another
+    writer, in the writer's form or with ``json.dumps``'s spaces."""
+    dumps = draw(st.sampled_from([_written_json, json.dumps]))
     events = draw(st.lists(_same_time_events(), max_size=10))
     if draw(st.booleans()):
         archived = build_corpus(events, "t", _JUNE).events if events else ()
@@ -925,7 +1001,7 @@ def _archive_lines(draw):
             rec["timestamp"] = draw(st.sampled_from([
                 stamp.astimezone(timezone(timedelta(hours=1))).isoformat(),
                 rec["timestamp"][:-1] + ".75Z", rec["timestamp"][:-1] + ".000001+00:00"]))
-    return "".join(json.dumps(rec) + "\n" for rec in records).encode("utf-8")
+    return "".join(dumps(rec) + "\n" for rec in records).encode("utf-8")
 
 
 def _outcome(load) -> tuple:
@@ -1017,6 +1093,7 @@ def test_dedup_keys_are_built_only_for_events_that_share_an_instant(monkeypatch)
 # in event order, but the first and last share build_corpus's dedup key
 @example(b"".join(json.dumps({**_RECORD, **edit}).encode() + b"\n"
                   for edit in ({}, {"subject": "zz"}, {"cc": ["c@ex.com"]})))
+@_examples(*(line + _WRITTEN_LINE + line for line in _NEAR_WRITTEN))
 @settings(max_examples=400, deadline=None)
 def test_load_corpus_equals_parse_and_build(archived):
     """The same corpus and errors as reading every record through ``make_event``
