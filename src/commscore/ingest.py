@@ -15,9 +15,12 @@ Three wire formats are supported:
 Timestamps must carry an explicit UTC offset.  An instant is a UTC second:
 :class:`EmailEvent` and :class:`Period` convert every aware instant they are
 given to UTC and truncate it to the whole second, so no other module converts
-one.  Written out (:func:`iso_utc`) an instant reads ``YYYY-MM-DDTHH:MM:SSZ``,
-the year always four digits (``0999-01-02T03:04:05Z``).  Addresses are
-lowercased with display names stripped.
+one.  Written out an instant reads ``YYYY-MM-DDTHH:MM:SSZ``, the year always
+four digits (``0999-01-02T03:04:05Z``): :func:`iso_utc` writes one instant, and
+:func:`serialize_events` writes each event's stamp as it would, formatting a UTC
+day's date text once per run of events on that day.  :func:`parse_timestamp`
+reads that form back with one call and every other form by its general rules.
+Addresses are lowercased with display names stripped.
 
 Every record of every format goes through one party normalizer, memoized per
 parse: a file's repeated ``from``/``to``/``cc`` fields are normalized once.
@@ -55,7 +58,7 @@ from functools import lru_cache
 from itertools import compress, count
 from json.encoder import encode_basestring as _quote
 from operator import attrgetter, eq, ge
-from typing import BinaryIO, Callable, Iterable
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from ._text import csv_line, read_csv
 from .errors import FormatError, MalformedAddress, MalformedRecord, UnsupportedFormat
@@ -107,7 +110,20 @@ def parse_timestamp(raw: str) -> datetime:
 
     Raises ``ValueError`` for a malformed or offset-free text, and for an
     instant that falls outside years 1–9999 in UTC.
+
+    A 20-character text ending in ``Z``, the form :func:`iso_utc` writes, is
+    parsed with one call and returned where that gives a whole UTC second.
+    Every other text, and one that fails there, is read by the general rules
+    below, and either way a text gives the one result or message of the rules.
     """
+    if len(raw) == 20 and raw[19] == "Z":
+        try:
+            stamp = datetime.fromisoformat(raw[:19] + "+00:00")
+        except ValueError:
+            pass
+        else:  # 3.11+ reads a fraction (2012-06-04T090000.5Z): the rules truncate it
+            if stamp.tzinfo is timezone.utc and not stamp.microsecond:
+                return stamp
     text = raw.strip()
     subsecond = None
     if text.endswith(("Z", "z")):
@@ -576,19 +592,20 @@ def serialize_events(events: Iterable[EmailEvent], format: str) -> bytes:
     fixed point).  Fields containing ``,``, ``;``, quotes, or newlines are
     double-quoted in CSV.  A JSONL line fills one template, each string field
     escaped by ``json``'s escaper, as ``json.dumps`` would write the event.
+    In both formats each stamp is :func:`iso_utc` of the event's instant, in
+    any event order; its date text is formatted once per run of one UTC day.
     """
     if format == "csv":
         out = [csv_line(CSV_HEADER)]
-        for ev in events:
-            out.append(csv_line((iso_utc(ev.timestamp), ev.sender,
-                                 ";".join(ev.to), ";".join(ev.cc), ev.subject)))
+        for stamp, ev in _stamped(events):
+            out.append(csv_line((stamp, ev.sender, ";".join(ev.to), ";".join(ev.cc), ev.subject)))
         return "".join(out).encode("utf-8")
     if format == "jsonl":
         # mail repeats a few (sender, to, cc, team) parties: each is escaped
         # once per call into the pieces before and after the subject
         parties: dict[tuple, tuple[str, str]] = {}
         lines = []
-        for ev in events:
+        for stamp, ev in _stamped(events):
             key = (ev.sender, ev.to, ev.cc, ev.team_id)
             pieces = parties.get(key)
             if pieces is None:
@@ -596,10 +613,23 @@ def serialize_events(events: Iterable[EmailEvent], format: str) -> bytes:
                     f'{_written_parties(ev.sender, ev.to, ev.cc)},"subject":',
                     f'{_written_tail(ev.team_id)}\n')
             # each line is encoded on its own: no archive-sized str beside the bytes
-            lines.append(f'{_WRITTEN_HEAD}{iso_utc(ev.timestamp)}{pieces[0]}'
+            lines.append(f'{_WRITTEN_HEAD}{stamp}{pieces[0]}'
                          f'{_quote(ev.subject)}{pieces[1]}'.encode())
         return b"".join(lines)
     raise UnsupportedFormat(f"cannot serialize format: {format!r}")
+
+
+def _stamped(events: Iterable[EmailEvent]) -> Iterator[tuple[str, EmailEvent]]:
+    """Each event with :func:`iso_utc` of its instant.  A corpus is in time
+    order, so the date text of a UTC day is formatted again only where the day
+    differs from the previous event's; any order gives the same texts."""
+    day = head = None
+    for ev in events:
+        stamp = ev.timestamp
+        if stamp.date() != day:
+            day = stamp.date()
+            head = f"{day.isoformat()}T"
+        yield f"{head}{stamp.time().isoformat()}Z", ev
 
 
 @dataclass(frozen=True, slots=True)
