@@ -28,6 +28,7 @@ from commscore.ingest import make_event, parse_timestamp, serialize_events
 from commscore.metrics import METRIC_CHOICES, METRIC_FIELDS
 
 import oracles
+from mail import EVERY_PATH_MAIL, MONTHS, Message, period, team_mail, write_mail
 
 PERIOD = "2012-06-01..2012-09-01"
 MAIL_HEADER = b"timestamp,from,to,cc,subject\n"
@@ -89,52 +90,27 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-#: Month starts from November 2012: a period of two or more months crosses a year.
-_MONTH_STARTS = [datetime(year, month, 1, tzinfo=timezone.utc)
-                 for year, month in ((2012, 11), (2012, 12), (2013, 1), (2013, 2), (2013, 3))]
-#: Recurring subjects: threads under reply and forward prefixes, a positive one
-#: with a comma, and a negative one.
-_SUBJECTS = ("plan", "Re: plan", "RE: Fwd:  Plan", "thanks, great work",
-             "Re: thanks, great work", "a problem")
-
-
 @st.composite
-def _mail_and_survey(draw) -> tuple[int, dict[str, bytes], bytes]:
-    """(months, CSV mail per team, survey) for 3–5 teams of 2–8 actors.
-
-    Each team writes on a few days at a few hours, so same-instant messages,
-    replies and exact repeats are common; ``to`` may hold the sender and
-    ``cc`` may repeat ``to``.  Every team has two or three respondents.
-    """
-    months = draw(st.integers(1, 4))
-    days = (_MONTH_STARTS[months] - _MONTH_STARTS[0]).days
-    mail, survey = {}, [SURVEY_HEADER.decode()]
-    for team in [f"t{i}" for i in range(draw(st.integers(3, 5)))]:
-        party = st.sampled_from([f"a{i}@{team}.example" for i in range(draw(st.integers(2, 8)))])
-        when = st.tuples(st.sampled_from(draw(st.lists(st.integers(0, days - 1), min_size=1,
-                                                       max_size=4, unique=True))),
-                         st.sampled_from([9, 10, 17]))
-        rows = draw(st.lists(st.tuples(when, party, st.lists(party, min_size=1, max_size=3),
-                                       st.lists(party, max_size=2), st.sampled_from(_SUBJECTS)),
-                             min_size=1, max_size=16))
-        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
-        mail[team] = MAIL_HEADER + "".join(
-            csv_line((f"{_MONTH_STARTS[0] + timedelta(days=day, hours=hour):%Y-%m-%dT%H:%M:%SZ}",
-                      sender, ";".join(to), ";".join(cc), subject))
-            for (day, hour), sender, to, cc, subject in rows).encode()
+def _surveyed_mail(draw) -> tuple[int, list[Message], bytes]:
+    """(months, messages, survey): :func:`mail.team_mail` and two or three
+    respondents for each of its teams."""
+    months, messages = draw(team_mail())
+    survey = [SURVEY_HEADER.decode()]
+    for team in sorted({m.team for m in messages}):
         survey += [csv_line([team, f"r{k}", str(draw(st.integers(0, 10)))] + draw(st.lists(
             st.sampled_from(["1", "2.5", "3", "4.5", "5"]), min_size=8, max_size=8)))
             for k in range(draw(st.integers(2, 3)))]
-    return months, mail, "".join(survey).encode()
+    return months, messages, "".join(survey).encode()
 
 
 #: Metrics defined for one team only: the score card writes each such value
 #: rounded to three places (AWVCI 0.320988 reads 0.321) but scores none of them.
-_ONE_TEAM_DEFINED = (1, {
-    "t0": MAIL_HEADER + b"2012-11-01T09:00:00Z,a0@t0.example,a0@t0.example,,plan\n",
-    "t1": MAIL_HEADER + b"2012-11-01T09:00:00Z,a0@t1.example,a0@t1.example,,plan\n",
-    "t2": MAIL_HEADER + b"2012-11-01T09:00:00Z,a0@t2.example,a1@t2.example,,plan\n"
-                        b"2012-11-01T09:00:00Z,a1@t2.example,a0@t2.example,a2@t2.example,plan\n"},
+_ONE_TEAM_DEFINED = (1, [Message(MONTHS[0] + timedelta(hours=9), sender, (to,), cc, "plan", team)
+                         for team, sender, to, cc in (
+    ("t0", "a0@t0.example", "a0@t0.example", ()),
+    ("t1", "a0@t1.example", "a0@t1.example", ()),
+    ("t2", "a0@t2.example", "a1@t2.example", ()),
+    ("t2", "a1@t2.example", "a0@t2.example", ("a2@t2.example",)))],
     SURVEY_HEADER + b"".join(b"t%d,r%d,0,1,1,1,1,1,1,1,1\n" % (team, k)
                              for team in range(3) for k in range(2)))
 
@@ -144,33 +120,36 @@ def test_reports_equal_the_oracle_pipeline(choices):
     """``ingest``, ``analyze`` and ``correlate`` write ``metrics.csv``,
     ``correlation.csv`` and ``scorecard.json`` byte for byte as
     ``oracles.metrics_csv`` and ``oracles.reports`` derive them from the
-    oracles' parse of the same mail, under each metric choice."""
+    oracles' parse of the same mail, as CSV, JSONL or mbox, under each
+    metric choice."""
     options = dict(zip(METRIC_CHOICES, choices))
     flags = [part for key, value in options.items()
              for part in ("--" + key.replace("_", "-"), value)]
     lexicon = (Path(commscore.__file__).parent / "data" / "default_lexicon.txt").read_bytes()
 
-    @given(_mail_and_survey(), st.sampled_from([3600, 86400, 7 * 86400]))
-    @example(_ONE_TEAM_DEFINED, 3600)
+    @given(_surveyed_mail(), st.sampled_from(["csv", "jsonl", "mbox"]),
+           st.sampled_from([3600, 86400, 7 * 86400]))
+    @example(_ONE_TEAM_DEFINED, "csv", 3600)
+    @example(_ONE_TEAM_DEFINED, "jsonl", 3600)
+    @example(_ONE_TEAM_DEFINED, "mbox", 3600)
     @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def check(inputs, reply_cap: int) -> None:
-        months, mail, survey = inputs
-        start, end = _MONTH_STARTS[0], _MONTH_STARTS[months]
+    def check(inputs, format: str, reply_cap: int) -> None:
+        months, messages, survey = inputs
         events = []
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
-            paths = [_write(root / f"{team}.csv", blob) for team, blob in mail.items()]
+            paths = write_mail(messages, root / "mail", format)
             for path in paths:
-                events += oracles.reference_parse(path.read_bytes(), "csv", make_event,
+                events += oracles.reference_parse(path.read_bytes(), format, make_event,
                                                   parse_timestamp, default_team=path.stem)[0]
-            assert run("ingest", *paths, "--period", f"{start:%Y-%m-%d}..{end:%Y-%m-%d}",
+            assert run("ingest", *paths, "--format", format, "--period", period(months),
                        "--out", root / "archive") == 0
             assert run("analyze", root / "archive", "--out", root / "metrics",
                        "--reply-cap", reply_cap, *flags) == 0
             assert run("correlate", root / "metrics" / "metrics.csv",
                        _write(root / "survey.csv", survey), "--out", root / "report",
                        "--eligibility-min", "1", "--alert-sigma", "0.5") == 0
-            metrics = oracles.metrics_csv(events, start, end, reply_cap=reply_cap,
+            metrics = oracles.metrics_csv(events, MONTHS[0], MONTHS[months], reply_cap=reply_cap,
                                           lexicon=lexicon, **options)
             assert (root / "metrics" / "metrics.csv").read_bytes() == metrics
             correlation, scorecard = oracles.reports(metrics, survey, eligibility_min=1,
@@ -178,6 +157,27 @@ def test_reports_equal_the_oracle_pipeline(choices):
             assert (root / "report" / "correlation.csv").read_bytes() == correlation
             assert (root / "report" / "scorecard.json").read_bytes() == scorecard
     check()
+
+
+@given(team_mail(), st.sampled_from(["csv", "jsonl", "mbox"]), st.integers(0, 4))
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_removing_one_teams_mail_leaves_every_other_row_unchanged(drawn, format, which):
+    """Team independence through ``main()``: the same mail without one team's
+    messages analyzes to ``metrics.csv`` without that team's row, every other
+    row byte-identical."""
+    months, messages = drawn
+    teams = sorted({m.team for m in messages})
+    gone = teams[which % len(teams)]
+    written = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, kept in (("all", messages), ("rest", [m for m in messages if m.team != gone])):
+            root = Path(tmp) / name
+            assert run("ingest", *write_mail(kept, root / "mail", format), "--format", format,
+                       "--period", period(months), "--out", root / "archive") == 0
+            assert run("analyze", root / "archive", "--out", root / "metrics") == 0
+            written.append((root / "metrics" / "metrics.csv").read_bytes().splitlines())
+    assert len(written[0]) == 1 + len(teams)
+    assert written[1] == [row for row in written[0] if not row.startswith(f"{gone},".encode())]
 
 
 FIXTURE = Path(__file__).parent / "data" / "fixture"
@@ -378,21 +378,16 @@ def test_ingest_reads_the_files_of_one_team_together(tmp_path, capsys):
     assert run("analyze", tmp_path / "c", "--out", tmp_path / "m") == 3
 
 
-def _long_mail(rows: int) -> bytes:
-    """``rows`` messages among six actors, a little over 17 hours apart."""
-    actors = [f"u{i}@team.example" for i in range(6)]
-    start = datetime(2012, 1, 1, tzinfo=timezone.utc)
-    return MAIL_HEADER + "".join(
-        f"{(start + timedelta(minutes=1049 * n)).isoformat()},{actors[n % 6]},"
-        f"{actors[(n + 1) % 6]};{actors[(n + 3) % 6]},,status {n}\n"
-        for n in range(rows)).encode()
-
-
 def test_ingest_memory_is_bounded_by_the_largest_team(tmp_path):
     """Ingest holds one team's mail at a time: the peak of eight equal teams
-    stays near that of one, not eight times it."""
-    mail = _long_mail(1500)
-    paths = [_write(tmp_path / "in" / f"t{i}.csv", mail) for i in range(8)]
+    stays near that of one, not eight times it.  Each team's 1,500 messages
+    among six actors lie a little over 17 hours apart."""
+    actors = [f"u{i}@team.example" for i in range(6)]
+    start = datetime(2012, 1, 1, tzinfo=timezone.utc)
+    paths = write_mail([Message(start + timedelta(minutes=1049 * n), actors[n % 6],
+                                (actors[(n + 1) % 6], actors[(n + 3) % 6]), (), f"status {n}",
+                                f"t{team}")
+                        for team in range(8) for n in range(1500)], tmp_path / "in", "csv")
     period = "2012-01-01..2015-01-01"
     assert run("ingest", paths[0], "--period", period, "--out", tmp_path / "warm") == 0
 
@@ -791,54 +786,6 @@ def _loaded_by(statement: str) -> list[str]:
     return ast.literal_eval(out)
 
 
-#: Mail that takes every normalizing path: display names, upper-case
-#: addresses, cc lists of two or more, UTC offsets other than ``Z``, a
-#: same-instant duplicate ("plan" again, its ``to`` reordered, with less cc)
-#: and a same-instant message of another subject, over a period across a year.
-_EVERY_PATH_MAIL = (
-    ("2012-12-03T09:00:00+01:00", "Ann Lee <ANN@x.com>",
-     ["bob@x.com", "Cy <cy@x.com>", "dee@x.com", "eve@x.com", "fay@x.com"], [], "kickoff"),
-    ("2012-12-10T10:00:00Z", "bob@x.com", ["ann@x.com"], ["cy@x.com", "Dee <DEE@x.com>", "eve@x.com"],
-     "Re: kickoff thanks"),
-    ("2012-12-28T09:00:00+02:00", "Ann Lee <ANN@x.com>", ["bob@x.com", "Cy <cy@x.com>"],
-     ["dee@x.com", "eve@x.com", "fay@x.com"], "plan"),
-    ("2012-12-28T07:00:00Z", "ann@x.com", ["cy@x.com", "BOB@x.com"], ["eve@x.com"], "plan"),
-    ("2012-12-28T07:00:00Z", "bob@x.com", ["ann@x.com"], ["fay@x.com", "cy@x.com", "dee@x.com"],
-     "Re: plan"),
-    ("2012-12-31T23:30:00-05:00", "Dee <Dee@X.com>", ["ann@x.com", "bob@x.com", "cy@x.com"],
-     ["fay@x.com", "eve@x.com"], "Re: plan great"),
-    ("2013-01-02T10:00:00Z", "eve@x.com", ["fay@x.com", "ann@x.com", "bob@x.com"],
-     ["cy@x.com", "dee@x.com"], "budget"),
-    ("2013-01-09T14:00:00+05:30", "Fay <FAY@x.com>", ["eve@x.com"],
-     ["dee@x.com", "cy@x.com", "bob@x.com"], "Re: budget"),
-    ("2013-01-15T08:00:00Z", "CY@X.COM", ["dee@x.com", "eve@x.com", "fay@x.com", "ann@x.com"], [],
-     "delay problem"),
-    ("2013-01-22T16:45:00-08:00", "bob@x.com", ["cy@x.com", "dee@x.com"],
-     ["ann@x.com", "fay@x.com", "eve@x.com"], "Re: delay problem"),
-)
-
-
-def _write_every_path_mail(folder: Path) -> None:
-    """:data:`_EVERY_PATH_MAIL` as one team ``t`` in CSV, JSONL and mbox."""
-    from email.utils import format_datetime
-
-    rows = [(stamp, sender, ";".join(to), ";".join(cc), subject)
-            for stamp, sender, to, cc, subject in _EVERY_PATH_MAIL]
-    _write(folder / "csv" / "t.csv",
-           "".join(map(csv_line, [("timestamp", "from", "to", "cc", "subject"), *rows])).encode())
-    _write(folder / "jsonl" / "t.jsonl", "".join(
-        json.dumps({"timestamp": stamp, "from": sender, "to": to, "cc": cc, "subject": subject,
-                    "team_id": "t"}) + "\n"
-        for stamp, sender, to, cc, subject in _EVERY_PATH_MAIL).encode())
-    # Python 3.10's fromisoformat does not read a trailing Z
-    dates = [format_datetime(datetime.fromisoformat(stamp.replace("Z", "+00:00")))
-             for stamp, *_ in _EVERY_PATH_MAIL]
-    _write(folder / "mbox" / "t.mbox", "".join(
-        f"From x\nFrom: {sender}\nTo: {', '.join(to)}\nCc: {', '.join(cc)}\n"
-        f"Subject: {subject}\nDate: {date}\n\nbody\n"
-        for date, (_, sender, to, cc, subject) in zip(dates, _EVERY_PATH_MAIL)).encode())
-
-
 _DIGEST_PIPELINE = """\
 import contextlib, hashlib, io, re, sys
 from pathlib import Path
@@ -860,11 +807,16 @@ with contextlib.redirect_stdout(io.StringIO()):
         (out / "synth" / "recur" / path.name).write_text(re.sub(
             r",((?:Re: )*[a-z]+) [0-9]+(?=[^,]*$)", r",\\1", path.read_text(encoding="utf-8"),
             flags=re.M), encoding="utf-8")
+    # 40 actors a team: betweenness and oscillation on graphs larger than the others'
+    run("synth", "--out", out / "wide", "--seed", "7", "--teams", "3", "--months", "3",
+        "--actors", "40")
+    sources = {"recur": out / "synth" / "recur", "wide": out / "wide" / "mail"}
     for name, format, period in (("recur", "csv", "2012-06-01..2013-02-01"),
+                                 ("wide", "csv", "2012-06-01..2012-09-01"),
                                  ("csv", "csv", "2012-12-01..2013-02-01"),
                                  ("jsonl", "jsonl", "2012-12-01..2013-02-01"),
                                  ("mbox", "mbox", "2012-12-01..2013-02-01")):
-        source = out / "synth" / "recur" if name == "recur" else mail / name
+        source = sources.get(name, mail / name)
         run("ingest", *sorted(source.iterdir()), "--format", format, "--period", period,
             "--out", out / name / "archive")
         run("analyze", out / name / "archive", "--out", out / name / "default")
@@ -888,12 +840,14 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     interpreter, writes the same bytes under two hash seeds: no set or dict
     order reaches a file.  On the golden fixture it runs ``correlate`` and
     ``scorecard`` in each format.  It runs ``synth`` over a year boundary,
-    then ``ingest`` of that mail with its subjects made recurring, and of
-    :data:`_EVERY_PATH_MAIL` in CSV, JSONL and mbox.  Each archive is
+    then ``ingest`` of that mail with its subjects made recurring, of a
+    ``synth`` of 40 actors a team, whose graphs are the large ones, and of
+    :data:`mail.EVERY_PATH_MAIL` in CSV, JSONL and mbox.  Each archive is
     analyzed with the default options and with every other choice, and the
     synth metrics go through ``correlate`` and ``scorecard`` (each format)
     with a lower alert threshold and eligibility bar."""
-    _write_every_path_mail(tmp_path / "mail")
+    for format in ("csv", "jsonl", "mbox"):
+        write_mail(EVERY_PATH_MAIL[1], tmp_path / "mail" / format, format)
     src = str(Path(commscore.__file__).parents[1])
     digests = []
     for seed in ("1", "2"):
@@ -904,12 +858,12 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
              str(FIXTURE / "survey.csv"), str(tmp_path / "mail"), str(tmp_path / seed)],
             env=env, check=True, capture_output=True, text=True).stdout.splitlines())
     written = [line.split()[0] for line in digests[0]]
-    assert len(written) == 55
+    assert len(written) == 68
     assert {"cards/scorecard.csv", "cards/scorecard.html", "cards/scorecard.json",
             "report/correlation.csv", "report/scorecard.html", "report/scorecard.json",
             "synth/mail/team06.csv", "strict/correlation.csv", "strictcards/scorecard.csv",
             "strictcards/scorecard.html", "strictcards/scorecard.json"} <= set(written)
-    for name in ("recur", "csv", "jsonl", "mbox"):
+    for name in ("recur", "wide", "csv", "jsonl", "mbox"):
         assert {f"{name}/archive/manifest.json", f"{name}/default/metrics.csv",
                 f"{name}/options/metrics.csv"} <= set(written)
     assert digests[0] == digests[1]
@@ -1021,9 +975,10 @@ def test_only_ingest_and_the_calendar_handle_the_ends_of_the_datetime_range():
 
 def test_the_oracles_and_the_golden_writer_import_nothing_from_the_package():
     """``tests/oracles.py`` and ``tests/make_golden.py`` are the references the
-    package is checked against, so neither imports ``commscore``."""
+    package is checked against, and ``tests/mail.py`` writes the mail it is
+    fed, so none of them imports ``commscore``."""
     found = []
-    for name in ("oracles.py", "make_golden.py"):
+    for name in ("oracles.py", "make_golden.py", "mail.py"):
         for node in ast.walk(ast.parse((Path(__file__).parent / name).read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -1080,34 +1035,79 @@ def _near_written_archives(draw) -> bytes:
     return b"".join(lines)
 
 
+#: Lines of mbox headers, well-formed or not, and of arbitrary bytes.
+_mbox_lines = st.lists(st.one_of(st.sampled_from([
+    b"From x", b"From: A <A@x.com>", b"To: b@x.com, C <c@x.com>", b"Cc: ", b"Cc: a@x.com,",
+    b"Subject: Re: hi", b"Subject: =?utf-8?b?Y2Fm/w==?=", b"Date: Mon, 04 Jun 2012 09:00:00 +0000",
+    b"Date: 31 Dec 9999 23:59:59 -1200", b"Date: 4 Jun 2012 09:00", b"", b"body"]),
+    st.binary(max_size=30)), max_size=12).map(b"\n".join)
+
+#: Lexicon lines: section headers, known or not, comments, words and any bytes.
+_lexicon_lines = st.lists(st.one_of(
+    st.sampled_from([b"[positive]", b"[negative]", b"[other]", b"# note", b"s", b"\xc3\xa9", b""]),
+    st.binary(max_size=20), st.text(max_size=20).map(str.encode)), max_size=8).map(b"\n".join)
+
+
+@st.composite
+def _metrics_rows(draw) -> bytes:
+    """A metrics header and rows of readable cells, one cell perhaps replaced by other text."""
+    rows = [[team] + draw(st.lists(st.sampled_from(["", "0", "3", "0.5", "-1.25", "1e6", "1e-320"]),
+                                   min_size=8, max_size=8))
+            for team in draw(st.lists(st.sampled_from(["alpha", "bravo", "carol", "dee", "é"]),
+                                      unique=True, max_size=5))]
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 8))] = draw(st.one_of(
+            st.sampled_from(["nan", "-inf", "1e999", "1_0", "0x1", " 1"]), st.text(max_size=6)))
+    return "".join(map(csv_line, [METRICS_CSV_HEADER, *rows])).encode()
+
+
+_metrics_payloads = st.one_of(_payloads(csv_line(METRICS_CSV_HEADER).encode()), _metrics_rows())
+
 #: (name of the fuzzed input, strategy for its bytes)
 FUZZ_INPUTS = {
     "mail.csv": _payloads(MAIL_HEADER),
     "mail.jsonl": _jsonl_records,
+    "mail.mbox": st.one_of(_payloads(b"From x\n"), _mbox_lines),
     "archive corpus": _jsonl_records,
     "archive corpus near the written form": _near_written_archives(),
     "archive manifest": _payloads(b'{"period": '),
+    "lexicon": _lexicon_lines,
     "survey.csv": _payloads(SURVEY_HEADER),
-    "metrics.csv": _payloads(csv_line(METRICS_CSV_HEADER).encode()),
+    "metrics.csv": _metrics_payloads,
+    **{f"scorecard --format {format}": _metrics_payloads for format in ("json", "csv", "html")},
 }
 
 
 def _fuzz_argv(kind: str, blob: bytes, inputs: Path, out: Path) -> list[object]:
     manifest = b'{"period": {"start": "2012-06-01T00:00:00Z", "end": "2012-09-01T00:00:00Z"}}'
-    if kind == "mail.csv":
-        return ["ingest", _write(inputs / "team.csv", blob), "--period", PERIOD, "--out", out]
-    if kind == "mail.jsonl":
-        return ["ingest", _write(inputs / "mail.jsonl", blob), "--format", "jsonl",
+    if kind.startswith("mail."):
+        format = kind.partition(".")[2]
+        return ["ingest", _write(inputs / f"team.{format}", blob), "--format", format,
                 "--period", PERIOD, "--out", out]
-    if kind.startswith("archive"):
+    if kind.startswith("archive") or kind == "lexicon":
         archive = inputs / "archive"
         _write(archive / "manifest.json", blob if kind == "archive manifest" else manifest)
-        _write(archive / "corpora" / "team.jsonl", blob if kind == "archive corpus" else b"")
-        return ["analyze", archive, "--out", out]
+        _write(archive / "corpora" / "team.jsonl",
+               blob if kind.startswith("archive corpus") else b"".join(_WRITTEN_LINES))
+        lexicon = ["--lexicon", _write(inputs / "words.txt", blob)] if kind == "lexicon" else []
+        return ["analyze", archive, "--out", out, *lexicon]
+    if kind.startswith("scorecard"):
+        return ["scorecard", _write(inputs / "metrics.csv", blob), "--out", out,
+                "--format", kind.rpartition(" ")[2]]
     metrics = blob if kind == "metrics.csv" else _metrics()
     survey = blob if kind == "survey.csv" else _survey()
     return ["correlate", _write(inputs / "metrics.csv", metrics),
             _write(inputs / "survey.csv", survey), "--out", out, "--eligibility-min", "1"]
+
+
+def test_each_fuzzed_input_is_what_its_command_reads(tmp_path):
+    """For each kind, the fuzzed bytes are the one input file of that kind:
+    none is replaced by a fixed stand-in."""
+    blob = b"\x00fuzzed\n"
+    for kind in FUZZ_INPUTS:
+        _fuzz_argv(kind, blob, tmp_path / kind, tmp_path / "out")
+        files = [p for p in (tmp_path / kind).rglob("*") if p.is_file()]
+        assert [p.read_bytes() for p in files].count(blob) == 1, kind
 
 
 @pytest.mark.parametrize("kind", FUZZ_INPUTS)

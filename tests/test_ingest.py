@@ -11,7 +11,6 @@ import tempfile
 import warnings
 from collections import Counter
 from datetime import datetime, timedelta, timezone
-from email.utils import format_datetime
 from pathlib import Path
 
 import pytest
@@ -41,6 +40,7 @@ from commscore.metrics import compute_metric_vector
 
 import oracles
 from conftest import corpus_of, ev, ts
+from mail import EVERY_PATH_MAIL, iso_stamp, period, team_mail, write_mail
 
 FIXTURE = Path(__file__).parent / "data" / "fixture"
 
@@ -788,78 +788,62 @@ def test_ingesting_the_archive_again_writes_it_unchanged(tmp_path):
     assert manifests[0]["teams"] == manifests[1]["teams"]
 
 
-def test_the_same_mail_as_csv_jsonl_and_mbox_ingests_to_one_archive(tmp_path):
-    """Format relation through ``main()``: ``synth``'s CSV mail, rewritten as
-    one JSONL file naming each record's team and as one mbox file per team
-    (RFC 2822 ``Date`` at ``+0000``), ingests to byte-identical corpora."""
-    assert main(["synth", "--out", str(tmp_path / "synth"), "--seed", "3", "--teams", "3",
-                 "--months", "1"]) == 0
-    mail = sorted((tmp_path / "synth" / "mail").glob("*.csv"))
-    jsonl, mbox = tmp_path / "all.jsonl", tmp_path / "mbox"
-    mbox.mkdir()
-    with jsonl.open("w", encoding="utf-8") as out:
-        for path in mail:
-            messages = []
-            with path.open(newline="", encoding="utf-8") as rows:
-                for row in csv.DictReader(rows):
-                    to, cc = ([a for a in row[k].split(";") if a] for k in ("to", "cc"))
-                    out.write(json.dumps({**row, "to": to, "cc": cc, "team_id": path.stem}) + "\n")
-                    stamp = datetime.fromisoformat(row["timestamp"].replace("Z", "+00:00"))
-                    messages.append(f"From x\nFrom: {row['from']}\nTo: {', '.join(to)}\n"
-                                    f"Cc: {', '.join(cc)}\nSubject: {row['subject']}\n"
-                                    f"Date: {format_datetime(stamp)}\n\nbody\n")
-            (mbox / f"{path.stem}.mbox").write_text("".join(messages), encoding="utf-8")
-    period = "2012-06-01..2012-07-01"
-    for name, files, format in (("csv", mail, "csv"), ("jsonl", [jsonl], "jsonl"),
-                                ("mbox", sorted(mbox.iterdir()), "mbox")):
-        assert main(["ingest", *map(str, files), "--format", format, "--period", period,
-                     "--out", str(tmp_path / name), "--strict"]) == 0
-    archives = [{p.name: p.read_bytes() for p in (tmp_path / name / "corpora").iterdir()}
-                for name in ("csv", "jsonl", "mbox")]
-    assert sorted(archives[0]) == [f"{p.stem}.jsonl" for p in mail]
+@given(team_mail())
+@example(EVERY_PATH_MAIL)
+@settings(max_examples=5, deadline=None)
+def test_the_same_mail_as_csv_jsonl_and_mbox_ingests_to_one_archive(drawn):
+    """Format relation through ``main()``: the same mail as one CSV and one
+    mbox file per team, and as one JSONL file naming each record's team,
+    ingests to byte-identical corpora."""
+    months, messages = drawn
+    archives = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for format in ("csv", "jsonl", "mbox"):
+            out = Path(tmp) / format
+            files = write_mail(messages, out / "mail", format)
+            assert main(["ingest", *map(str, files), "--format", format, "--period",
+                         period(months), "--out", str(out / "archive"), "--strict"]) == 0
+            archives.append({p.name: p.read_bytes()
+                             for p in (out / "archive" / "corpora").iterdir()})
+    assert sorted(archives[0]) == sorted({f"{m.team}.jsonl" for m in messages})
     assert archives[0] == archives[1] == archives[2]
 
 
+#: The same instant in other offsets and spellings, and ``...Z``, which parses in one call.
 _STAMP_FORMS = {
-    "+05:30": lambda t: f"{(t + timedelta(hours=5, minutes=30)).isoformat()}+05:30",
-    "-08:00": lambda t: f"{(t - timedelta(hours=8)).isoformat()}-08:00",
-    "z": lambda t: f"{t.isoformat()}z",
-    "+00:00": lambda t: f"{t.isoformat()}+00:00",
-    ".000000Z": lambda t: f"{t.isoformat()}.000000Z",
+    "Z": lambda t: f"{t.astimezone(timezone.utc):%Y-%m-%dT%H:%M:%S}Z",
+    "own offset": iso_stamp,
+    "+05:30": lambda t: t.astimezone(timezone(timedelta(hours=5, minutes=30))).isoformat(),
+    "-08:00": lambda t: t.astimezone(timezone(timedelta(hours=-8))).isoformat(),
+    "z": lambda t: f"{t.astimezone(timezone.utc):%Y-%m-%dT%H:%M:%S}z",
+    "+00:00": lambda t: t.astimezone(timezone.utc).isoformat(),
+    ".000000Z": lambda t: f"{t.astimezone(timezone.utc):%Y-%m-%dT%H:%M:%S}.000000Z",
 }
 
 
-def test_stamps_in_other_forms_ingest_and_analyze_to_the_same_files(tmp_path):
-    """Representation relation through ``main()``: the fixture mail with every
-    stamp rewritten at the same instant in another offset or spelling ingests
-    to byte-identical corpora and manifest teams, and analyzes to a
-    byte-identical ``metrics.csv``, as the ``…Z`` stamps that parse in one
-    call do."""
-    period = "2012-06-01..2012-09-01"
-    mail = sorted((FIXTURE / "mail").glob("*.csv"))
-    runs = {"Z": mail}
-    for name, form in _STAMP_FORMS.items():
-        folder = tmp_path / "mail" / name
-        folder.mkdir(parents=True)
-        for path in mail:
-            with path.open(newline="", encoding="utf-8") as fh:
-                header, *rows = csv.reader(fh)
-            for row in rows:
-                assert row[0].endswith("Z") and len(row[0]) == 20
-                row[0] = form(datetime.fromisoformat(row[0][:-1]))
-            with (folder / path.name).open("w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh, lineterminator="\n").writerows([header, *rows])
-        runs[name] = sorted(folder.iterdir())
+@given(team_mail(), st.sampled_from(["csv", "jsonl"]))
+@example(EVERY_PATH_MAIL, "csv")
+@example(EVERY_PATH_MAIL, "jsonl")
+@settings(max_examples=3, deadline=None)
+def test_stamps_in_other_forms_ingest_and_analyze_to_the_same_files(drawn, format):
+    """Representation relation through ``main()``: the same mail with every
+    stamp written in each of :data:`_STAMP_FORMS` ingests to byte-identical
+    corpora and manifest teams, and analyzes to a byte-identical
+    ``metrics.csv``."""
+    months, messages = drawn
     outputs = []
-    for name, files in runs.items():
-        out = tmp_path / "out" / name
-        assert main(["ingest", *map(str, files), "--period", period, "--strict",
-                     "--out", str(out / "archive")]) == 0
-        assert main(["analyze", str(out / "archive"), "--out", str(out / "metrics")]) == 0
-        manifest = json.loads((out / "archive" / "manifest.json").read_text(encoding="utf-8"))
-        outputs.append(({p.name: p.read_bytes() for p in (out / "archive" / "corpora").iterdir()},
-                        manifest["teams"], (out / "metrics" / "metrics.csv").read_bytes()))
-    assert len(outputs[0][0]) == len(mail)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, form in _STAMP_FORMS.items():
+            out = Path(tmp) / name
+            files = write_mail(messages, out / "mail", format, stamp=form)
+            assert main(["ingest", *map(str, files), "--format", format, "--period",
+                         period(months), "--strict", "--out", str(out / "archive")]) == 0
+            assert main(["analyze", str(out / "archive"), "--out", str(out / "metrics")]) == 0
+            manifest = json.loads((out / "archive" / "manifest.json").read_text(encoding="utf-8"))
+            outputs.append(({p.name: p.read_bytes()
+                             for p in (out / "archive" / "corpora").iterdir()},
+                            manifest["teams"], (out / "metrics" / "metrics.csv").read_bytes()))
+    assert len(outputs[0][0]) == len({m.team for m in messages})
     assert all(output == outputs[0] for output in outputs[1:])
 
 
